@@ -2,7 +2,7 @@
 
 One command per invocation; a JSON (or CSV) report on stdout, errors on
 stderr. Exit codes: 0 success, 2 configuration error, 3 a checked
-invariant failed.
+invariant failed, 4 numerical error (an eigensolver failed to converge).
 """
 
 from __future__ import annotations
@@ -210,9 +210,9 @@ def _cmd_hedge(cfg: RunConfig):
     tol = cfg.tolerances["hedge_value"]
     results = []
     violations = []
+    z_t = log_moneyness(stock, model.K)
     for t in times:
         pos = hedge_portfolio(t, stock, model, convention=convention)
-        z_t = log_moneyness(stock, model.K)
         omega = price(model.T - t, z_t, model).omega
         defect = float(np.linalg.norm(pos.value - omega))
         passed = defect <= tol * max(1.0, float(np.linalg.norm(omega)))
@@ -425,9 +425,9 @@ def main(argv=None) -> int:
                 raise ConfigError("--seed", "seed must be nonnegative")
             cfg.seed = args.seed
         report = run(cfg, args.command, timing=not args.omit_timing)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except np.linalg.LinAlgError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -77,6 +77,14 @@ def _as_int(obj, path: str) -> int:
     return int(obj)
 
 
+def _validated(m, path: str, validator=require_hermitian) -> np.ndarray:
+    """Run an operator validator, reporting failure at the dotted path."""
+    try:
+        return validator(m, path)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc).split(": ", 1)[-1]) from None
+
+
 def matrix_to_json(m) -> list:
     """Row-major nested [re, im] pairs."""
     a = np.asarray(m, dtype=np.complex128)
@@ -152,10 +160,7 @@ def _parse_model(obj, path: str) -> MarketModel:
         _expect(name in ops_doc, f"{path}.ops.{name}", "missing")
         mats[name] = matrix_from_json(ops_doc[name], f"{path}.ops.{name}")
     for name, validator in (("X", require_hermitian), ("H", require_hermitian), ("S", require_unitary)):
-        try:
-            validator(mats[name], f"{path}.ops.{name}")
-        except ValueError as exc:
-            raise ConfigError(f"{path}.ops.{name}", str(exc).split(": ", 1)[-1]) from None
+        _validated(mats[name], f"{path}.ops.{name}", validator)
     try:
         ops = ModelOperators(X=mats["X"], H=mats["H"], L=mats["L"], S=mats["S"])
     except ValueError as exc:
@@ -231,12 +236,7 @@ def parse_config(text: str) -> RunConfig:
         entries = _as_list(doc["z_grid"], "z_grid")
         _expect(len(entries) > 0, "z_grid", "empty grid")
         for i, entry in enumerate(entries):
-            z = matrix_from_json(entry, f"z_grid[{i}]")
-            try:
-                require_hermitian(z, f"z_grid[{i}]")
-            except ValueError as exc:
-                raise ConfigError(f"z_grid[{i}]", str(exc).split(": ", 1)[-1]) from None
-            z_grid.append(z)
+            z_grid.append(_validated(matrix_from_json(entry, f"z_grid[{i}]"), f"z_grid[{i}]"))
 
     ito_defaults = {"dims": [2, 3, 4], "k_max": 6, "trials": 100}
     ito_check = dict(ito_defaults)
@@ -280,12 +280,7 @@ def parse_config(text: str) -> RunConfig:
             vals = _as_list(sec["times"], "hedge.times")
             hedge["times"] = [_as_number(v, f"hedge.times[{i}]") for i, v in enumerate(vals)]
         if "stock" in sec and sec["stock"] is not None:
-            stock = matrix_from_json(sec["stock"], "hedge.stock")
-            try:
-                require_hermitian(stock, "hedge.stock")
-            except ValueError as exc:
-                raise ConfigError("hedge.stock", str(exc).split(": ", 1)[-1]) from None
-            hedge["stock"] = stock
+            hedge["stock"] = _validated(matrix_from_json(sec["stock"], "hedge.stock"), "hedge.stock")
 
     classical = None
     if "classical" in doc:
@@ -318,12 +313,7 @@ def parse_config(text: str) -> RunConfig:
             lindblad["steps"] = _as_int(sec["steps"], "lindblad.steps")
             _expect(lindblad["steps"] >= 1, "lindblad.steps", "must be >= 1")
         if "x0" in sec and sec["x0"] is not None:
-            x0 = matrix_from_json(sec["x0"], "lindblad.x0")
-            try:
-                require_hermitian(x0, "lindblad.x0")
-            except ValueError as exc:
-                raise ConfigError("lindblad.x0", str(exc).split(": ", 1)[-1]) from None
-            lindblad["x0"] = x0
+            lindblad["x0"] = _validated(matrix_from_json(sec["x0"], "lindblad.x0"), "lindblad.x0")
 
     replicate = None
     if "replicate" in doc:
@@ -337,15 +327,8 @@ def parse_config(text: str) -> RunConfig:
             replicate[name] = _as_int(sec[name], f"replicate.{name}")
         replicate["sigma"] = _as_number(sec.get("sigma", 1.0), "replicate.sigma")
 
-    raw = _normalize(
-        version, output, seed, tolerances, model, state, t_grid, z_grid,
-        ito_check, terminal, hedge, classical, lindblad, replicate,
-        had_model="model" in doc, had_state="state" in doc,
-        had_t_grid="t_grid" in doc, had_z_grid="z_grid" in doc,
-        had_classical=classical is not None, had_replicate=replicate is not None,
-    )
-    return RunConfig(
-        raw=raw,
+    cfg = RunConfig(
+        raw={},
         schema_version=version,
         output=output,
         seed=seed,
@@ -361,65 +344,44 @@ def parse_config(text: str) -> RunConfig:
         lindblad=lindblad,
         replicate=replicate,
     )
+    cfg.raw = _normalize(cfg)
+    return cfg
 
 
-def _normalize(
-    version, output, seed, tolerances, model, state, t_grid, z_grid,
-    ito_check, terminal, hedge, classical, lindblad, replicate,
-    had_model, had_state, had_t_grid, had_z_grid, had_classical, had_replicate,
-) -> dict:
-    raw = {"schema_version": version, "output": output}
-    if seed is not None:
-        raw["seed"] = seed
-    raw["tolerances"] = {k: float(v) for k, v in sorted(tolerances.items())}
-    if had_model:
+def _normalize(c: RunConfig) -> dict:
+    """The canonical document of a parsed config. An optional section is
+    absent exactly when its field is None (model, state, classical,
+    replicate) or empty (t_grid, z_grid, which parse as non-empty)."""
+    raw = {"schema_version": c.schema_version, "output": c.output}
+    if c.seed is not None:
+        raw["seed"] = c.seed
+    raw["tolerances"] = dict(sorted(c.tolerances.items()))
+    if c.model is not None:
         raw["model"] = {
-            "ops": {name: matrix_to_json(getattr(model.ops, name)) for name in ("X", "H", "L", "S")},
-            "K": matrix_to_json(model.K),
-            "r": model.r,
-            "T": model.T,
-            "beta0": model.beta0,
+            "ops": {name: matrix_to_json(getattr(c.model.ops, name)) for name in ("X", "H", "L", "S")},
+            "K": matrix_to_json(c.model.K),
+            "r": c.model.r,
+            "T": c.model.T,
+            "beta0": c.model.beta0,
         }
-    if had_state:
-        raw["state"] = vector_to_json(state)
-    if had_t_grid:
-        raw["t_grid"] = [float(t) for t in t_grid]
-    if had_z_grid:
-        raw["z_grid"] = [matrix_to_json(z) for z in z_grid]
-    raw["ito_check"] = {
-        "dims": list(ito_check["dims"]),
-        "k_max": ito_check["k_max"],
-        "trials": ito_check["trials"],
-    }
-    raw["terminal"] = {"t_small": float(terminal["t_small"]), "min_gap": float(terminal["min_gap"])}
-    raw["hedge"] = {
-        "convention": hedge["convention"],
-        "times": [float(t) for t in hedge["times"]],
-        "stock": None if hedge["stock"] is None else matrix_to_json(hedge["stock"]),
-    }
-    if had_classical:
-        raw["classical"] = {
-            "x": [float(v) for v in classical["x"]],
-            "t": [float(v) for v in classical["t"]],
-            "strike": float(classical["strike"]),
-            "r": float(classical["r"]),
-            "sigma": float(classical["sigma"]),
-        }
-    raw["lindblad"] = {
-        "t": [float(v) for v in lindblad["t"]],
-        "steps": lindblad["steps"],
-        "x0": None if lindblad["x0"] is None else matrix_to_json(lindblad["x0"]),
-    }
-    if had_replicate:
-        raw["replicate"] = {
-            "x0": float(replicate["x0"]),
-            "strike": float(replicate["strike"]),
-            "r": float(replicate["r"]),
-            "T": float(replicate["T"]),
-            "steps": replicate["steps"],
-            "paths": replicate["paths"],
-            "sigma": float(replicate["sigma"]),
-        }
+    if c.state is not None:
+        raw["state"] = vector_to_json(c.state)
+    if c.t_grid:
+        raw["t_grid"] = list(c.t_grid)
+    if c.z_grid:
+        raw["z_grid"] = [matrix_to_json(z) for z in c.z_grid]
+    # every parsed number is already a float, so the sections copy as they are
+    raw["ito_check"] = {**c.ito_check, "dims": list(c.ito_check["dims"])}
+    raw["terminal"] = dict(c.terminal)
+    stock, x0 = c.hedge["stock"], c.lindblad["x0"]
+    raw["hedge"] = {**c.hedge, "times": list(c.hedge["times"])}
+    raw["hedge"]["stock"] = None if stock is None else matrix_to_json(stock)
+    if c.classical is not None:
+        raw["classical"] = {**c.classical, "x": list(c.classical["x"]), "t": list(c.classical["t"])}
+    raw["lindblad"] = {**c.lindblad, "t": list(c.lindblad["t"])}
+    raw["lindblad"]["x0"] = None if x0 is None else matrix_to_json(x0)
+    if c.replicate is not None:
+        raw["replicate"] = dict(c.replicate)
     return raw
 
 

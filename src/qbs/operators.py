@@ -15,7 +15,6 @@ import numpy as np
 
 HERMITIAN_RTOL = 1e-12
 UNITARY_RTOL = 1e-12
-RECONSTRUCT_RTOL = 1e-10
 
 _SQRT1_2 = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -178,8 +177,8 @@ def normal_cdf(x: float) -> float:
 
 
 def normal_pdf(x: float) -> float:
-    """Standard normal density."""
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+    """Standard normal density; elementwise on arrays."""
+    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def phi_series(x: float, n_max: int) -> float:

@@ -1,9 +1,10 @@
 """Operator-valued call pricing and its verification surface.
 
 The closed form prices a European call on a positive stock observable
-against a commuting strike operator; everything reduces to scalar
-functional calculus in a simultaneous eigenbasis, with unit volatility
-baked in by the model's structural assumption on X.
+against a commuting strike operator K. Every priced operator is K F(z),
+a scalar function F of the log-moneyness z applied in one
+eigendecomposition of z, with unit volatility baked in by the model's
+structural assumption on X.
 """
 
 from __future__ import annotations
@@ -17,17 +18,15 @@ from numpy.random import Generator, Philox
 
 from .flows import ModelOperators, expectation
 from .operators import (
-    apply_scalar_function,
+    SpectralDecomposition,
     commutator,
     frobenius,
     hermitian_part,
     normal_cdf,
     normal_pdf,
-    operator_exp,
     operator_log,
-    phi_operator,
-    positive_part,
     require_hermitian,
+    spectral_decompose,
 )
 
 COMMUTATION_RTOL = 1e-10
@@ -134,19 +133,75 @@ class ReplicationStats:
 
 def log_moneyness(x_op, k_op) -> np.ndarray:
     """The Hermitian z with K e^z = X, for commuting positive X and K."""
-    x = require_hermitian(x_op, "X")
-    k = require_hermitian(k_op, "K")
+    return _log_moneyness(require_hermitian(x_op, "X"), require_hermitian(k_op, "K"))[0]
+
+
+def _log_moneyness(x, k):
+    """log_moneyness of Hermitian x and k, with the decomposition of z."""
     if x.shape != k.shape:
         raise ValueError(f"dimension mismatch {x.shape} vs {k.shape}")
-    _require_positive_definite(x, "X")
-    _require_positive_definite(k, "K")
     _require_commuting(x, k, "X", "K")
+    # operator_log rejects a spectrum that is not positive
     z = operator_log(x, "X") - operator_log(k, "K")
-    recon = hermitian_part(k @ operator_exp(z))
-    err = frobenius(recon - x)
-    if err > 1e-10 * max(1.0, frobenius(x)):
+    dec = spectral_decompose(z, "z")
+    err = frobenius(_priced(dec, k, _exp(dec.eigenvalues)) - x)
+    if not err <= 1e-10 * max(1.0, frobenius(x)):
         raise ValueError(f"K exp(z) fails to reproduce X, error {err:.6e}")
-    return z
+    return z, dec
+
+
+def _checked_z(z, k, t: float | None = None, name: str = "z") -> np.ndarray:
+    """Check t > 0 (when given) and that z is Hermitian, sized like K and
+    commutes with it, so that every priced operator is K F(z)."""
+    if t is not None and not t > 0.0:
+        raise ValueError("t must be positive")
+    zh = require_hermitian(z, name)
+    if zh.shape != k.shape:
+        raise ValueError(f"{name} dim {zh.shape[0]} does not match strike dim {k.shape[0]}")
+    _require_commuting(zh, k, name, "K")
+    return zh
+
+
+def _exp(lam):
+    """Elementwise e^lam; overflow is rejected, never returned as inf."""
+    with np.errstate(over="ignore"):
+        out = np.exp(lam)
+    if not np.isfinite(out).all():
+        raise ValueError(f"z: exp overflows at {float(lam[~np.isfinite(out)][0])!r}")
+    return out
+
+
+def _call_scalars(t: float, lam, r: float):
+    """Per unit strike, the price w and its partials w10, w01, w02 at each
+    eigenvalue lam of z.
+
+    The terms are written out without algebraic simplification, so the
+    PDE residual cancellation is a genuine numerical event rather than an
+    identity baked into the code.
+    """
+    sqrt_t = math.sqrt(t)
+    disc = math.exp(-r * t)
+    ez = _exp(lam)
+    g = lam / sqrt_t + (r + 0.5) * sqrt_t
+    h = lam / sqrt_t + (r - 0.5) * sqrt_t
+    phi_g, phi_h = ndtr(g), ndtr(h)
+    dens_g, dens_h = normal_pdf(g), normal_pdf(h)
+    g_t = -0.5 * lam / t**1.5 + 0.5 * (r + 0.5) / sqrt_t
+    h_t = -0.5 * lam / t**1.5 + 0.5 * (r - 0.5) / sqrt_t
+    w = ez * phi_g - disc * phi_h
+    w10 = ez * dens_g * g_t + r * disc * phi_h - disc * dens_h * h_t
+    w01 = ez * phi_g + (ez * dens_g - disc * dens_h) / sqrt_t
+    ddens_g, ddens_h = -g * dens_g, -h * dens_h
+    w02 = ez * phi_g + 2.0 * (ez * dens_g) / sqrt_t + (ez * ddens_g - disc * ddens_h) / t
+    return w, w10, w01, w02
+
+
+def _priced(dec: SpectralDecomposition, k, f) -> np.ndarray:
+    """hermitian_part(K V diag(f) V*) for z = V diag(lam) V*; with k None,
+    V diag(f) V* alone."""
+    v = dec.eigenvectors
+    m = (v * f) @ v.conj().T
+    return hermitian_part(m if k is None else k @ m)
 
 
 def g_h_arguments(t: float, z, r: float):
@@ -165,20 +220,13 @@ def g_h_arguments(t: float, z, r: float):
 def price(t: float, z, model: MarketModel, state=None) -> PriceQuote:
     """Closed-form call price operator K e^z Phi(g) - K Phi(h) e^(-rt).
 
-    All factors commute, so the product order is immaterial; the tiny
-    skew left by finite arithmetic is symmetrized away.
+    K commutes with z, so the price is K F(z) for the scalar call formula
+    F, applied in one eigendecomposition of z; the tiny skew left by
+    finite arithmetic is symmetrized away.
     """
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    zh = require_hermitian(z, "z")
-    if zh.shape != model.K.shape:
-        raise ValueError(f"z dim {zh.shape[0]} does not match model dim {model.dim}")
-    _require_commuting(zh, model.K, "z", "K")
-    g, h = g_h_arguments(t, zh, model.r)
-    omega = model.K @ operator_exp(zh) @ phi_operator(g) - math.exp(-model.r * t) * (
-        model.K @ phi_operator(h)
-    )
-    omega = hermitian_part(omega)
+    zh = _checked_z(z, model.K, t)
+    dec = spectral_decompose(zh, "z")
+    omega = _priced(dec, model.K, _call_scalars(t, dec.eigenvalues, model.r)[0])
     expect = None
     if state is not None:
         expect = float(expectation(state, omega).real)
@@ -186,40 +234,11 @@ def price(t: float, z, model: MarketModel, state=None) -> PriceQuote:
 
 
 def price_derivatives(t: float, z, model: MarketModel):
-    """Analytic partials (d/dt, d/dz, d2/dz2) of the closed form.
-
-    The scalar derivatives are applied eigenvalue-wise without algebraic
-    simplification, so the PDE residual cancellation is a genuine
-    numerical event rather than an identity baked into the code.
-    """
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    zh = require_hermitian(z, "z")
-    if zh.shape != model.K.shape:
-        raise ValueError(f"z dim {zh.shape[0]} does not match model dim {model.dim}")
-    _require_commuting(zh, model.K, "z", "K")
-    r = model.r
-    g, h = g_h_arguments(t, zh, r)
-    sqrt_t = math.sqrt(t)
-    eye = np.eye(zh.shape[0])
-    kez = hermitian_part(model.K @ operator_exp(zh))
-    disc = math.exp(-r * t)
-    phi_g = phi_operator(g)
-    phi_h = phi_operator(h)
-    dens_g = apply_scalar_function(g, normal_pdf)
-    dens_h = apply_scalar_function(h, normal_pdf)
-    ddens_g = apply_scalar_function(g, lambda v: -v * normal_pdf(v))
-    ddens_h = apply_scalar_function(h, lambda v: -v * normal_pdf(v))
-    g_t = -0.5 * zh / t**1.5 + (0.5 * (r + 0.5) / sqrt_t) * eye
-    h_t = -0.5 * zh / t**1.5 + (0.5 * (r - 0.5) / sqrt_t) * eye
-    omega10 = kez @ dens_g @ g_t + r * disc * (model.K @ phi_h) - disc * (model.K @ dens_h @ h_t)
-    omega01 = kez @ phi_g + (kez @ dens_g - disc * (model.K @ dens_h)) / sqrt_t
-    omega02 = (
-        kez @ phi_g
-        + 2.0 * (kez @ dens_g) / sqrt_t
-        + (kez @ ddens_g - disc * (model.K @ ddens_h)) / t
-    )
-    return tuple(hermitian_part(o) for o in (omega10, omega01, omega02))
+    """Analytic partials (d/dt, d/dz, d2/dz2) of the closed form."""
+    zh = _checked_z(z, model.K, t)
+    dec = spectral_decompose(zh, "z")
+    _, *partials = _call_scalars(t, dec.eigenvalues, model.r)
+    return tuple(_priced(dec, model.K, f) for f in partials)
 
 
 def residual_eq8(
@@ -237,11 +256,13 @@ def residual_eq8(
     central differences instead, which keeps the check route independent
     of the analytic code path.
     """
-    zh = require_hermitian(z, "z")
     if candidate is None:
-        w = price(t, zh, model).omega
-        w10, w01, w02 = price_derivatives(t, zh, model)
+        zh = _checked_z(z, model.K, t)
+        dec = spectral_decompose(zh, "z")
+        eigs = dec.eigenvalues
+        w, w10, w01, w02 = (_priced(dec, model.K, f) for f in _call_scalars(t, eigs, model.r))
     else:
+        zh = require_hermitian(z, "z")
         if not t > 0.0:
             raise ValueError("t must be positive")
         eye = np.eye(zh.shape[0])
@@ -257,9 +278,10 @@ def residual_eq8(
         w10 = (w_tp - w_tm) / (2.0 * ht)
         w01 = (w_zp - w_zm) / (2.0 * hz)
         w02 = (w_zp - 2.0 * w + w_zm) / (hz * hz)
+        eigs = np.linalg.eigvalsh(zh)
     resid = w10 - 0.5 * w02 - (model.r - 0.5) * w01 + model.r * w
     norm = float(np.linalg.norm(resid, 2))
-    grid = tuple((float(t), float(v)) for v in np.linalg.eigvalsh(zh))
+    grid = tuple((float(t), float(v)) for v in eigs)
     return ResidualReport(
         residual_norm=norm, tolerance=float(tolerance), grid=grid, passed=norm <= tolerance
     )
@@ -354,23 +376,23 @@ def residual_poisson_scalar(
 def terminal_payoff(z_t, k_op, convention: str = "spectral", state=None):
     """Call payoff at maturity from the terminal log-moneyness.
 
-    spectral: positive_part(K e^z - K), an operator.
+    spectral: positive_part(K e^z - K), an operator; for positive K
+    commuting with z it is K max(e^z - 1, 0) evaluated at z.
     expectation: max(0, <u, (K e^z - K) u>), a scalar; requires a state.
     The two disagree for indefinite K e^z - K, which is why both exist.
     """
-    zh = require_hermitian(z_t, "zT")
+    if convention not in ("spectral", "expectation"):
+        raise ValueError(f"unknown payoff convention {convention!r}")
+    if convention == "expectation" and state is None:
+        raise ValueError("expectation convention requires a state")
     k = require_hermitian(k_op, "K")
-    if zh.shape != k.shape:
-        raise ValueError(f"dimension mismatch {zh.shape} vs {k.shape}")
-    _require_commuting(zh, k, "zT", "K")
-    diff = hermitian_part(k @ operator_exp(zh) - k)
+    _require_positive_definite(k, "K")
+    zh = _checked_z(z_t, k, name="zT")
+    dec = spectral_decompose(zh, "zT")
+    excess = _exp(dec.eigenvalues) - 1.0
     if convention == "spectral":
-        return positive_part(diff)
-    if convention == "expectation":
-        if state is None:
-            raise ValueError("expectation convention requires a state")
-        return max(0.0, float(expectation(state, diff).real))
-    raise ValueError(f"unknown payoff convention {convention!r}")
+        return _priced(dec, k, np.maximum(excess, 0.0))
+    return max(0.0, float(expectation(state, _priced(dec, k, excess)).real))
 
 
 def terminal_limit_check(
@@ -385,17 +407,18 @@ def terminal_limit_check(
     Eigenvalues of zT inside (-min_gap, min_gap) are rejected: there the
     limit is governed by the CDF transition and no rate is claimed.
     """
-    zh = require_hermitian(z_t, "zT")
-    eigs = np.linalg.eigvalsh(zh)
+    zh = _checked_z(z_t, model.K, t_small, "zT")
+    dec = spectral_decompose(zh, "zT")
+    eigs = dec.eigenvalues
     closest = float(np.min(np.abs(eigs)))
     if closest < min_gap:
         raise ValueError(
             f"zT eigenvalue with |value| = {closest!r} lies within {min_gap} of 0; "
             "the terminal limit is not certified there"
         )
-    payoff = terminal_payoff(zh, model.K, "spectral")
-    quote = price(t_small, zh, model)
-    dev = float(np.linalg.norm(quote.omega - payoff, 2))
+    payoff = _priced(dec, model.K, np.maximum(_exp(eigs) - 1.0, 0.0))
+    omega = _priced(dec, model.K, _call_scalars(t_small, eigs, model.r)[0])
+    dev = float(np.linalg.norm(omega - payoff, 2))
     if tolerance is None:
         tolerance = 1e-6 * max(1.0, float(np.linalg.norm(payoff, 2)))
     grid = tuple((float(t_small), float(v)) for v in eigs)
@@ -418,7 +441,9 @@ def hedge_portfolio(
 
     direct convention: a = w01(T - t, z_t), the slope of the price in
     log-moneyness at time to maturity, used as the stock weight as is.
-    classical convention: a = w01 x^{-1}, the chain-rule delta.
+    classical convention: a = w01 x^{-1}, the chain-rule delta; with
+    x = K e^z and K commuting with z the strike cancels, leaving the
+    per-unit-strike slope times e^{-z}.
     b is fixed by b = (w - a j_x) e^{-rt} / beta0 either way, so the
     value identity a j_x + b beta_t = w holds by construction.
     """
@@ -427,17 +452,16 @@ def hedge_portfolio(
     if convention not in ("direct", "classical"):
         raise ValueError(f"unknown hedge convention {convention!r}")
     jx = require_hermitian(j_x, "j_x")
-    z_t = log_moneyness(jx, model.K)
-    tau = model.T - t
-    quote = price(tau, z_t, model)
-    _, w01, _ = price_derivatives(tau, z_t, model)
+    _, dec = _log_moneyness(jx, model.K)
+    lam = dec.eigenvalues
+    w, _, w01, _ = _call_scalars(model.T - t, lam, model.r)
+    omega = _priced(dec, model.K, w)
     if convention == "direct":
-        a = w01
+        a = _priced(dec, model.K, w01)
     else:
-        inv_jx = apply_scalar_function(jx, lambda v: 1.0 / v, "j_x")
-        a = hermitian_part(w01 @ inv_jx)
+        a = _priced(dec, None, w01 * _exp(-lam))
     disc = math.exp(-model.r * t)
-    b = hermitian_part((quote.omega - hermitian_part(a @ jx)) * (disc / model.beta0))
+    b = hermitian_part((omega - hermitian_part(a @ jx)) * (disc / model.beta0))
     beta_t = model.beta0 * math.exp(model.r * t)
     value = hermitian_part(a @ jx) + beta_t * b
     return HedgePosition(a=a, b=b, value=value)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import qbs.cli
 from qbs.config import ConfigError, parse_config, serialize_config
 
 
@@ -187,12 +188,16 @@ def test_unknown_command(tmp_path):
 
 
 def test_parse_config_round_trip():
-    """parse(serialize(cfg)) == cfg and the normalized form is a fixed point."""
-    c1 = parse_config(json.dumps(full_config()))
-    s1 = serialize_config(c1)
-    c2 = parse_config(s1)
-    assert c1 == c2
-    assert s1 == serialize_config(c2)
+    """parse(serialize(cfg)) == cfg and the normalized form is a fixed point,
+    with every optional section present and with them absent."""
+    for doc in (full_config(), scalar_config()):
+        c1 = parse_config(json.dumps(doc))
+        s1 = serialize_config(c1)
+        c2 = parse_config(s1)
+        assert c1 == c2
+        assert s1 == serialize_config(c2)
+    absent = json.loads(serialize_config(parse_config(json.dumps(scalar_config()))))
+    assert not {"state", "classical", "replicate"} & set(absent)
 
 
 def test_parse_config_reports_dotted_paths():
@@ -232,3 +237,21 @@ def test_state_dimension_checked():
     doc = scalar_config(state=[[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ConfigError, match="state"):
         parse_config(json.dumps(doc))
+
+
+def test_eigensolver_failure_is_a_numerical_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(scalar_config()))
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert qbs.cli.main(["price", "--config", str(path), "--omit-timing"]) == 4
+    assert "numerical error" in capsys.readouterr().err
+
+
+def test_overflowing_moneyness_is_a_config_error(tmp_path):
+    proc = run_cli(["price"], scalar_config(z_grid=[[[[800.0, 0.0]]]]), tmp_path)
+    assert proc.returncode == 2
+    assert "overflow" in proc.stderr

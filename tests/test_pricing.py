@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from qbs.flows import ModelOperators, expectation
@@ -137,6 +138,14 @@ def test_price_expectation_field():
     quote = price(0.5, np.diag([0.2, -0.1]), model, state=u)
     assert quote.omega_expectation is not None
     assert abs(quote.omega_expectation - expectation(u, quote.omega).real) <= 1e-14
+
+
+def test_overflowing_exponent_is_rejected():
+    """e^z overflows at z = 800: an error, never an inf or nan price."""
+    model = _scalar_model()
+    for fn in (price, price_derivatives):
+        with pytest.raises(ValueError, match="overflow"):
+            fn(1.0, 800.0 * np.eye(1), model)
 
 
 def test_price_derivatives_match_finite_differences():
@@ -455,3 +464,55 @@ def test_replication_domain():
         replication_simulation(1.0, 1.0, 0.05, 1.0, 50, 1000, seed=1)
     with pytest.raises(ValueError):
         replication_simulation(1.0, 1.0, 0.05, 1.0, 100, 10, seed=1)
+
+
+@st.composite
+def commuting_markets(draw):
+    """A unitary U with z = U diag(lam) U* and K = U diag(k) U*. lam takes
+    fewer distinct values than the dimension, so z has a repeated
+    eigenvalue, and k has distinct entries, so K is not scalar on it."""
+    dim = draw(st.integers(2, 4))
+    levels = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=dim - 1))
+    lam = np.array(draw(st.lists(st.sampled_from(levels), min_size=dim, max_size=dim))) / 20.0
+    k = np.array(draw(st.lists(st.integers(10, 40), min_size=dim, max_size=dim, unique=True))) / 20.0
+    u = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), dim)
+    r = draw(st.integers(0, 10)) / 100.0
+    T = draw(st.integers(5, 20)) / 10.0
+    build = lambda d: hermitian_part((u * d) @ u.conj().T)
+    ops = ModelOperators(
+        X=build(k * np.exp(lam)), H=np.zeros((dim, dim)), L=np.zeros((dim, dim)), S=np.eye(dim)
+    )
+    return u, lam, k, build(lam), MarketModel(ops=ops, K=build(k), r=r, T=T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(commuting_markets(), st.integers(1, 40))
+def test_price_is_scalar_call_in_the_eigenbasis(market, t_tenths):
+    u, lam, k, z, model = market
+    t = t_tenths / 10.0
+    omega = price(t, z, model).omega
+    scalar = [classical_bs(ki * math.exp(li), ki, model.r, 1.0, t)[0] for ki, li in zip(k, lam)]
+    want = (u * np.array(scalar)) @ u.conj().T
+    assert np.max(np.abs(omega - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(commuting_markets(), st.integers(1, 40))
+def test_price_lies_between_zero_and_forward(market, t_tenths):
+    """0 <= omega <= K e^z in the operator order."""
+    _, _, _, z, model = market
+    omega = price(t_tenths / 10.0, z, model).omega
+    slack = 1e-12 * max(1.0, float(np.linalg.norm(model.ops.X)))
+    assert np.linalg.eigvalsh(omega)[0] >= -slack
+    assert np.linalg.eigvalsh(model.ops.X - omega)[0] >= -slack
+
+
+@settings(max_examples=40, deadline=None)
+@given(commuting_markets(), st.integers(1, 9), st.sampled_from(["direct", "classical"]))
+def test_hedge_reconstructs_price(market, t_tenths, convention):
+    _, _, _, _, model = market
+    t = model.T * t_tenths / 10.0
+    pos = hedge_portfolio(t, model.ops.X, model, convention=convention)
+    omega = price(model.T - t, log_moneyness(model.ops.X, model.K), model).omega
+    scale = max(1.0, float(np.abs(omega).max()))
+    assert np.max(np.abs(pos.value - omega)) <= 1e-12 * scale
