@@ -14,26 +14,28 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 from numpy.random import default_rng
 
 from . import __version__
-from .config import SCHEMA_VERSION, ConfigError, RunConfig, matrix_to_json, parse_config
+from .config import SCHEMA_VERSION, ConfigError, RunConfig, pair_array, parse_config
 from .flows import flow_coefficients, semigroup_evolve
 from .operators import hermitian_defect
 from .pricing import (
+    _hedge_times,
+    _terminal_deviation,
     classical_bs,
-    hedge_portfolio,
-    log_moneyness,
     price,
     replication_simulation,
     residual_eq8,
-    terminal_limit_check,
     terminal_payoff,
 )
 from .sampling import random_model
+
+_INDENT = "  "
 
 COMMANDS = (
     "coeffs",
@@ -50,6 +52,9 @@ COMMANDS = (
 
 @dataclass
 class RunReport:
+    """One command's output. Result rows hold scalars and complex ndarrays;
+    render_json writes each ndarray as nested [re, im] pairs."""
+
     command: str
     seed: int | None
     tolerances: dict
@@ -75,10 +80,10 @@ def _cmd_coeffs(cfg: RunConfig):
     model = _need(cfg, "model", "a model section")
     fc = flow_coefficients(model.ops.X, model.ops)
     result = {
-        "alpha": matrix_to_json(fc.alpha),
-        "alpha_dagger": matrix_to_json(fc.alpha_dagger),
-        "lambda": matrix_to_json(fc.lam),
-        "theta": matrix_to_json(fc.theta),
+        "alpha": fc.alpha,
+        "alpha_dagger": fc.alpha_dagger,
+        "lambda": fc.lam,
+        "theta": fc.theta,
         "max_abs_alpha": float(np.max(np.abs(fc.alpha))),
         "max_abs_lambda": float(np.max(np.abs(fc.lam))),
         "max_abs_theta": float(np.max(np.abs(fc.theta))),
@@ -132,7 +137,7 @@ def _cmd_price(cfg: RunConfig):
                 {
                     "t": t,
                     "z_index": i,
-                    "omega": matrix_to_json(quote.omega),
+                    "omega": quote.omega,
                     "omega_min_eigenvalue": float(omega_eigs[0]),
                     "omega_max_eigenvalue": float(omega_eigs[-1]),
                     "omega_expectation": quote.omega_expectation,
@@ -176,9 +181,9 @@ def _cmd_terminal_check(cfg: RunConfig):
     results = []
     violations = []
     for i, z in enumerate(z_grid):
-        payoff = terminal_payoff(z, model.K, "spectral")
+        deviation, payoff, _ = _terminal_deviation(z, model, t_small, min_gap)
         tol = base * max(1.0, float(np.linalg.norm(payoff, 2)))
-        rep = terminal_limit_check(z, model, t_small=t_small, min_gap=min_gap, tolerance=tol)
+        passed = deviation <= tol
         expectation_payoff = None
         if cfg.state is not None:
             expectation_payoff = terminal_payoff(z, model.K, "expectation", state=cfg.state)
@@ -186,17 +191,15 @@ def _cmd_terminal_check(cfg: RunConfig):
             {
                 "z_index": i,
                 "t_small": t_small,
-                "deviation": rep.residual_norm,
-                "tolerance": rep.tolerance,
-                "passed": rep.passed,
-                "payoff_spectral": matrix_to_json(payoff),
+                "deviation": deviation,
+                "tolerance": tol,
+                "passed": passed,
+                "payoff_spectral": payoff,
                 "payoff_expectation": expectation_payoff,
             }
         )
-        if not rep.passed:
-            violations.append(
-                f"terminal deviation {rep.residual_norm:.6e} exceeds {rep.tolerance:.6e} at z_index={i}"
-            )
+        if not passed:
+            violations.append(f"terminal deviation {deviation:.6e} exceeds {tol:.6e} at z_index={i}")
     return results, violations
 
 
@@ -210,9 +213,8 @@ def _cmd_hedge(cfg: RunConfig):
     tol = cfg.tolerances["hedge_value"]
     results = []
     violations = []
-    z_t = log_moneyness(stock, model.K)
-    for t in times:
-        pos = hedge_portfolio(t, stock, model, convention=convention)
+    z_t, positions = _hedge_times(times, stock, model, convention)
+    for t, pos in zip(times, positions):
         omega = price(model.T - t, z_t, model).omega
         defect = float(np.linalg.norm(pos.value - omega))
         passed = defect <= tol * max(1.0, float(np.linalg.norm(omega)))
@@ -220,9 +222,9 @@ def _cmd_hedge(cfg: RunConfig):
             {
                 "t": t,
                 "convention": convention,
-                "a": matrix_to_json(pos.a),
-                "b": matrix_to_json(pos.b),
-                "value": matrix_to_json(pos.value),
+                "a": pos.a,
+                "b": pos.b,
+                "value": pos.value,
                 "reconstruction_error": defect,
                 "passed": passed,
             }
@@ -269,7 +271,7 @@ def _cmd_lindblad(cfg: RunConfig):
             {
                 "t": t,
                 "steps": steps if steps is not None else max(int(round(1000.0 * t)), 100),
-                "x_t": matrix_to_json(out),
+                "x_t": out,
                 "hermiticity_defect": defect,
                 "passed": passed,
             }
@@ -338,7 +340,65 @@ def run(cfg: RunConfig, command: str, timing: bool = True) -> RunReport:
     )
 
 
+def _pairs_text(pairs: np.ndarray, level: int) -> str:
+    """json.dumps(pairs.tolist(), indent=2) as it reads at nesting level,
+    for a non-empty float array: the numbers come from one float.__repr__
+    pass and the text between them from one separator per nesting depth."""
+    depth = pairs.ndim
+    flat = pairs.ravel()
+    texts = list(map(float.__repr__, flat.tolist()))
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        texts[i] = json.dumps(flat[i].item())  # NaN, Infinity or -Infinity
+    pad = ["\n" + _INDENT * (level + k) for k in range(depth + 1)]
+
+    def closing(m: int) -> str:  # the m innermost lists end
+        return "".join(pad[depth - 1 - c] + "]" for c in range(m))
+
+    def opening(m: int) -> str:  # m lists begin, down to the first number
+        return "".join(pad[depth - m + c] + "[" for c in range(m)) + pad[depth]
+
+    n = len(texts)
+    seps = [f",{opening(0)}"] * n
+    period = 1
+    for m in range(1, depth):  # numbers that end m lists at once
+        period *= pairs.shape[depth - m]
+        seps[period - 1 :: period] = [f"{closing(m)},{opening(m)}"] * (n // period)
+    seps[-1] = closing(depth)
+    out = [""] * (2 * n)
+    out[0::2] = texts
+    out[1::2] = seps
+    return "[" + opening(depth - 1) + "".join(out)
+
+
+def _write(value, level: int, out: list) -> None:
+    """Append json.dumps(value, indent=2) as it reads at nesting level, with
+    each ndarray written as the nested [re, im] pairs of pair_array. Object
+    keys must be strings."""
+    if isinstance(value, np.ndarray):
+        pairs = pair_array(value)
+        if pairs.size:
+            out.append(_pairs_text(pairs, level))
+        else:
+            _write(pairs.tolist(), level, out)
+    elif isinstance(value, dict) and value:
+        pad = "\n" + _INDENT * (level + 1)
+        for sep, (key, item) in zip(chain("{", repeat(",")), value.items()):
+            out.append(f"{sep}{pad}{json.dumps(key)}: ")
+            _write(item, level + 1, out)
+        out.append("\n" + _INDENT * level + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        pad = "\n" + _INDENT * (level + 1)
+        for sep, item in zip(chain("[", repeat(",")), value):
+            out.append(sep + pad)
+            _write(item, level + 1, out)
+        out.append("\n" + _INDENT * level + "]")
+    else:
+        out.append(json.dumps(value))
+
+
 def render_json(report: RunReport) -> str:
+    """The report as json.dumps(doc, indent=2) would write it, matrices as
+    nested [re, im] pairs."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -349,7 +409,10 @@ def render_json(report: RunReport) -> str:
         "invariant_violations": report.invariant_violations,
         "wall_time_s": report.wall_time_s,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    out = []
+    _write(doc, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_csv(report: RunReport) -> str:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -63,7 +65,10 @@ def _as_number(obj, path: str) -> float:
         path,
         f"expected a number, got {obj!r}",
     )
-    val = float(obj)
+    try:
+        val = float(obj)
+    except OverflowError:  # an integer literal beyond float range
+        val = math.inf
     _expect(math.isfinite(val), path, f"non-finite number {obj!r}")
     return val
 
@@ -85,43 +90,78 @@ def _validated(m, path: str, validator=require_hermitian) -> np.ndarray:
         raise ConfigError(path, str(exc).split(": ", 1)[-1]) from None
 
 
+def pair_array(m) -> np.ndarray:
+    """The [re, im] pairs of a complex array: a float64 view of shape
+    m.shape + (2,), row-major like its JSON form."""
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    return a.view(np.float64).reshape(a.shape + (2,))
+
+
 def matrix_to_json(m) -> list:
     """Row-major nested [re, im] pairs."""
-    a = np.asarray(m, dtype=np.complex128)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+    return pair_array(m).tolist()
+
+
+def _pair_values(cells: list):
+    """The (n, 2) float array of n cells that are each an [re, im] pair of
+    finite numbers, checked and converted in whole-list passes; None when
+    some cell is not, and the caller's per-cell walk then names it."""
+    if not all(map(isinstance, cells, repeat(list))) or set(map(len, cells)) != {2}:
+        return None
+    leaves = list(chain.from_iterable(cells))
+    kinds = set(map(type, leaves))
+    if not all(issubclass(k, (int, float)) and not issubclass(k, bool) for k in kinds):
+        return None
+    try:
+        vals = np.array(leaves, dtype=np.float64)
+    except OverflowError:  # an integer literal beyond float range
+        return None
+    if not np.isfinite(vals).all():
+        return None
+    return vals.reshape(-1, 2)
+
+
+def _check_pair(obj, path: str) -> None:
+    pair = _as_list(obj, path)
+    _expect(len(pair) == 2, path, "expected an [re, im] pair")
+    _as_number(pair[0], path)
+    _as_number(pair[1], path)
+
+
+def _malformed(path: str) -> ConfigError:
+    # the per-cell walks mirror _pair_values' checks, so they raise first
+    return ConfigError(path, "expected an array of [re, im] pairs")
 
 
 def matrix_from_json(obj, path: str) -> np.ndarray:
     rows = _as_list(obj, path)
     _expect(len(rows) > 0, path, "empty matrix")
     dim = len(rows)
-    out = np.empty((dim, dim), dtype=np.complex128)
+    if all(map(isinstance, rows, repeat(list))) and set(map(len, rows)) == {dim}:
+        vals = _pair_values(list(chain.from_iterable(rows)))
+        if vals is not None:
+            return vals.view(np.complex128).reshape(dim, dim)
     for i, row in enumerate(rows):
         row = _as_list(row, f"{path}[{i}]")
         _expect(len(row) == dim, f"{path}[{i}]", f"expected {dim} entries, got {len(row)}")
         for j, pair in enumerate(row):
-            cell = f"{path}[{i}][{j}]"
-            pair = _as_list(pair, cell)
-            _expect(len(pair) == 2, cell, "expected an [re, im] pair")
-            out[i, j] = complex(_as_number(pair[0], cell), _as_number(pair[1], cell))
-    return out
+            _check_pair(pair, f"{path}[{i}][{j}]")
+    raise _malformed(path)
 
 
 def vector_to_json(v) -> list:
-    a = np.asarray(v, dtype=np.complex128).reshape(-1)
-    return [[float(x.real), float(x.imag)] for x in a]
+    return pair_array(np.ravel(v)).tolist()
 
 
 def vector_from_json(obj, path: str) -> np.ndarray:
     entries = _as_list(obj, path)
     _expect(len(entries) > 0, path, "empty vector")
-    out = np.empty(len(entries), dtype=np.complex128)
+    vals = _pair_values(entries)
+    if vals is not None:
+        return vals.view(np.complex128).reshape(-1)
     for i, pair in enumerate(entries):
-        cell = f"{path}[{i}]"
-        pair = _as_list(pair, cell)
-        _expect(len(pair) == 2, cell, "expected an [re, im] pair")
-        out[i] = complex(_as_number(pair[0], cell), _as_number(pair[1], cell))
-    return out
+        _check_pair(pair, f"{path}[{i}]")
+    raise _malformed(path)
 
 
 @dataclass(eq=False)
@@ -131,7 +171,6 @@ class RunConfig:
     Two configs are equal when their normalized documents are equal.
     """
 
-    raw: dict
     schema_version: int
     output: str
     seed: int | None
@@ -146,6 +185,11 @@ class RunConfig:
     classical: dict | None
     lindblad: dict
     replicate: dict | None
+
+    @cached_property
+    def raw(self) -> dict:
+        """The normalized document, built from the fields on first use."""
+        return _normalize(self)
 
     def __eq__(self, other):
         return isinstance(other, RunConfig) and self.raw == other.raw
@@ -201,7 +245,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise ConfigError("", f"invalid JSON: {exc}") from None
     doc = _as_dict(doc, "")
     version = _as_int(doc.get("schema_version"), "schema_version") if "schema_version" in doc else None
@@ -327,8 +371,7 @@ def parse_config(text: str) -> RunConfig:
             replicate[name] = _as_int(sec[name], f"replicate.{name}")
         replicate["sigma"] = _as_number(sec.get("sigma", 1.0), "replicate.sigma")
 
-    cfg = RunConfig(
-        raw={},
+    return RunConfig(
         schema_version=version,
         output=output,
         seed=seed,
@@ -344,8 +387,6 @@ def parse_config(text: str) -> RunConfig:
         lindblad=lindblad,
         replicate=replicate,
     )
-    cfg.raw = _normalize(cfg)
-    return cfg
 
 
 def _normalize(c: RunConfig) -> dict:

@@ -407,6 +407,18 @@ def terminal_limit_check(
     Eigenvalues of zT inside (-min_gap, min_gap) are rejected: there the
     limit is governed by the CDF transition and no rate is claimed.
     """
+    dev, payoff, eigs = _terminal_deviation(z_t, model, t_small, min_gap)
+    if tolerance is None:
+        tolerance = 1e-6 * max(1.0, float(np.linalg.norm(payoff, 2)))
+    grid = tuple((float(t_small), float(v)) for v in eigs)
+    return ResidualReport(
+        residual_norm=dev, tolerance=float(tolerance), grid=grid, passed=dev <= tolerance
+    )
+
+
+def _terminal_deviation(z_t, model: MarketModel, t_small: float, min_gap: float):
+    """(||price(t_small, zT) - payoff||_2, the spectral payoff, the eigenvalues
+    of zT), from one decomposition of zT."""
     zh = _checked_z(z_t, model.K, t_small, "zT")
     dec = spectral_decompose(zh, "zT")
     eigs = dec.eigenvalues
@@ -418,13 +430,7 @@ def terminal_limit_check(
         )
     payoff = _priced(dec, model.K, np.maximum(_exp(eigs) - 1.0, 0.0))
     omega = _priced(dec, model.K, _call_scalars(t_small, eigs, model.r)[0])
-    dev = float(np.linalg.norm(omega - payoff, 2))
-    if tolerance is None:
-        tolerance = 1e-6 * max(1.0, float(np.linalg.norm(payoff, 2)))
-    grid = tuple((float(t_small), float(v)) for v in eigs)
-    return ResidualReport(
-        residual_norm=dev, tolerance=float(tolerance), grid=grid, passed=dev <= tolerance
-    )
+    return float(np.linalg.norm(omega - payoff, 2)), payoff, eigs
 
 
 def reasonable_price(model: MarketModel, state=None) -> PriceQuote:
@@ -447,24 +453,34 @@ def hedge_portfolio(
     b is fixed by b = (w - a j_x) e^{-rt} / beta0 either way, so the
     value identity a j_x + b beta_t = w holds by construction.
     """
-    if not 0.0 < t < model.T:
-        raise ValueError(f"t={t!r} outside (0, {model.T})")
+    return _hedge_times((t,), j_x, model, convention)[1][0]
+
+
+def _hedge_times(times, j_x, model: MarketModel, convention: str):
+    """(z, [hedge_portfolio(t, j_x, model, convention) for t in times]),
+    with the log-moneyness z of j_x decomposed once for all times."""
+    for t in times:
+        if not 0.0 < t < model.T:
+            raise ValueError(f"t={t!r} outside (0, {model.T})")
     if convention not in ("direct", "classical"):
         raise ValueError(f"unknown hedge convention {convention!r}")
     jx = require_hermitian(j_x, "j_x")
-    _, dec = _log_moneyness(jx, model.K)
+    z, dec = _log_moneyness(jx, model.K)
     lam = dec.eigenvalues
-    w, _, w01, _ = _call_scalars(model.T - t, lam, model.r)
-    omega = _priced(dec, model.K, w)
-    if convention == "direct":
-        a = _priced(dec, model.K, w01)
-    else:
-        a = _priced(dec, None, w01 * _exp(-lam))
-    disc = math.exp(-model.r * t)
-    b = hermitian_part((omega - hermitian_part(a @ jx)) * (disc / model.beta0))
-    beta_t = model.beta0 * math.exp(model.r * t)
-    value = hermitian_part(a @ jx) + beta_t * b
-    return HedgePosition(a=a, b=b, value=value)
+    positions = []
+    for t in times:
+        w, _, w01, _ = _call_scalars(model.T - t, lam, model.r)
+        omega = _priced(dec, model.K, w)
+        if convention == "direct":
+            a = _priced(dec, model.K, w01)
+        else:
+            a = _priced(dec, None, w01 * _exp(-lam))
+        disc = math.exp(-model.r * t)
+        b = hermitian_part((omega - hermitian_part(a @ jx)) * (disc / model.beta0))
+        beta_t = model.beta0 * math.exp(model.r * t)
+        value = hermitian_part(a @ jx) + beta_t * b
+        positions.append(HedgePosition(a=a, b=b, value=value))
+    return z, positions
 
 
 def classical_bs(x: float, strike: float, r: float, sigma: float, t: float):

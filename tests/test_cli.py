@@ -192,6 +192,7 @@ def test_parse_config_round_trip():
     with every optional section present and with them absent."""
     for doc in (full_config(), scalar_config()):
         c1 = parse_config(json.dumps(doc))
+        assert "raw" not in vars(c1)  # the normalized document is built on first use
         s1 = serialize_config(c1)
         c2 = parse_config(s1)
         assert c1 == c2
@@ -237,6 +238,15 @@ def test_state_dimension_checked():
     doc = scalar_config(state=[[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ConfigError, match="state"):
         parse_config(json.dumps(doc))
+
+
+def test_huge_integer_literal_is_a_config_error(tmp_path):
+    doc = full_config()
+    doc["classical"]["strike"] = 10**400  # an integer literal beyond float range
+    proc = run_cli(["classical"], doc, tmp_path)
+    assert proc.returncode == 2
+    assert "classical.strike: non-finite number 1000" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_eigensolver_failure_is_a_numerical_error(tmp_path, monkeypatch, capsys):
