@@ -10,18 +10,16 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 from numpy.random import default_rng
 
 from . import __version__
-from .config import SCHEMA_VERSION, ConfigError, RunConfig, pair_array, parse_config
+from .config import SCHEMA_VERSION, ConfigError, RunConfig, _json_text, apply_overrides, parse_config
 from .flows import flow_coefficients, semigroup_evolve
 from .operators import hermitian_defect
 from .pricing import (
@@ -34,8 +32,6 @@ from .pricing import (
     terminal_payoff,
 )
 from .sampling import random_model
-
-_INDENT = "  "
 
 COMMANDS = (
     "coeffs",
@@ -340,62 +336,6 @@ def run(cfg: RunConfig, command: str, timing: bool = True) -> RunReport:
     )
 
 
-def _pairs_text(pairs: np.ndarray, level: int) -> str:
-    """json.dumps(pairs.tolist(), indent=2) as it reads at nesting level,
-    for a non-empty float array: the numbers come from one float.__repr__
-    pass and the text between them from one separator per nesting depth."""
-    depth = pairs.ndim
-    flat = pairs.ravel()
-    texts = list(map(float.__repr__, flat.tolist()))
-    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
-        texts[i] = json.dumps(flat[i].item())  # NaN, Infinity or -Infinity
-    pad = ["\n" + _INDENT * (level + k) for k in range(depth + 1)]
-
-    def closing(m: int) -> str:  # the m innermost lists end
-        return "".join(pad[depth - 1 - c] + "]" for c in range(m))
-
-    def opening(m: int) -> str:  # m lists begin, down to the first number
-        return "".join(pad[depth - m + c] + "[" for c in range(m)) + pad[depth]
-
-    n = len(texts)
-    seps = [f",{opening(0)}"] * n
-    period = 1
-    for m in range(1, depth):  # numbers that end m lists at once
-        period *= pairs.shape[depth - m]
-        seps[period - 1 :: period] = [f"{closing(m)},{opening(m)}"] * (n // period)
-    seps[-1] = closing(depth)
-    out = [""] * (2 * n)
-    out[0::2] = texts
-    out[1::2] = seps
-    return "[" + opening(depth - 1) + "".join(out)
-
-
-def _write(value, level: int, out: list) -> None:
-    """Append json.dumps(value, indent=2) as it reads at nesting level, with
-    each ndarray written as the nested [re, im] pairs of pair_array. Object
-    keys must be strings."""
-    if isinstance(value, np.ndarray):
-        pairs = pair_array(value)
-        if pairs.size:
-            out.append(_pairs_text(pairs, level))
-        else:
-            _write(pairs.tolist(), level, out)
-    elif isinstance(value, dict) and value:
-        pad = "\n" + _INDENT * (level + 1)
-        for sep, (key, item) in zip(chain("{", repeat(",")), value.items()):
-            out.append(f"{sep}{pad}{json.dumps(key)}: ")
-            _write(item, level + 1, out)
-        out.append("\n" + _INDENT * level + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        pad = "\n" + _INDENT * (level + 1)
-        for sep, item in zip(chain("[", repeat(",")), value):
-            out.append(sep + pad)
-            _write(item, level + 1, out)
-        out.append("\n" + _INDENT * level + "]")
-    else:
-        out.append(json.dumps(value))
-
-
 def render_json(report: RunReport) -> str:
     """The report as json.dumps(doc, indent=2) would write it, matrices as
     nested [re, im] pairs."""
@@ -409,10 +349,7 @@ def render_json(report: RunReport) -> str:
         "invariant_violations": report.invariant_violations,
         "wall_time_s": report.wall_time_s,
     }
-    out = []
-    _write(doc, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return _json_text(doc)
 
 
 def render_csv(report: RunReport) -> str:
@@ -476,17 +413,7 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = parse_config(text)
-        overrides = _parse_tol_overrides(args.tol)
-        for name, value in overrides.items():
-            if name not in cfg.tolerances:
-                raise ConfigError("--tol", f"unknown tolerance name {name!r}")
-            if not value > 0.0:
-                raise ConfigError("--tol", f"tolerance {name!r} must be positive")
-            cfg.tolerances[name] = value
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed", "seed must be nonnegative")
-            cfg.seed = args.seed
+        apply_overrides(cfg, _parse_tol_overrides(args.tol), args.seed)
         report = run(cfg, args.command, timing=not args.omit_timing)
     except np.linalg.LinAlgError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -2,18 +2,23 @@
 
 One JSON document describes the market model, grids, and command
 parameters. Matrices travel as row-major nested arrays of [re, im]
-pairs. Parsing validates every structural invariant up front and
-reports the offending field path; serialization round-trips exactly
-because floats are emitted in shortest-repr form.
+pairs. Each field is stated once, in the section table ``TABLE``: its
+reader, its default and its bound. Parsing walks the table, validates
+every structural invariant up front and reports the offending field
+path; serialization round-trips exactly because floats are emitted in
+shortest-repr form.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,6 +39,8 @@ DEFAULT_TOLERANCES = {
     "hedge_value": 1e-10,
     "derivative_fd": 1e-6,
 }
+
+_INDENT = "  "
 
 
 class ConfigError(ValueError):
@@ -82,14 +89,6 @@ def _as_int(obj, path: str) -> int:
     return int(obj)
 
 
-def _validated(m, path: str, validator=require_hermitian) -> np.ndarray:
-    """Run an operator validator, reporting failure at the dotted path."""
-    try:
-        return validator(m, path)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc).split(": ", 1)[-1]) from None
-
-
 def pair_array(m) -> np.ndarray:
     """The [re, im] pairs of a complex array: a float64 view of shape
     m.shape + (2,), row-major like its JSON form."""
@@ -97,9 +96,69 @@ def pair_array(m) -> np.ndarray:
     return a.view(np.float64).reshape(a.shape + (2,))
 
 
-def matrix_to_json(m) -> list:
-    """Row-major nested [re, im] pairs."""
-    return pair_array(m).tolist()
+def _pairs_text(pairs: np.ndarray, level: int) -> str:
+    """json.dumps(pairs.tolist(), indent=2) as it reads at nesting level,
+    for a non-empty float array: the numbers come from one float.__repr__
+    pass and the text between them from one separator per nesting depth."""
+    depth = pairs.ndim
+    flat = pairs.ravel()
+    texts = list(map(float.__repr__, flat.tolist()))
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        texts[i] = json.dumps(flat[i].item())  # NaN, Infinity or -Infinity
+    pad = ["\n" + _INDENT * (level + k) for k in range(depth + 1)]
+
+    def closing(m: int) -> str:  # the m innermost lists end
+        return "".join(pad[depth - 1 - c] + "]" for c in range(m))
+
+    def opening(m: int) -> str:  # m lists begin, down to the first number
+        return "".join(pad[depth - m + c] + "[" for c in range(m)) + pad[depth]
+
+    n = len(texts)
+    seps = [f",{opening(0)}"] * n
+    period = 1
+    for m in range(1, depth):  # numbers that end m lists at once
+        period *= pairs.shape[depth - m]
+        seps[period - 1 :: period] = [f"{closing(m)},{opening(m)}"] * (n // period)
+    seps[-1] = closing(depth)
+    out = [""] * (2 * n)
+    out[0::2] = texts
+    out[1::2] = seps
+    return "[" + opening(depth - 1) + "".join(out)
+
+
+def _write(value, level: int, out: list) -> None:
+    """Append json.dumps(value, indent=2) as it reads at nesting level, with
+    each ndarray written as the nested [re, im] pairs of pair_array. Object
+    keys must be strings."""
+    if isinstance(value, np.ndarray):
+        pairs = pair_array(value)
+        if pairs.size:
+            out.append(_pairs_text(pairs, level))
+        else:
+            _write(pairs.tolist(), level, out)
+    elif isinstance(value, dict) and value:
+        pad = "\n" + _INDENT * (level + 1)
+        for sep, (key, item) in zip(chain("{", repeat(",")), value.items()):
+            out.append(f"{sep}{pad}{json.dumps(key)}: ")
+            _write(item, level + 1, out)
+        out.append("\n" + _INDENT * level + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        pad = "\n" + _INDENT * (level + 1)
+        for sep, item in zip(chain("[", repeat(",")), value):
+            out.append(sep + pad)
+            _write(item, level + 1, out)
+        out.append("\n" + _INDENT * level + "]")
+    else:
+        out.append(json.dumps(value))
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2) plus a newline, each ndarray written as
+    nested [re, im] pairs; keys keep their order."""
+    out = []
+    _write(value, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _pair_values(cells: list):
@@ -149,10 +208,6 @@ def matrix_from_json(obj, path: str) -> np.ndarray:
     raise _malformed(path)
 
 
-def vector_to_json(v) -> list:
-    return pair_array(np.ravel(v)).tolist()
-
-
 def vector_from_json(obj, path: str) -> np.ndarray:
     entries = _as_list(obj, path)
     _expect(len(entries) > 0, path, "empty vector")
@@ -162,6 +217,198 @@ def vector_from_json(obj, path: str) -> np.ndarray:
     for i, pair in enumerate(entries):
         _check_pair(pair, f"{path}[{i}]")
     raise _malformed(path)
+
+
+# --- the section table --------------------------------------------------
+
+REQUIRED = object()  # the default of a field that must be given
+
+
+class Field(NamedTuple):
+    """One config field: read(json value, path) returns the parsed value;
+    default is the value when the field is absent (REQUIRED: none); bound
+    is (predicate, message) on the value, or on each item of a list value,
+    and a None value skips it. The message is formatted with the value."""
+
+    read: Callable
+    default: object = REQUIRED
+    bound: tuple | None = None
+
+
+def _take(field: Field, obj, path: str):
+    """The value obj of field at path, read and checked under its rules."""
+    value = field.read(obj, path)
+    if field.bound is not None and value is not None:
+        ok, message = field.bound
+        items = enumerate(value) if isinstance(value, list) else [(None, value)]
+        for i, v in items:
+            _expect(ok(v), path if i is None else f"{path}[{i}]", message.format(v))
+    return value
+
+
+def _read(table: dict, obj, path: str) -> dict:
+    """The fields of the object at path, read by table in table order; a
+    key that table does not name is an error."""
+    doc = _as_dict(obj, path)
+    prefix = f"{path}." if path else ""
+    out = {}
+    for name, field in table.items():
+        if name in doc:
+            out[name] = _take(field, doc[name], prefix + name)
+        else:
+            _expect(field.default is not REQUIRED, prefix + name, "missing")
+            out[name] = copy.deepcopy(field.default)
+    for name in doc:
+        _expect(name in table, prefix + name, "unknown field")
+    return out
+
+
+def _section(table: dict) -> Field:
+    """An optional section. Absent, it holds its fields' defaults, or is
+    None when one of its fields is required."""
+    defaults = {name: field.default for name, field in table.items()}
+    return Field(partial(_read, table), None if REQUIRED in defaults.values() else defaults)
+
+
+def _checked(read: Callable, check: Callable) -> Callable:
+    """Reader of what read parses, passed through check(value, path); a
+    ValueError that check raises is reported at the field path."""
+
+    def read_checked(obj, path: str):
+        value = read(obj, path)
+        try:
+            return check(value, path)
+        except ValueError as exc:
+            raise ConfigError(path, str(exc).removeprefix(f"{path}: ")) from None
+
+    return read_checked
+
+
+def _built(cls, table: dict) -> Callable:
+    """Reader of a section whose fields construct cls."""
+    return _checked(partial(_read, table), lambda kwargs, path: cls(**kwargs))
+
+
+def _list_of(read: Callable, min_len: int = 1) -> Callable:
+    """Reader of an array whose items read parses; a grid (min_len 1) may
+    not be empty."""
+
+    def read_list(obj, path: str) -> list:
+        vals = _as_list(obj, path)
+        _expect(len(vals) >= min_len, path, "empty grid")
+        return [read(v, f"{path}[{i}]") for i, v in enumerate(vals)]
+
+    return read_list
+
+
+def _or_null(read: Callable) -> Callable:
+    return lambda obj, path: None if obj is None else read(obj, path)
+
+
+def _one_of(what: str, *choices) -> Callable:
+    def read_choice(obj, path: str):
+        _expect(obj in choices, path, f"unknown {what} {obj!r}")
+        return obj
+
+    return read_choice
+
+
+_hermitian = _checked(matrix_from_json, require_hermitian)
+
+
+def _read_state(obj, path: str) -> np.ndarray:
+    state = vector_from_json(obj, path)
+    nrm = float(np.linalg.norm(state))
+    _expect(abs(nrm - 1.0) <= 1e-12, path, f"not normalized, norm {nrm!r}")
+    return state
+
+
+_TOLERANCE = Field(_as_number, bound=(lambda v: v > 0.0, "tolerance must be positive"))
+
+
+def _read_tolerances(obj, path: str, base: dict = DEFAULT_TOLERANCES) -> dict:
+    """base with the named tolerances of obj replaced; null replaces none."""
+    tols = dict(base)
+    for name, val in ({} if obj is None else _as_dict(obj, path)).items():
+        _expect(name in DEFAULT_TOLERANCES, f"{path}.{name}", "unknown tolerance name")
+        tols[name] = _take(_TOLERANCE, val, f"{path}.{name}")
+    return tols
+
+
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0.0, "must be nonnegative")
+
+# Every field of a config document, in the order parse_config reads and
+# checks them. RunConfig has one attribute per top-level entry; model and
+# model.ops construct MarketModel and ModelOperators.
+TABLE = {
+    "schema_version": Field(_as_int, REQUIRED, (lambda v: v == SCHEMA_VERSION, "unsupported version {}")),
+    "output": Field(_one_of("output format", "json", "csv"), "json"),
+    "seed": Field(_as_int, None, (lambda v: v >= 0, "seed must be nonnegative")),
+    "tolerances": Field(_read_tolerances, DEFAULT_TOLERANCES),
+    "model": Field(_built(MarketModel, {
+        "ops": Field(_built(ModelOperators, {
+            "X": Field(_hermitian),
+            "H": Field(_hermitian),
+            "L": Field(matrix_from_json),
+            "S": Field(_checked(matrix_from_json, require_unitary)),
+        })),
+        "K": Field(matrix_from_json),
+        "r": Field(_as_number),
+        "T": Field(_as_number),
+        "beta0": Field(_as_number, 1.0),
+    }), None),
+    "state": Field(_read_state, None),
+    "t_grid": Field(_list_of(_as_number), [], (lambda t: t > 0.0, "grid times must be positive")),
+    "z_grid": Field(_list_of(_hermitian), []),
+    "ito_check": _section({
+        "dims": Field(_list_of(_as_int), [2, 3, 4], (lambda d: d >= 1, "dims must be >= 1")),
+        "k_max": Field(_as_int, 6, (lambda k: k >= 2, "k_max must be >= 2")),
+        "trials": Field(_as_int, 100, (lambda n: n >= 1, "trials must be >= 1")),
+    }),
+    "terminal": _section({
+        "t_small": Field(_as_number, 1e-8, _POSITIVE),
+        "min_gap": Field(_as_number, 0.1, _POSITIVE),
+    }),
+    "hedge": _section({
+        "convention": Field(_one_of("convention", "direct", "classical"), "direct"),
+        "times": Field(_list_of(_as_number, 0), []),  # empty: no hedge rows
+        "stock": Field(_or_null(_hermitian), None),
+    }),
+    "classical": _section({
+        "x": Field(_list_of(_as_number), REQUIRED, _POSITIVE),
+        "t": Field(_list_of(_as_number), REQUIRED, _POSITIVE),
+        "strike": Field(_as_number, REQUIRED, _POSITIVE),
+        "r": Field(_as_number, REQUIRED, _NONNEGATIVE),
+        "sigma": Field(_as_number, 1.0, _POSITIVE),
+    }),
+    "lindblad": _section({
+        "t": Field(_list_of(_as_number, 0), [], _NONNEGATIVE),
+        "steps": Field(_or_null(_as_int), None, (lambda n: n >= 1, "must be >= 1")),
+        "x0": Field(_or_null(_hermitian), None),
+    }),
+    "replicate": _section({
+        "x0": Field(_as_number),
+        "strike": Field(_as_number),
+        "r": Field(_as_number),
+        "T": Field(_as_number),
+        "steps": Field(_as_int),
+        "paths": Field(_as_int),
+        "sigma": Field(_as_number, 1.0),
+    }),
+}
+
+def _doc(value):
+    """The normalized document of a parsed value: dicts, and the dataclasses
+    that the table builds, with keys in sorted order as
+    json.dumps(sort_keys=True) writes them; lists copied; arrays as they are."""
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: _doc(value[key]) for key in sorted(value)}
+    if isinstance(value, list):
+        return [_doc(v) for v in value]
+    return value
 
 
 @dataclass(eq=False)
@@ -188,57 +435,15 @@ class RunConfig:
 
     @cached_property
     def raw(self) -> dict:
-        """The normalized document, built from the fields on first use."""
-        return _normalize(self)
+        """The normalized document, built from the fields on first use. A
+        top-level entry is absent when its field is None (seed, model,
+        state, classical, replicate) or an empty list (t_grid, z_grid, which
+        parse as non-empty)."""
+        entries = {name: getattr(self, name) for name in TABLE}
+        return _doc({k: v for k, v in entries.items() if v is not None and not (isinstance(v, list) and not v)})
 
     def __eq__(self, other):
-        return isinstance(other, RunConfig) and self.raw == other.raw
-
-
-def _parse_model(obj, path: str) -> MarketModel:
-    doc = _as_dict(obj, path)
-    ops_doc = _as_dict(doc.get("ops"), f"{path}.ops") if "ops" in doc else None
-    _expect(ops_doc is not None, f"{path}.ops", "missing")
-    mats = {}
-    for name in ("X", "H", "L", "S"):
-        _expect(name in ops_doc, f"{path}.ops.{name}", "missing")
-        mats[name] = matrix_from_json(ops_doc[name], f"{path}.ops.{name}")
-    for name, validator in (("X", require_hermitian), ("H", require_hermitian), ("S", require_unitary)):
-        _validated(mats[name], f"{path}.ops.{name}", validator)
-    try:
-        ops = ModelOperators(X=mats["X"], H=mats["H"], L=mats["L"], S=mats["S"])
-    except ValueError as exc:
-        raise ConfigError(f"{path}.ops", str(exc)) from None
-    _expect("K" in doc, f"{path}.K", "missing")
-    k = matrix_from_json(doc["K"], f"{path}.K")
-    r = _as_number(doc.get("r"), f"{path}.r") if "r" in doc else None
-    _expect(r is not None, f"{path}.r", "missing")
-    t_mat = _as_number(doc.get("T"), f"{path}.T") if "T" in doc else None
-    _expect(t_mat is not None, f"{path}.T", "missing")
-    beta0 = _as_number(doc.get("beta0", 1.0), f"{path}.beta0")
-    try:
-        return MarketModel(ops=ops, K=k, r=r, T=t_mat, beta0=beta0)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
-
-
-def _parse_tolerances(obj, path: str) -> dict:
-    tols = dict(DEFAULT_TOLERANCES)
-    if obj is None:
-        return tols
-    doc = _as_dict(obj, path)
-    for name, val in doc.items():
-        _expect(name in DEFAULT_TOLERANCES, f"{path}.{name}", "unknown tolerance name")
-        v = _as_number(val, f"{path}.{name}")
-        _expect(v > 0.0, f"{path}.{name}", "tolerance must be positive")
-        tols[name] = v
-    return tols
-
-
-def _parse_number_grid(obj, path: str) -> list:
-    vals = _as_list(obj, path)
-    _expect(len(vals) > 0, path, "empty grid")
-    return [_as_number(v, f"{path}[{i}]") for i, v in enumerate(vals)]
+        return isinstance(other, RunConfig) and serialize_config(self) == serialize_config(other)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -247,185 +452,23 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise ConfigError("", f"invalid JSON: {exc}") from None
-    doc = _as_dict(doc, "")
-    version = _as_int(doc.get("schema_version"), "schema_version") if "schema_version" in doc else None
-    _expect(version is not None, "schema_version", "missing")
-    _expect(version == SCHEMA_VERSION, "schema_version", f"unsupported version {version}")
+    cfg = RunConfig(**_read(TABLE, doc, ""))
+    if cfg.state is not None and cfg.model is not None:
+        size, dim = cfg.state.size, cfg.model.dim
+        _expect(size == dim, "state", f"length {size} does not match model dim {dim}")
+    return cfg
 
-    output = doc.get("output", "json")
-    _expect(output in ("json", "csv"), "output", f"unknown output format {output!r}")
 
-    seed = _as_int(doc["seed"], "seed") if "seed" in doc else None
+def apply_overrides(cfg: RunConfig, tolerances: dict, seed: int | None) -> None:
+    """Set command-line overrides under the rules of the fields they replace:
+    each NAME -> value of tolerances as a tolerances entry at path --tol,
+    and seed, unless None, as the seed at path --seed."""
+    cfg.tolerances = _read_tolerances(tolerances, "--tol", cfg.tolerances)
     if seed is not None:
-        _expect(seed >= 0, "seed", "seed must be nonnegative")
-
-    tolerances = _parse_tolerances(doc.get("tolerances"), "tolerances")
-
-    model = _parse_model(doc["model"], "model") if "model" in doc else None
-
-    state = None
-    if "state" in doc:
-        state = vector_from_json(doc["state"], "state")
-        nrm = float(np.linalg.norm(state))
-        _expect(abs(nrm - 1.0) <= 1e-12, "state", f"not normalized, norm {nrm!r}")
-        if model is not None:
-            _expect(state.size == model.dim, "state", f"length {state.size} does not match model dim {model.dim}")
-
-    t_grid = _parse_number_grid(doc["t_grid"], "t_grid") if "t_grid" in doc else []
-    for i, t in enumerate(t_grid):
-        _expect(t > 0.0, f"t_grid[{i}]", "grid times must be positive")
-
-    z_grid = []
-    if "z_grid" in doc:
-        entries = _as_list(doc["z_grid"], "z_grid")
-        _expect(len(entries) > 0, "z_grid", "empty grid")
-        for i, entry in enumerate(entries):
-            z_grid.append(_validated(matrix_from_json(entry, f"z_grid[{i}]"), f"z_grid[{i}]"))
-
-    ito_defaults = {"dims": [2, 3, 4], "k_max": 6, "trials": 100}
-    ito_check = dict(ito_defaults)
-    if "ito_check" in doc:
-        sec = _as_dict(doc["ito_check"], "ito_check")
-        if "dims" in sec:
-            dims = _as_list(sec["dims"], "ito_check.dims")
-            _expect(len(dims) > 0, "ito_check.dims", "empty grid")
-            ito_check["dims"] = [_as_int(d, f"ito_check.dims[{i}]") for i, d in enumerate(dims)]
-            for i, d in enumerate(ito_check["dims"]):
-                _expect(d >= 1, f"ito_check.dims[{i}]", "dims must be >= 1")
-        if "k_max" in sec:
-            ito_check["k_max"] = _as_int(sec["k_max"], "ito_check.k_max")
-            _expect(ito_check["k_max"] >= 2, "ito_check.k_max", "k_max must be >= 2")
-        if "trials" in sec:
-            ito_check["trials"] = _as_int(sec["trials"], "ito_check.trials")
-            _expect(ito_check["trials"] >= 1, "ito_check.trials", "trials must be >= 1")
-
-    terminal = {"t_small": 1e-8, "min_gap": 0.1}
-    if "terminal" in doc:
-        sec = _as_dict(doc["terminal"], "terminal")
-        if "t_small" in sec:
-            terminal["t_small"] = _as_number(sec["t_small"], "terminal.t_small")
-            _expect(terminal["t_small"] > 0.0, "terminal.t_small", "must be positive")
-        if "min_gap" in sec:
-            terminal["min_gap"] = _as_number(sec["min_gap"], "terminal.min_gap")
-            _expect(terminal["min_gap"] > 0.0, "terminal.min_gap", "must be positive")
-
-    hedge = {"convention": "direct", "times": [], "stock": None}
-    if "hedge" in doc:
-        sec = _as_dict(doc["hedge"], "hedge")
-        if "convention" in sec:
-            _expect(
-                sec["convention"] in ("direct", "classical"),
-                "hedge.convention",
-                f"unknown convention {sec['convention']!r}",
-            )
-            hedge["convention"] = sec["convention"]
-        if "times" in sec:
-            # an empty list is the default and means no hedge rows
-            vals = _as_list(sec["times"], "hedge.times")
-            hedge["times"] = [_as_number(v, f"hedge.times[{i}]") for i, v in enumerate(vals)]
-        if "stock" in sec and sec["stock"] is not None:
-            hedge["stock"] = _validated(matrix_from_json(sec["stock"], "hedge.stock"), "hedge.stock")
-
-    classical = None
-    if "classical" in doc:
-        sec = _as_dict(doc["classical"], "classical")
-        classical = {}
-        for name in ("x", "t"):
-            _expect(name in sec, f"classical.{name}", "missing")
-            classical[name] = _parse_number_grid(sec[name], f"classical.{name}")
-            for i, v in enumerate(classical[name]):
-                _expect(v > 0.0, f"classical.{name}[{i}]", "must be positive")
-        for name, default in (("strike", None), ("r", None), ("sigma", 1.0)):
-            if name in sec:
-                classical[name] = _as_number(sec[name], f"classical.{name}")
-            else:
-                _expect(default is not None, f"classical.{name}", "missing")
-                classical[name] = default
-        _expect(classical["strike"] > 0.0, "classical.strike", "must be positive")
-        _expect(classical["r"] >= 0.0, "classical.r", "must be nonnegative")
-        _expect(classical["sigma"] > 0.0, "classical.sigma", "must be positive")
-
-    lindblad = {"t": [], "steps": None, "x0": None}
-    if "lindblad" in doc:
-        sec = _as_dict(doc["lindblad"], "lindblad")
-        if "t" in sec:
-            vals = _as_list(sec["t"], "lindblad.t")
-            lindblad["t"] = [_as_number(v, f"lindblad.t[{i}]") for i, v in enumerate(vals)]
-            for i, v in enumerate(lindblad["t"]):
-                _expect(v >= 0.0, f"lindblad.t[{i}]", "must be nonnegative")
-        if "steps" in sec and sec["steps"] is not None:
-            lindblad["steps"] = _as_int(sec["steps"], "lindblad.steps")
-            _expect(lindblad["steps"] >= 1, "lindblad.steps", "must be >= 1")
-        if "x0" in sec and sec["x0"] is not None:
-            lindblad["x0"] = _validated(matrix_from_json(sec["x0"], "lindblad.x0"), "lindblad.x0")
-
-    replicate = None
-    if "replicate" in doc:
-        sec = _as_dict(doc["replicate"], "replicate")
-        replicate = {}
-        for name in ("x0", "strike", "r", "T"):
-            _expect(name in sec, f"replicate.{name}", "missing")
-            replicate[name] = _as_number(sec[name], f"replicate.{name}")
-        for name in ("steps", "paths"):
-            _expect(name in sec, f"replicate.{name}", "missing")
-            replicate[name] = _as_int(sec[name], f"replicate.{name}")
-        replicate["sigma"] = _as_number(sec.get("sigma", 1.0), "replicate.sigma")
-
-    return RunConfig(
-        schema_version=version,
-        output=output,
-        seed=seed,
-        tolerances=tolerances,
-        model=model,
-        state=state,
-        t_grid=t_grid,
-        z_grid=z_grid,
-        ito_check=ito_check,
-        terminal=terminal,
-        hedge=hedge,
-        classical=classical,
-        lindblad=lindblad,
-        replicate=replicate,
-    )
-
-
-def _normalize(c: RunConfig) -> dict:
-    """The canonical document of a parsed config. An optional section is
-    absent exactly when its field is None (model, state, classical,
-    replicate) or empty (t_grid, z_grid, which parse as non-empty)."""
-    raw = {"schema_version": c.schema_version, "output": c.output}
-    if c.seed is not None:
-        raw["seed"] = c.seed
-    raw["tolerances"] = dict(sorted(c.tolerances.items()))
-    if c.model is not None:
-        raw["model"] = {
-            "ops": {name: matrix_to_json(getattr(c.model.ops, name)) for name in ("X", "H", "L", "S")},
-            "K": matrix_to_json(c.model.K),
-            "r": c.model.r,
-            "T": c.model.T,
-            "beta0": c.model.beta0,
-        }
-    if c.state is not None:
-        raw["state"] = vector_to_json(c.state)
-    if c.t_grid:
-        raw["t_grid"] = list(c.t_grid)
-    if c.z_grid:
-        raw["z_grid"] = [matrix_to_json(z) for z in c.z_grid]
-    # every parsed number is already a float, so the sections copy as they are
-    raw["ito_check"] = {**c.ito_check, "dims": list(c.ito_check["dims"])}
-    raw["terminal"] = dict(c.terminal)
-    stock, x0 = c.hedge["stock"], c.lindblad["x0"]
-    raw["hedge"] = {**c.hedge, "times": list(c.hedge["times"])}
-    raw["hedge"]["stock"] = None if stock is None else matrix_to_json(stock)
-    if c.classical is not None:
-        raw["classical"] = {**c.classical, "x": list(c.classical["x"]), "t": list(c.classical["t"])}
-    raw["lindblad"] = {**c.lindblad, "t": list(c.lindblad["t"])}
-    raw["lindblad"]["x0"] = None if x0 is None else matrix_to_json(x0)
-    if c.replicate is not None:
-        raw["replicate"] = dict(c.replicate)
-    return raw
+        cfg.seed = _take(TABLE["seed"], seed, "--seed")
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Emit the normalized document; parse(serialize(cfg)) == cfg."""
-    return json.dumps(cfg.raw, indent=2, sort_keys=True) + "\n"
+    """Emit the normalized document as json.dumps(indent=2, sort_keys=True)
+    writes it; parse(serialize(cfg)) == cfg."""
+    return _json_text(cfg.raw)

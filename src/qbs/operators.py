@@ -49,12 +49,21 @@ def unitary_defect(m) -> float:
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
-    """Return M after checking ``||M - M*||_F <= 1e-12 * max(1, ||M||_F)``."""
+    """Return M after checking ``||M - M*||_F <= 1e-12 * max(1, ||M||_F)``.
+
+    Should ||M||_F overflow, both sides are taken of M 2^-e instead, with
+    2^e above every real and imaginary part: a scaling that is exact and
+    under which neither norm overflows."""
     a = as_matrix(m, name)
-    defect = hermitian_defect(a)
-    bound = HERMITIAN_RTOL * max(1.0, frobenius(a))
+    scale = 1.0
+    defect, norm = hermitian_defect(a), frobenius(a)
+    if math.isinf(norm):
+        biggest = max(np.abs(a.real).max(), np.abs(a.imag).max())
+        scale = math.ldexp(1.0, -math.frexp(float(biggest))[1])
+        defect, norm = hermitian_defect(a * scale), frobenius(a * scale)
+    bound = HERMITIAN_RTOL * max(scale, norm)
     if defect > bound:
-        raise ValueError(f"{name}: not Hermitian, defect {defect:.6e} exceeds {bound:.6e}")
+        raise ValueError(f"{name}: not Hermitian, defect {defect / scale:.6e} exceeds {bound / scale:.6e}")
     return a
 
 

@@ -133,6 +133,33 @@ def test_unknown_tolerance_name(tmp_path):
     assert "bogus" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--tol", "bogus=1"], "--tol.bogus: unknown tolerance name"),
+        (["--tol", "terminal=0"], "--tol.terminal: tolerance must be positive"),
+        (["--tol", "terminal=1e-3", "--tol", "hedge_value=nan"], "--tol.hedge_value: non-finite number nan"),
+        (["--tol", "terminal"], "--tol: expected NAME=VALUE, got 'terminal'"),
+        (["--seed", "-1"], "--seed: seed must be nonnegative"),
+    ],
+)
+def test_override_follows_the_config_rules(flags, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(scalar_config()))
+    assert qbs.cli.main(["price", "--config", str(path), *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_overrides_replace_config_values(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(scalar_config(tolerances={"terminal": 1e-3})))
+    args = ["price", "--config", str(path), "--omit-timing", "--tol", "hedge_value=1e-5", "--seed", "0"]
+    assert qbs.cli.main(args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["seed"] == 0
+    assert doc["tolerances"]["terminal"] == 1e-3 and doc["tolerances"]["hedge_value"] == 1e-5
+
+
 def test_seed_required_for_stochastic_commands(tmp_path):
     doc = full_config()
     doc.pop("seed")
@@ -197,6 +224,7 @@ def test_parse_config_round_trip():
         c2 = parse_config(s1)
         assert c1 == c2
         assert s1 == serialize_config(c2)
+        assert s1 == json.dumps(json.loads(s1), indent=2, sort_keys=True) + "\n"
     absent = json.loads(serialize_config(parse_config(json.dumps(scalar_config()))))
     assert not {"state", "classical", "replicate"} & set(absent)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import qbs.cli
 from qbs.cli import RunReport, render_json
-from qbs.config import ConfigError, matrix_from_json, parse_config
+from qbs.config import DEFAULT_TOLERANCES, ConfigError, matrix_from_json, parse_config
 from test_cli import full_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,6 +125,119 @@ def _mutate(doc, path, value) -> None:
             target[path[-1]] = value
     except (KeyError, IndexError, TypeError):
         pass
+
+
+NH = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]  # [[0, 1], [0, 0]]
+NOT_HERMITIAN = "not Hermitian, defect 1.414214e+00 exceeds 1.000000e-12"
+
+# one fault per document: (path in full_config(), new value or DELETE), then the error
+SCHEMA_FAULTS = [
+    ((), [], "", "expected an object, got list"),
+    (("schema_version",), DELETE, "schema_version", "missing"),
+    (("schema_version",), "1", "schema_version", "expected an integer, got '1'"),
+    (("schema_version",), 2, "schema_version", "unsupported version 2"),
+    (("output",), "xml", "output", "unknown output format 'xml'"),
+    (("output",), None, "output", "unknown output format None"),
+    (("seed",), -1, "seed", "seed must be nonnegative"),
+    (("seed",), 1.5, "seed", "expected an integer, got 1.5"),
+    (("seed",), None, "seed", "expected an integer, got None"),
+    (("tolerances",), [], "tolerances", "expected an object, got list"),
+    (("tolerances",), {"terminal": 0}, "tolerances.terminal", "tolerance must be positive"),
+    (("tolerances",), {"terminal": "1"}, "tolerances.terminal", "expected a number, got '1'"),
+    (("tolerances",), {"bogus": 1.0}, "tolerances.bogus", "unknown tolerance name"),
+    (("model",), None, "model", "expected an object, got NoneType"),
+    (("model", "ops"), DELETE, "model.ops", "missing"),
+    (("model", "ops"), [], "model.ops", "expected an object, got list"),
+    (("model", "ops", "L"), DELETE, "model.ops.L", "missing"),
+    (("model", "ops", "X"), NH, "model.ops.X", NOT_HERMITIAN),
+    (("model", "ops", "S"), [[[1, 0], [0, 0]], [[0, 0], [2, 0]]], "model.ops.S",
+     "not unitary, defect 3.000000e+00 exceeds 2.000000e-12"),
+    (("model", "ops", "L"), [[[1, 0]]], "model.ops", "operator dims differ: [(1, 1), (2, 2)]"),
+    (("model", "K"), DELETE, "model.K", "missing"),
+    (("model", "K"), [], "model.K", "empty matrix"),
+    (("model", "r"), DELETE, "model.r", "missing"),
+    (("model", "r"), "0", "model.r", "expected a number, got '0'"),
+    (("model", "T"), DELETE, "model.T", "missing"),
+    (("model", "T"), -1, "model", "T must be positive"),
+    (("model", "beta0"), None, "model.beta0", "expected a number, got None"),
+    (("state",), None, "state", "expected an array, got NoneType"),
+    (("state",), [], "state", "empty vector"),
+    (("state",), [[1, 0], [1, 0]], "state", "not normalized, norm 1.4142135623730951"),
+    (("state",), [[1, 0]], "state", "length 1 does not match model dim 2"),
+    (("t_grid",), None, "t_grid", "expected an array, got NoneType"),
+    (("t_grid",), [], "t_grid", "empty grid"),
+    (("t_grid",), [0.5, True], "t_grid[1]", "expected a number, got True"),
+    (("t_grid",), [0.5, 0], "t_grid[1]", "grid times must be positive"),
+    (("z_grid",), [], "z_grid", "empty grid"),
+    (("z_grid",), [NH], "z_grid[0]", NOT_HERMITIAN),
+    (("ito_check",), None, "ito_check", "expected an object, got NoneType"),
+    (("ito_check", "dims"), [], "ito_check.dims", "empty grid"),
+    (("ito_check", "dims"), [2, 1.0], "ito_check.dims[1]", "expected an integer, got 1.0"),
+    (("ito_check", "dims"), [2, 0], "ito_check.dims[1]", "dims must be >= 1"),
+    (("ito_check", "k_max"), None, "ito_check.k_max", "expected an integer, got None"),
+    (("ito_check", "k_max"), 1, "ito_check.k_max", "k_max must be >= 2"),
+    (("ito_check", "trials"), 0, "ito_check.trials", "trials must be >= 1"),
+    (("terminal",), {"t_small": 0.0}, "terminal.t_small", "must be positive"),
+    (("terminal",), {"min_gap": "x"}, "terminal.min_gap", "expected a number, got 'x'"),
+    (("terminal",), {"min_gap": -0.1}, "terminal.min_gap", "must be positive"),
+    (("hedge", "convention"), "put", "hedge.convention", "unknown convention 'put'"),
+    (("hedge", "times"), {}, "hedge.times", "expected an array, got dict"),
+    (("hedge", "times"), [0.5, None], "hedge.times[1]", "expected a number, got None"),
+    (("hedge", "stock"), NH, "hedge.stock", NOT_HERMITIAN),
+    (("classical",), None, "classical", "expected an object, got NoneType"),
+    (("classical", "x"), DELETE, "classical.x", "missing"),
+    (("classical", "x"), [], "classical.x", "empty grid"),
+    (("classical", "t"), [0.7, -1], "classical.t[1]", "must be positive"),
+    (("classical", "strike"), DELETE, "classical.strike", "missing"),
+    (("classical", "strike"), 0, "classical.strike", "must be positive"),
+    (("classical", "r"), -0.1, "classical.r", "must be nonnegative"),
+    (("classical", "sigma"), None, "classical.sigma", "expected a number, got None"),
+    (("classical", "sigma"), 0, "classical.sigma", "must be positive"),
+    (("lindblad", "t"), [0.3, -1.0], "lindblad.t[1]", "must be nonnegative"),
+    (("lindblad", "steps"), 0, "lindblad.steps", "must be >= 1"),
+    (("lindblad", "steps"), 2.0, "lindblad.steps", "expected an integer, got 2.0"),
+    (("lindblad", "x0"), NH, "lindblad.x0", NOT_HERMITIAN),
+    (("replicate",), [], "replicate", "expected an object, got list"),
+    (("replicate", "x0"), DELETE, "replicate.x0", "missing"),
+    (("replicate", "T"), DELETE, "replicate.T", "missing"),
+    (("replicate", "paths"), DELETE, "replicate.paths", "missing"),
+    (("replicate", "steps"), 10.0, "replicate.steps", "expected an integer, got 10.0"),
+    (("replicate", "sigma"), "1", "replicate.sigma", "expected a number, got '1'"),
+    # a mistyped key at each level
+    (("seeed",), 3, "seeed", "unknown field"),
+    (("terminal",), {"min_gp": 0.5}, "terminal.min_gp", "unknown field"),
+    (("model", "beta"), 1.0, "model.beta", "unknown field"),
+    (("model", "ops", "Y"), NH, "model.ops.Y", "unknown field"),
+    (("replicate", "path"), 10, "replicate.path", "unknown field"),
+]
+
+
+@pytest.mark.parametrize("where,value,path,message", SCHEMA_FAULTS, ids=[f"{i}-{c[2]}" for i, c in enumerate(SCHEMA_FAULTS)])
+def test_schema_fault_reports_exact_error(where, value, path, message):
+    doc = value if where == () else full_config()
+    if where:
+        _mutate(doc, where, value)
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc))
+    assert info.value.path == path
+    assert str(info.value) == (f"{path}: {message}" if path else message)
+
+
+# null where the schema admits it, and an empty list where it means "none"
+SCHEMA_ALLOWED = [
+    (("tolerances",), None, "tolerances", DEFAULT_TOLERANCES),
+    (("hedge", "stock"), None, "hedge", {"convention": "direct", "times": [0.5], "stock": None}),
+    (("hedge",), {"times": []}, "hedge", {"convention": "direct", "times": [], "stock": None}),
+    (("lindblad",), {"steps": None, "x0": None}, "lindblad", {"t": [], "steps": None, "x0": None}),
+    (("classical", "sigma"), DELETE, "classical", {"x": [1.5], "t": [0.7], "strike": 1.0, "r": 0.05, "sigma": 1.0}),
+]
+
+
+@pytest.mark.parametrize("where,value,field,want", SCHEMA_ALLOWED)
+def test_schema_admits_null_and_defaults(where, value, field, want):
+    doc = full_config()
+    _mutate(doc, where, value)
+    assert getattr(parse_config(json.dumps(doc)), field) == want
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,10 +1,12 @@
 """Matrix primitives: adjoints, spectral calculus, Gaussian functions."""
+import json
 import math
 
 import numpy as np
 import pytest
 
 import oracles
+import qbs.cli
 from qbs.operators import (
     adjoint,
     apply_scalar_function,
@@ -24,6 +26,7 @@ from qbs.operators import (
     sylvester_L,
 )
 from qbs.sampling import random_hermitian, random_positive_definite, random_unitary
+from test_cli import full_config
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -42,6 +45,33 @@ def test_require_hermitian():
     require_hermitian(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError, match="not Hermitian"):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "m,message",
+    [
+        # ||M||_F = 1e200 is finite, but its square overflows
+        ([[1e200, 1e190], [0.0, 0.0]], "defect 1.414214e+190 exceeds 1.000000e+188"),
+        ([[0.0, 1e308], [-1e308, 0.0]], "defect inf exceeds 1.414214e+296"),
+    ],
+)
+def test_require_hermitian_when_the_norm_overflows(m, message, tmp_path, capsys):
+    with pytest.raises(ValueError) as info:
+        require_hermitian(np.array(m))
+    assert str(info.value) == f"matrix: not Hermitian, {message}"
+    doc = full_config()
+    doc["model"]["ops"]["H"] = [[[x, 0.0] for x in row] for row in m]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert qbs.cli.main(["coeffs", "--config", str(path), "--omit-timing"]) == 2
+    assert capsys.readouterr().err == f"config error: model.ops.H: not Hermitian, {message}\n"
+
+
+def test_require_hermitian_bound_is_relative_at_any_scale():
+    # defect 4 sqrt(2) against 1e-12 ||M||_F, about 1e296: inside the bound,
+    # as [[1, 1e-308], [5e-308, 0]] is
+    require_hermitian(np.array([[1e308, 1.0], [5.0, 0.0]]))
+    require_hermitian(np.array([[1.0, 1e-308], [5e-308, 0.0]]))
 
 
 def test_require_unitary():
