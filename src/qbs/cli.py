@@ -381,6 +381,15 @@ def _parse_tol_overrides(pairs) -> dict:
     return out
 
 
+def _emit(text: str, chunk: int = 1 << 20) -> None:
+    """Write text to stdout a slice at a time. One write of a multi-MB str
+    encodes it into a bytes copy as large, and whether the allocator can
+    place that copy in memory the process already holds varies from run
+    to run; a slice always fits."""
+    for start in range(0, len(text), chunk):
+        sys.stdout.write(text[start : start + chunk])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbs",
@@ -422,7 +431,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     use_csv = args.csv or cfg.output == "csv"
-    sys.stdout.write(render_csv(report) if use_csv else render_json(report))
+    _emit(render_csv(report) if use_csv else render_json(report))
     return 3 if report.invariant_violations else 0
 
 
