@@ -18,6 +18,7 @@ UNITARY_RTOL = 1e-12
 
 _SQRT1_2 = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -45,7 +46,8 @@ def hermitian_defect(m) -> float:
 def unitary_defect(m) -> float:
     """Frobenius norm of M*M - I."""
     a = np.asarray(m)
-    return float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0])))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as NaN
+        return float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0])))
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
@@ -72,7 +74,8 @@ def require_unitary(m, name: str = "matrix") -> np.ndarray:
     a = as_matrix(m, name)
     defect = unitary_defect(a)
     bound = UNITARY_RTOL * a.shape[0]
-    if defect > bound:
+    # a NaN defect (M*M overflowed) must fail the check, not slip past it
+    if not defect <= bound:
         raise ValueError(f"{name}: not unitary, defect {defect:.6e} exceeds {bound:.6e}")
     return a
 
@@ -180,8 +183,11 @@ def positive_part(m, name: str = "matrix") -> np.ndarray:
     return (v * np.maximum(dec.eigenvalues, 0.0)) @ v.conj().T
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
+def normal_cdf(x):
+    """Standard normal CDF via the complementary error function; elementwise
+    on arrays, a float for a float."""
+    if isinstance(x, np.ndarray):
+        return 0.5 * np.asarray(_ERFC(-x * _SQRT1_2), dtype=np.float64)
     return 0.5 * math.erfc(-x * _SQRT1_2)
 
 

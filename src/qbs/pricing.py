@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 from numpy.random import Generator, Philox
 
 from .flows import ModelOperators, expectation
@@ -184,7 +183,7 @@ def _call_scalars(t: float, lam, r: float):
     ez = _exp(lam)
     g = lam / sqrt_t + (r + 0.5) * sqrt_t
     h = lam / sqrt_t + (r - 0.5) * sqrt_t
-    phi_g, phi_h = ndtr(g), ndtr(h)
+    phi_g, phi_h = normal_cdf(g), normal_cdf(h)
     dens_g, dens_h = normal_pdf(g), normal_pdf(h)
     g_t = -0.5 * lam / t**1.5 + 0.5 * (r + 0.5) / sqrt_t
     h_t = -0.5 * lam / t**1.5 + 0.5 * (r - 0.5) / sqrt_t
@@ -501,10 +500,10 @@ def classical_bs(x: float, strike: float, r: float, sigma: float, t: float):
     return value, normal_cdf(g)
 
 
-def _delta_grid(xs: np.ndarray, strike: float, r: float, sigma: float, tau: float) -> np.ndarray:
+def _delta_argument(xs: np.ndarray, strike: float, r: float, sigma: float, tau: float) -> np.ndarray:
+    """g at each stock price in xs, for the call delta Phi(g) at time to maturity tau."""
     vol_sqrt_t = sigma * math.sqrt(tau)
-    g = (np.log(xs / strike) + (r + 0.5 * sigma * sigma) * tau) / vol_sqrt_t
-    return ndtr(g)
+    return (np.log(xs / strike) + (r + 0.5 * sigma * sigma) * tau) / vol_sqrt_t
 
 
 def replication_simulation(
@@ -525,6 +524,9 @@ def replication_simulation(
     seed, not on block size or thread layout. Rebalancing happens at
     every step but the last; terminal error is V_T minus the call payoff.
     """
+    # paths x steps deltas want a C-speed CDF; no other command loads scipy
+    from scipy.special import ndtr
+
     for name, val in (("x0", x0), ("strike", strike), ("T", T), ("sigma", sigma)):
         if not val > 0.0:
             raise ValueError(f"{name} must be positive, got {val!r}")
@@ -557,7 +559,7 @@ def replication_simulation(
             cash *= growth
             if j < steps - 1:
                 tau = T - (j + 1) * dt
-                new_delta = _delta_grid(xs, strike, r, sigma, tau)
+                new_delta = ndtr(_delta_argument(xs, strike, r, sigma, tau))
                 cash -= (new_delta - delta) * xs
                 delta = new_delta
         errors[start:stop] = delta * xs + cash - np.maximum(xs - strike, 0.0)

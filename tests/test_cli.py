@@ -2,12 +2,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qbs.cli
 from qbs.config import ConfigError, parse_config, serialize_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def scalar_config(**extra):
@@ -293,3 +296,37 @@ def test_overflowing_moneyness_is_a_config_error(tmp_path):
     proc = run_cli(["price"], scalar_config(z_grid=[[[[800.0, 0.0]]]]), tmp_path)
     assert proc.returncode == 2
     assert "overflow" in proc.stderr
+
+
+# Runs one command in a fresh interpreter and prints, to stderr, its exit
+# code and whether any scipy module and scipy.special were imported.
+IMPORT_GRAPH_PROBE = """
+import sys
+import qbs.cli
+code = qbs.cli.main(sys.argv[1:])
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+print(code, bool(loaded), "scipy.special" in loaded, file=sys.stderr)
+"""
+
+
+def _scipy_loaded_by(command, config):
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH_PROBE, command,
+         "--config", f"configs/{config}.json", "--omit-timing"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, any_scipy, special = proc.stderr.split()
+    assert code == "0"
+    return any_scipy == "True", special == "True"
+
+
+def test_pricing_commands_do_not_import_scipy():
+    assert _scipy_loaded_by("price", "flow_2x2") == (False, False)
+
+
+def test_replicate_imports_scipy_special():
+    # the probe can see the import: replicate still draws its deltas from ndtr
+    assert _scipy_loaded_by("replicate", "monte_carlo") == (True, True)

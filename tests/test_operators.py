@@ -80,6 +80,26 @@ def test_require_unitary():
         require_unitary(1.001 * np.eye(2))
 
 
+OVERFLOWING_S = [[1e200, 1e200], [1e200, -1e200]]
+OVERFLOWING_S_MESSAGE = "not unitary, defect nan exceeds 2.000000e-12"
+
+
+def test_require_unitary_rejects_an_overflowing_defect():
+    # S*S overflows, so the defect is NaN, which must fail the bound
+    with pytest.raises(ValueError) as info:
+        require_unitary(np.array(OVERFLOWING_S, dtype=complex))
+    assert str(info.value) == f"matrix: {OVERFLOWING_S_MESSAGE}"
+
+
+def test_overflowing_scattering_is_a_config_error(tmp_path, capsys):
+    doc = full_config()
+    doc["model"]["ops"]["S"] = [[[x, 0.0] for x in row] for row in OVERFLOWING_S]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert qbs.cli.main(["coeffs", "--config", str(path), "--omit-timing"]) == 2
+    assert capsys.readouterr().err == f"config error: model.ops.S: {OVERFLOWING_S_MESSAGE}\n"
+
+
 def test_adjoint_examples():
     assert np.array_equal(adjoint(np.eye(2)), np.eye(2))
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -241,6 +261,47 @@ def test_normal_cdf_frozen():
 def test_normal_cdf_symmetry():
     for x in np.arange(-6.0, 6.01, 0.25):
         assert abs(normal_cdf(x) + normal_cdf(-x) - 1.0) <= 1e-14
+
+
+def _erfc_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x * math.sqrt(0.5))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.array([]),
+        np.array(-0.0),
+        np.array([-40.0, -8.5, -0.0, 0.0, 1e-300, 0.5, 3.25, 40.0]),
+        np.array([[-40.0, -0.0, 0.7], [2.0, -1.5, 40.0]]),
+    ],
+)
+def test_normal_cdf_is_elementwise_erfc(x):
+    got = np.asarray(normal_cdf(x))
+    assert got.shape == x.shape and got.dtype == np.float64
+    want = np.array([_erfc_cdf(float(v)) for v in x.flat]).reshape(x.shape)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_normal_cdf_of_a_float_is_a_float():
+    for x in (-40.0, -0.0, 0.3, 40.0):
+        got = normal_cdf(x)
+        assert type(got) is float
+        assert got == _erfc_cdf(x)
+
+
+def test_normal_cdf_matches_quadrature():
+    xs = np.linspace(-8.0, 8.0, 161)
+    got = normal_cdf(xs)
+    want = np.array([oracles.normal_cdf_quadrature(float(x)) for x in xs])
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    from scipy.special import ndtr
+
+    xs = np.linspace(-10.0, 10.0, 20001)
+    assert np.max(np.abs(normal_cdf(xs) - ndtr(xs))) <= 1e-15
 
 
 def test_normal_pdf():
