@@ -126,23 +126,29 @@ class FlowCoefficients:
             object.__setattr__(self, name, _freeze(as_matrix(getattr(self, name), name)))
 
 
-def flow_coefficients(x, m: ModelOperators) -> FlowCoefficients:
-    """Coefficients of the flow differential of a Hermitian observable.
+def _coefficients(x, h, l, s):
+    """(alpha, alpha_dagger, lam, theta) of (..., d, d) stacks of X, H, L, S.
 
     alpha = [L*, X] S; alpha_dagger = S* [X, L]; lam = S* X S - X;
     theta = i[H, X] - (L*L X + X L*L - 2 L* X L) / 2.
     """
+    ld = adjoint(l)
+    sd = adjoint(s)
+    alpha = (ld @ x - x @ ld) @ s
+    alpha_dagger = sd @ (x @ l - l @ x)
+    lam = sd @ x @ s - x
+    ldl = ld @ l
+    theta = 1j * (h @ x - x @ h) - 0.5 * (ldl @ x + x @ ldl - 2.0 * (ld @ x @ l))
+    return alpha, alpha_dagger, lam, theta
+
+
+def flow_coefficients(x, m: ModelOperators) -> FlowCoefficients:
+    """Coefficients of the flow differential of a Hermitian observable
+    (the formulas are in ``_coefficients``)."""
     xh = require_hermitian(x, "X")
     if xh.shape[0] != m.dim:
         raise ValueError(f"X dim {xh.shape[0]} does not match model dim {m.dim}")
-    ld = adjoint(m.L)
-    sd = adjoint(m.S)
-    alpha = (ld @ xh - xh @ ld) @ m.S
-    alpha_dagger = sd @ (xh @ m.L - m.L @ xh)
-    lam = sd @ xh @ m.S - xh
-    ldl = ld @ m.L
-    theta = 1j * (m.H @ xh - xh @ m.H) - 0.5 * (ldl @ xh + xh @ ldl - 2.0 * (ld @ xh @ m.L))
-    return FlowCoefficients(alpha=alpha, alpha_dagger=alpha_dagger, lam=lam, theta=theta)
+    return FlowCoefficients(*_coefficients(xh, m.H, m.L, m.S))
 
 
 def flow_differential(x, m: ModelOperators) -> QuantumStochasticDifferential:
@@ -156,43 +162,44 @@ def flow_differential(x, m: ModelOperators) -> QuantumStochasticDifferential:
     )
 
 
-def ito_product(
-    d1: QuantumStochasticDifferential, d2: QuantumStochasticDifferential
-) -> QuantumStochasticDifferential:
-    """Product of two differentials under the Ito table.
+def _ito_table(d1, d2):
+    """Slots of d1·d2 for (creation, conservation, annihilation, time)
+    tuples of (..., d, d) stacks.
 
     Nonzero basis products only: dLc.dA+ = dA+, dLc.dLc = dLc,
     dA.dA+ = dt, dA.dLc = dA; every product involving a left dA+ or a
     left dt (and dt on the right against anything but nothing) vanishes.
     Coefficients multiply left-to-right as matrices.
     """
+    _, con1, ann1, _ = d1
+    cre2, con2, _, _ = d2
+    return con1 @ cre2, con1 @ con2, ann1 @ con2, ann1 @ cre2
+
+
+def _closed_power(alpha, alpha_dagger, lam, k: int):
+    """Slots of the k-th Ito power (k >= 2) from the closed formula:
+    (lam^(k-1) a+, lam^k, a lam^(k-1), a lam^(k-2) a+)."""
+    lam_km2 = np.linalg.matrix_power(lam, k - 2)
+    lam_km1 = lam_km2 @ lam
+    return lam_km1 @ alpha_dagger, lam_km1 @ lam, alpha @ lam_km1, alpha @ lam_km2 @ alpha_dagger
+
+
+def ito_product(
+    d1: QuantumStochasticDifferential, d2: QuantumStochasticDifferential
+) -> QuantumStochasticDifferential:
+    """Product of two differentials under the Ito table (``_ito_table``)."""
     if d1.dim != d2.dim:
         raise ValueError(f"ito_product: dimension mismatch {d1.dim} vs {d2.dim}")
-    return QuantumStochasticDifferential(
-        creation=d1.conservation @ d2.creation,
-        conservation=d1.conservation @ d2.conservation,
-        annihilation=d1.annihilation @ d2.conservation,
-        time=d1.annihilation @ d2.creation,
-    )
+    return QuantumStochasticDifferential(*_ito_table(d1.slots(), d2.slots()))
 
 
 def qsd_power_closed_form(x, m: ModelOperators, k: int) -> QuantumStochasticDifferential:
-    """k-th Ito power of the flow differential from the closed formula.
-
-    (creation, conservation, annihilation, time) =
-    (lam^(k-1) a+, lam^k, a lam^(k-1), a lam^(k-2) a+), k >= 2.
-    """
+    """k-th Ito power of the flow differential from the closed formula
+    (``_closed_power``), k >= 2."""
     if k < 2:
         raise ValueError("closed-form power needs k >= 2")
     fc = flow_coefficients(x, m)
-    lam_km2 = np.linalg.matrix_power(fc.lam, k - 2)
-    lam_km1 = lam_km2 @ fc.lam
-    return QuantumStochasticDifferential(
-        creation=lam_km1 @ fc.alpha_dagger,
-        conservation=lam_km1 @ fc.lam,
-        annihilation=fc.alpha @ lam_km1,
-        time=fc.alpha @ lam_km2 @ fc.alpha_dagger,
-    )
+    return QuantumStochasticDifferential(*_closed_power(fc.alpha, fc.alpha_dagger, fc.lam, k))
 
 
 def qsd_power_iterated(x, m: ModelOperators, k: int) -> QuantumStochasticDifferential:
@@ -204,6 +211,50 @@ def qsd_power_iterated(x, m: ModelOperators, k: int) -> QuantumStochasticDiffere
     for _ in range(k - 1):
         out = ito_product(d, out)
     return out
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """||A||_F of each matrix of an (n, d, d) stack, summed in the order
+    np.linalg.norm sums one matrix: one strided dot each over the real and
+    the imaginary parts (a row times a column in matmul is that dot)."""
+    flat = a.reshape(a.shape[0], 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
+
+
+def _power_pairs(x, h, l, s, k_max: int):
+    """(k, closed, iterated) for k = 2..k_max, each a slot tuple of
+    (n, d, d) stacks, from one set of coefficients and one iterated chain."""
+    alpha, alpha_dagger, lam, theta = _coefficients(x, h, l, s)
+    d = (alpha_dagger, lam, alpha, theta)
+    it = d
+    for k in range(2, k_max + 1):
+        it = _ito_table(d, it)
+        yield k, _closed_power(alpha, alpha_dagger, lam, k), it
+
+
+def power_rule_deviation(x, h, l, s, k_max: int) -> np.ndarray:
+    """Per model of (n, d, d) stacks of X, H, L, S: the largest
+    ||closed - iterated||_F / max(1, ||closed||_F) of the flow
+    differential's Ito powers over the slots and k = 2..k_max.
+
+    The stacks are taken as validated (rows of ``ModelOperators``). A NaN
+    deviation is skipped, as a running Python ``max`` skips it. A power
+    with a non-finite entry raises the ValueError that building it as a
+    differential raises, for the first model that has one, at its first
+    such slot in the order of the per-model functions: by k, closed form
+    before iterated."""
+    worst = np.zeros(x.shape[0])
+    first_bad = {}
+    for _, closed, iterated in _power_pairs(x, h, l, s, k_max):
+        for name, a in zip(_SLOTS * 2, closed + iterated):
+            for i in np.flatnonzero(~np.isfinite(a).all(axis=(1, 2))):
+                first_bad.setdefault(i, name)
+        for a, b in zip(closed, iterated):
+            np.fmax(worst, _frobenius(a - b) / np.maximum(1.0, _frobenius(a)), out=worst)
+    if first_bad:
+        raise ValueError(f"{first_bad[min(first_bad)]}: non-finite entries")
+    return worst
 
 
 @dataclass(frozen=True)
@@ -305,10 +356,16 @@ def lindblad_generator(x, m: ModelOperators) -> np.ndarray:
     return 1j * commutator(m.H, xh) - 0.5 * (ldl @ xh + xh @ ldl) + ld @ xh @ m.L
 
 
+def default_steps(t: float) -> int:
+    """RK4 step count of ``semigroup_evolve`` when none is given:
+    1000 per unit time, at least 100."""
+    return max(int(round(1000.0 * t)), 100)
+
+
 def semigroup_evolve(x0, m: ModelOperators, t: float, steps: int | None = None) -> np.ndarray:
     """Integrate dX/dt = theta(X) with fixed-step classical RK4.
 
-    Default step count is max(1000 t, 100). Hermiticity is preserved by
+    Default step count is ``default_steps(t)``. Hermiticity is preserved by
     the scheme up to roundoff; the output is returned unsymmetrized so
     that drift, if any, stays visible.
     """
@@ -318,7 +375,7 @@ def semigroup_evolve(x0, m: ModelOperators, t: float, steps: int | None = None) 
     if not t >= 0.0:
         raise ValueError("t must be nonnegative")
     if steps is None:
-        steps = max(int(round(1000.0 * t)), 100)
+        steps = default_steps(t)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if t == 0.0:

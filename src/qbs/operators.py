@@ -81,8 +81,8 @@ def require_unitary(m, name: str = "matrix") -> np.ndarray:
 
 
 def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=np.complex128).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a (..., d, d) stack."""
+    return np.asarray(m, dtype=np.complex128).conj().swapaxes(-1, -2)
 
 
 def hermitian_part(m) -> np.ndarray:

@@ -506,6 +506,22 @@ def _delta_argument(xs: np.ndarray, strike: float, r: float, sigma: float, tau: 
     return (np.log(xs / strike) + (r + 0.5 * sigma * sigma) * tau) / vol_sqrt_t
 
 
+def _path_normals(seed: int, first: int, count: int, steps: int) -> np.ndarray:
+    """(count, steps) standard normals; row i is the start of path
+    first + i's substream, Philox keyed by the seed with counter
+    [0, 0, first + i, 0] (the stream of ``Philox(key=seed).jumped(first + i)``)."""
+    bits = Philox(key=seed)
+    state = bits.state
+    counter = state["state"]["counter"]
+    normals = Generator(bits)
+    out = np.empty((count, steps))
+    for i in range(count):
+        counter[2] = first + i
+        bits.state = state  # also empties the buffer, as in a fresh Philox
+        normals.standard_normal(steps, out=out[i])
+    return out
+
+
 def replication_simulation(
     x0: float,
     strike: float,
@@ -519,8 +535,9 @@ def replication_simulation(
 ) -> ReplicationStats:
     """Discrete delta-hedge replication along risk-neutral geometric paths.
 
-    Each path owns a counter-derived substream (path index p uses the
-    seed's bit generator jumped p times), so results depend only on the
+    Each path owns a counter-derived substream: path p draws from Philox
+    keyed by the seed with counter [0, 0, p, 0], which is
+    ``Philox(key=seed).jumped(p)``. Results therefore depend only on the
     seed, not on block size or thread layout. Rebalancing happens at
     every step but the last; terminal error is V_T minus the call payoff.
     """
@@ -543,19 +560,20 @@ def replication_simulation(
     sq_dt = math.sqrt(dt)
     drift = (r - 0.5 * sigma * sigma) * dt
     v0, delta0 = classical_bs(x0, strike, r, sigma, T)
-    base = Philox(key=seed)
     errors = np.empty(paths)
     for start in range(0, paths, block):
         stop = min(start + block, paths)
         count = stop - start
-        noise = np.empty((count, steps))
-        for i in range(count):
-            noise[i] = Generator(base.jumped(start + i)).standard_normal(steps)
+        growth_factors = _path_normals(seed, start, count, steps)
+        # exp(drift + sigma sqrt(dt) N) of every step, in place
+        growth_factors *= sigma * sq_dt
+        growth_factors += drift
+        np.exp(growth_factors, out=growth_factors)
         xs = np.full(count, float(x0))
         delta = np.full(count, delta0)
         cash = v0 - delta * xs
         for j in range(steps):
-            xs = xs * np.exp(drift + sigma * sq_dt * noise[:, j])
+            xs *= growth_factors[:, j]
             cash *= growth
             if j < steps - 1:
                 tau = T - (j + 1) * dt

@@ -175,6 +175,25 @@ def test_seed_required_for_stochastic_commands(tmp_path):
     assert proc.returncode == 0
 
 
+def test_ito_check_gate_catches_a_broken_ito_table(monkeypatch, capsys):
+    # negative control: without dA.dA+ = dt the iterated time slot drifts
+    # from the closed form, and the power-rule gate must say so
+    import qbs.flows
+
+    def without_time_term(d1, d2):
+        creation, conservation, annihilation, time = ito_table(d1, d2)
+        return creation, conservation, annihilation, np.zeros_like(time)
+
+    ito_table = qbs.flows._ito_table
+    monkeypatch.setattr(qbs.flows, "_ito_table", without_time_term)
+    config = ROOT / "configs" / "flow_2x2.json"
+    assert qbs.cli.main(["ito-check", "--config", str(config), "--omit-timing"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert not any(row["passed"] for row in doc["results"])
+    assert len(doc["invariant_violations"]) == len(doc["results"])
+    assert all(v.startswith("power rule deviation") for v in doc["invariant_violations"])
+
+
 def test_csv_output(tmp_path):
     proc = run_cli(["classical", "--csv"], full_config(), tmp_path)
     assert proc.returncode == 0

@@ -1,9 +1,11 @@
 """Flow coefficients, stochastic differentials, and the vacuum semigroup."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from qbs.flows import (
+    _power_pairs,
     BrownianReport,
     ModelOperators,
     QuantumStochasticDifferential,
@@ -14,6 +16,7 @@ from qbs.flows import (
     ito_product,
     lindblad_generator,
     poisson_reduction_check,
+    power_rule_deviation,
     qsd_power_closed_form,
     qsd_power_iterated,
     semigroup_evolve,
@@ -218,6 +221,50 @@ def test_power_closed_matches_iterated():
             (iterated.creation, iterated.conservation, iterated.annihilation, iterated.time),
         ):
             assert np.max(np.abs(g - h)) <= 1e-11 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(2, 7), st.integers(1, 4))
+def test_stacked_power_rule_pass_is_the_per_model_one(seed, dim, k_max, n):
+    # one stacked pass over n models gives, bit for bit, each model's
+    # closed-form and iterated powers and the deviation ito-check reports
+    rng = np.random.default_rng(seed)
+    models = [random_model(rng, dim) for _ in range(n)]
+    stacks = [np.stack([getattr(m, name) for m in models]) for name in "XHLS"]
+    worst = np.zeros(n)
+    for k, closed, iterated in _power_pairs(*stacks, k_max):
+        for i, m in enumerate(models):
+            want_closed = qsd_power_closed_form(m.X, m, k).slots()
+            want_iterated = qsd_power_iterated(m.X, m, k).slots()
+            for got_c, got_i, c, it in zip(closed, iterated, want_closed, want_iterated):
+                assert got_c[i].tobytes() == c.tobytes()
+                assert got_i[i].tobytes() == it.tobytes()
+                scale = max(1.0, float(np.linalg.norm(c)))
+                worst[i] = max(worst[i], float(np.linalg.norm(c - it)) / scale)
+    assert k == k_max
+    assert power_rule_deviation(*stacks, k_max).tobytes() == worst.tobytes()
+
+
+def test_stacked_power_rule_pass_fails_as_the_per_model_one_on_overflow():
+    # powers of a large X overflow. The per-model loop meets model 0's
+    # "time" slot at k = 15 first, though model 2's "creation" slot
+    # overflows already at k = 9: the stacked pass must report the former.
+    rng = np.random.default_rng(11)
+    models = [random_model(rng, 3) for _ in range(3)]
+    models = [
+        ModelOperators(X=c * m.X, H=m.H, L=m.L, S=m.S)
+        for c, m in zip((1e20, 1e28, 1e36), models)
+    ]
+    stacks = [np.stack([getattr(m, name) for m in models]) for name in "XHLS"]
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as per_model:
+        for m in models:
+            for k in range(2, 21):
+                qsd_power_closed_form(m.X, m, k)
+                qsd_power_iterated(m.X, m, k)
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as stacked:
+        power_rule_deviation(*stacks, 20)
+    assert str(per_model.value) == "time: non-finite entries"
+    assert str(stacked.value) == str(per_model.value)
 
 
 def test_power_first_is_flow_differential():

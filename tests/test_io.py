@@ -328,8 +328,9 @@ def _golden_jobs():
 
 
 def test_golden_set_is_complete():
-    # every (command, shipped config) pair of the light CLI jobs, plus lindblad
-    assert len(_golden_jobs()) == 10
+    # every (command, shipped config) pair of the light CLI jobs, plus the
+    # three stochastic ones: lindblad, ito-check and replicate
+    assert len(_golden_jobs()) == 12
 
 
 @pytest.mark.parametrize("command,config", _golden_jobs())

@@ -10,6 +10,7 @@ from qbs.flows import ModelOperators, expectation
 from qbs.operators import adjoint, hermitian_part
 from qbs.pricing import (
     MarketModel,
+    _path_normals,
     classical_bs,
     g_h_arguments,
     hedge_portfolio,
@@ -444,6 +445,29 @@ def test_replication_deterministic():
     s3 = replication_simulation(1.0, 1.0, 0.05, 1.0, 120, 1000, seed=7, block=256)
     assert s1.mean_error == s3.mean_error
     assert s1.std_error == s3.std_error
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20260821, 2**63 - 1])
+def test_path_substream_is_the_jumped_stream(seed):
+    # path p's normals are those of Philox(key=seed).jumped(p), bit for bit,
+    # whichever row of a block the path lands in
+    n = 257
+    base = np.random.Philox(key=seed)
+    for p in (0, 1, 5, 1023, 1024, 123456):
+        want = np.random.Generator(base.jumped(p)).standard_normal(n)
+        alone = _path_normals(seed, p, 1, n)[0]
+        assert alone.tobytes() == want.tobytes(), p
+        if p:
+            assert _path_normals(seed, p - 1, 2, n)[1].tobytes() == want.tobytes(), p
+
+
+def test_replication_stats_do_not_depend_on_block():
+    paths = 2000
+    runs = [
+        replication_simulation(1.0, 1.0, 0.05, 1.0, 100, paths, seed=13, block=block)
+        for block in (7, 1024, paths)
+    ]
+    assert repr(runs[0]) == repr(runs[1]) == repr(runs[2])
 
 
 def test_replication_smoke():
