@@ -238,22 +238,27 @@ def power_rule_deviation(x, h, l, s, k_max: int) -> np.ndarray:
     ||closed - iterated||_F / max(1, ||closed||_F) of the flow
     differential's Ito powers over the slots and k = 2..k_max.
 
-    The stacks are taken as validated (rows of ``ModelOperators``). A NaN
-    deviation is skipped, as a running Python ``max`` skips it. A power
-    with a non-finite entry raises the ValueError that building it as a
-    differential raises, for the first model that has one, at its first
-    such slot in the order of the per-model functions: by k, closed form
-    before iterated."""
+    The stacks are taken as validated (rows of ``ModelOperators``). Powers
+    beyond float range are a numerical failure, raised as FloatingPointError:
+    a power with a non-finite entry, for the first model that has one, at
+    its first such slot in the order of the per-model functions (by k,
+    closed form before iterated), with the message that building it as a
+    differential gives; otherwise a NaN deviation, where a Frobenius norm
+    of finite entries overflowed."""
     worst = np.zeros(x.shape[0])
     first_bad = {}
-    for _, closed, iterated in _power_pairs(x, h, l, s, k_max):
-        for name, a in zip(_SLOTS * 2, closed + iterated):
-            for i in np.flatnonzero(~np.isfinite(a).all(axis=(1, 2))):
-                first_bad.setdefault(i, name)
-        for a, b in zip(closed, iterated):
-            np.fmax(worst, _frobenius(a - b) / np.maximum(1.0, _frobenius(a)), out=worst)
+    # overflow is detected below and raised once, not warned about per product
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, closed, iterated in _power_pairs(x, h, l, s, k_max):
+            for name, a in zip(_SLOTS * 2, closed + iterated):
+                for i in np.flatnonzero(~np.isfinite(a).all(axis=(1, 2))):
+                    first_bad.setdefault(i, name)
+            for a, b in zip(closed, iterated):
+                np.maximum(worst, _frobenius(a - b) / np.maximum(1.0, _frobenius(a)), out=worst)
     if first_bad:
-        raise ValueError(f"{first_bad[min(first_bad)]}: non-finite entries")
+        raise FloatingPointError(f"{first_bad[min(first_bad)]}: non-finite entries")
+    if np.isnan(worst).any():
+        raise FloatingPointError("power rule deviation is NaN: an Ito power's Frobenius norm overflows")
     return worst
 
 
@@ -362,12 +367,51 @@ def default_steps(t: float) -> int:
     return max(int(round(1000.0 * t)), 100)
 
 
+# Largest dimension evolved through the dense d^2 x d^2 superoperator. At
+# 1,000 steps the dense route takes 0.2-1.6 ms for d <= 8 against 56-63 ms
+# for the RK4 loop. At 100 steps the two are close at d = 12 (5.9 ms
+# against 7.4 ms) and the loop wins at d = 16 (10.5 ms against 26 ms); at
+# d = 128 the superoperator alone would be 16384^2 complex numbers (4 GiB).
+# (numpy 2.4.6, 2-vCPU Xeon host.)
+_DENSE_MAX_DIM = 8
+
+
+def _rk4_increment(h, l, ld, ldl, dt: float, steps: int) -> np.ndarray:
+    """C with I + C = R(dt L)^steps, where L is the Lindblad superoperator
+    in row-major vec (vec(A Y B) = (A kron B^T) vec(Y), vec = reshape(-1))
+    and R(A) = I + A + A^2/2 + A^3/6 + A^4/24 is one classical RK4 step.
+
+    The power is taken by binary powering in increment form: with
+    B = R - I, (I + C)(I + B) = I + (C + B + CB) and (I + B)^2 = I + (2B + B^2),
+    so the identity is never added back in and the O(dt) entries of B keep
+    their low bits through every squaring.
+    """
+    eye = np.eye(h.shape[0])
+    a = dt * (
+        1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+        + np.kron(ld, l.T)
+    )
+    a2 = a @ a
+    b = a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
+    c = np.zeros_like(b)
+    while True:
+        if steps & 1:
+            c = c + b + c @ b
+        steps >>= 1
+        if not steps:
+            return c
+        b = 2.0 * b + b @ b
+
+
 def semigroup_evolve(x0, m: ModelOperators, t: float, steps: int | None = None) -> np.ndarray:
     """Integrate dX/dt = theta(X) with fixed-step classical RK4.
 
-    Default step count is ``default_steps(t)``. Hermiticity is preserved by
-    the scheme up to roundoff; the output is returned unsymmetrized so
-    that drift, if any, stays visible.
+    Default step count is ``default_steps(t)``. Up to ``_DENSE_MAX_DIM`` the
+    ``steps`` steps are applied at once as a power of the one-step
+    superoperator (``_rk4_increment``); above it they run one at a time.
+    Hermiticity is preserved by the scheme up to roundoff; the output is
+    returned unsymmetrized so that drift, if any, stays visible.
     """
     x = require_hermitian(x0, "X0")
     if x.shape[0] != m.dim:
@@ -384,11 +428,13 @@ def semigroup_evolve(x0, m: ModelOperators, t: float, steps: int | None = None) 
     l = m.L
     ld = adjoint(l)
     ldl = ld @ l
+    dt = t / steps
+    if m.dim <= _DENSE_MAX_DIM:
+        return x + (_rk4_increment(h, l, ld, ldl, dt, steps) @ x.reshape(-1)).reshape(x.shape)
 
     def rhs(y):
         return 1j * (h @ y - y @ h) - 0.5 * (ldl @ y + y @ ldl) + ld @ y @ l
 
-    dt = t / steps
     for _ in range(steps):
         k1 = rhs(x)
         k2 = rhs(x + 0.5 * dt * k1)

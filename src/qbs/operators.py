@@ -6,7 +6,6 @@ strict: inputs that miss a tolerance are rejected, never repaired.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -126,6 +125,8 @@ def spectral_decompose(m, name: str = "matrix") -> SpectralDecomposition:
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
+        import hashlib
+
         digest = hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
         raise np.linalg.LinAlgError(f"{name}: eigensolver failed (input sha256 {digest})") from exc
     lead_rows = np.argmax(np.abs(vecs), axis=0)

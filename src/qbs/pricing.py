@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .flows import ModelOperators, expectation
 from .operators import (
@@ -510,6 +509,8 @@ def _path_normals(seed: int, first: int, count: int, steps: int) -> np.ndarray:
     """(count, steps) standard normals; row i is the start of path
     first + i's substream, Philox keyed by the seed with counter
     [0, 0, first + i, 0] (the stream of ``Philox(key=seed).jumped(first + i)``)."""
+    from numpy.random import Generator, Philox
+
     bits = Philox(key=seed)
     state = bits.state
     counter = state["state"]["counter"]

@@ -194,6 +194,44 @@ def test_ito_check_gate_catches_a_broken_ito_table(monkeypatch, capsys):
     assert all(v.startswith("power rule deviation") for v in doc["invariant_violations"])
 
 
+def _flow_2x2_with(tmp_path, **sections):
+    """Path of configs/flow_2x2.json with the given sections replaced."""
+    doc = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())
+    doc.update(sections)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("k_max", [400, 700])
+def test_overflowing_ito_powers_are_a_numerical_error(k_max, tmp_path, capsys):
+    # at k_max = 400 the powers stay finite but their norms overflow (a NaN
+    # deviation); at 700 the powers themselves leave float range
+    path = _flow_2x2_with(tmp_path, ito_check={"dims": [4], "k_max": k_max, "trials": 3})
+    assert qbs.cli.main(["ito-check", "--config", path, "--omit-timing"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: ")
+
+
+@pytest.mark.parametrize(
+    "lindblad,flags",
+    [
+        ({"t": [1.0], "steps": 1}, []),
+        ({"t": [0.1, 1.0]}, ["--tol", "semigroup=1e-30"]),
+    ],
+)
+def test_lindblad_step_doubling_gate(lindblad, flags, tmp_path, capsys):
+    # negative controls: one RK4 step over t = 1 is off by about 6e-5
+    # relative, and no default step count reaches 1e-30
+    path = _flow_2x2_with(tmp_path, lindblad=lindblad)
+    assert qbs.cli.main(["lindblad", "--config", path, "--omit-timing", *flags]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert not any(row["passed"] for row in report["results"])
+    assert len(report["invariant_violations"]) == len(lindblad["t"])
+    assert all(v.startswith("step-doubling error") for v in report["invariant_violations"])
+
+
 def test_csv_output(tmp_path):
     proc = run_cli(["classical", "--csv"], full_config(), tmp_path)
     assert proc.returncode == 0
@@ -318,17 +356,19 @@ def test_overflowing_moneyness_is_a_config_error(tmp_path):
 
 
 # Runs one command in a fresh interpreter and prints, to stderr, its exit
-# code and whether any scipy module and scipy.special were imported.
+# code, whether any scipy module and scipy.special were imported, and
+# whether any numpy.random module was.
 IMPORT_GRAPH_PROBE = """
 import sys
 import qbs.cli
 code = qbs.cli.main(sys.argv[1:])
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-print(code, bool(loaded), "scipy.special" in loaded, file=sys.stderr)
+rng = any(m == "numpy.random" or m.startswith("numpy.random.") for m in sys.modules)
+print(code, bool(loaded), "scipy.special" in loaded, rng, file=sys.stderr)
 """
 
 
-def _scipy_loaded_by(command, config):
+def _modules_loaded_by(command, config):
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_GRAPH_PROBE, command,
          "--config", f"configs/{config}.json", "--omit-timing"],
@@ -337,15 +377,17 @@ def _scipy_loaded_by(command, config):
         cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr
-    code, any_scipy, special = proc.stderr.split()
+    code, *loaded = proc.stderr.split()
     assert code == "0"
-    return any_scipy == "True", special == "True"
+    return tuple(flag == "True" for flag in loaded)
 
 
 def test_pricing_commands_do_not_import_scipy():
-    assert _scipy_loaded_by("price", "flow_2x2") == (False, False)
+    # nor numpy.random: price draws no random number
+    assert _modules_loaded_by("price", "flow_2x2") == (False, False, False)
 
 
 def test_replicate_imports_scipy_special():
-    # the probe can see the import: replicate still draws its deltas from ndtr
-    assert _scipy_loaded_by("replicate", "monte_carlo") == (True, True)
+    # the probe can see the imports: replicate still draws its deltas from
+    # ndtr, and its normals from numpy.random
+    assert _modules_loaded_by("replicate", "monte_carlo") == (True, True, True)

@@ -261,10 +261,20 @@ def test_stacked_power_rule_pass_fails_as_the_per_model_one_on_overflow():
             for k in range(2, 21):
                 qsd_power_closed_form(m.X, m, k)
                 qsd_power_iterated(m.X, m, k)
-    with np.errstate(all="ignore"), pytest.raises(ValueError) as stacked:
+    # the stacked pass raises it as a numerical failure, not a ValueError
+    with pytest.raises(FloatingPointError) as stacked:
         power_rule_deviation(*stacks, 20)
     assert str(per_model.value) == "time: non-finite entries"
     assert str(stacked.value) == str(per_model.value)
+
+
+def test_power_rule_deviation_raises_on_an_overflowing_norm():
+    # the cubes of a 1e100 X are finite, but their squares overflow the
+    # Frobenius norm: the deviation would be inf/inf, never compared
+    m = random_model(np.random.default_rng(13), 2)
+    stacks = [a[np.newaxis] for a in (1e100 * m.X, m.H, m.L, m.S)]
+    with pytest.raises(FloatingPointError, match="NaN"):
+        power_rule_deviation(*stacks, 3)
 
 
 def test_power_first_is_flow_differential():
@@ -396,6 +406,34 @@ def test_semigroup_frozen_expectation():
     val = expectation(e0, 0.5 * (out + adjoint(out)))
     # value from the vectorized-superoperator oracle
     assert abs(val - 0.6288599451017296) <= 1e-9
+
+
+def test_semigroup_above_the_dense_bound_matches_superoperator_oracle():
+    # the first dimension past flows._DENSE_MAX_DIM runs the RK4 loop
+    import qbs.flows
+
+    dim = qbs.flows._DENSE_MAX_DIM + 1
+    rng = np.random.default_rng(42)
+    m = random_model(rng, dim)
+    x0 = random_hermitian(rng, dim)
+    got = semigroup_evolve(x0, m, 0.6)
+    want = oracles.superoperator_evolve(x0, m.H, m.L, 0.6)
+    assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, float(np.abs(want).max()))
+
+
+def test_semigroup_dense_propagator_is_the_rk4_loop(monkeypatch):
+    # at the bound, the powered one-step superoperator gives what the
+    # step-by-step loop gives, to roundoff
+    import qbs.flows
+
+    dim = qbs.flows._DENSE_MAX_DIM
+    rng = np.random.default_rng(44)
+    m = random_model(rng, dim)
+    x0 = random_hermitian(rng, dim)
+    dense = semigroup_evolve(x0, m, 0.7)
+    monkeypatch.setattr(qbs.flows, "_DENSE_MAX_DIM", dim - 1)
+    loop = semigroup_evolve(x0, m, 0.7)
+    assert np.max(np.abs(dense - loop)) <= 1e-13 * max(1.0, float(np.abs(loop).max()))
 
 
 def test_semigroup_domain():
