@@ -2,67 +2,10 @@
 
 Stock, Hamiltonian, coupling, and scattering are finite-dimensional
 matrices; the flow's coefficient algebra, the closed-form price, its PDE
-residuals, and a classical scalar oracle live in the submodules and are
-re-exported here.
+residuals, and a classical scalar oracle live in the submodules; import
+them from there (``qbs.operators``, ``qbs.flows``, ``qbs.pricing``,
+``qbs.config``). The root holds only the version, so ``import qbs``
+loads no submodule.
 """
 
 __version__ = "0.1.0"
-
-from .config import ConfigError, RunConfig, parse_config, serialize_config
-from .flows import (
-    BrownianReport,
-    FlowCoefficients,
-    ModelOperators,
-    PoissonReport,
-    QuantumStochasticDifferential,
-    brownian_reduction_check,
-    expectation,
-    flow_coefficients,
-    flow_differential,
-    ito_product,
-    lindblad_generator,
-    poisson_reduction_check,
-    qsd_power_closed_form,
-    qsd_power_iterated,
-    semigroup_evolve,
-)
-from .operators import (
-    SpectralDecomposition,
-    adjoint,
-    apply_scalar_function,
-    commutator,
-    hermitian_part,
-    normal_cdf,
-    normal_pdf,
-    operator_exp,
-    operator_log,
-    phi_operator,
-    phi_series,
-    positive_part,
-    require_hermitian,
-    require_unitary,
-    spectral_decompose,
-    sylvester_L,
-)
-from .pricing import (
-    HedgePosition,
-    MarketModel,
-    PriceQuote,
-    ReplicationStats,
-    ResidualReport,
-    classical_bs,
-    g_h_arguments,
-    hedge_portfolio,
-    log_moneyness,
-    price,
-    price_derivatives,
-    reasonable_price,
-    replication_simulation,
-    residual_brownian_scalar,
-    residual_eq8,
-    residual_poisson_scalar,
-    terminal_limit_check,
-    terminal_payoff,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

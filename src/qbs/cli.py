@@ -3,7 +3,7 @@
 One command per invocation; a JSON (or CSV) report on stdout, errors on
 stderr. Exit codes: 0 success, 2 configuration error, 3 a checked
 invariant failed, 4 numerical error (an eigensolver failed to converge,
-or an Ito power left float range).
+or an Ito power or e^z left float range).
 """
 
 from __future__ import annotations
@@ -212,9 +212,8 @@ def _cmd_hedge(cfg: RunConfig):
     tol = cfg.tolerances["hedge_value"]
     results = []
     violations = []
-    z_t, positions = _hedge_times(times, stock, model, convention)
-    for t, pos in zip(times, positions):
-        omega = price(model.T - t, z_t, model).omega
+    positions, omegas = _hedge_times(times, stock, model, convention)
+    for t, pos, omega in zip(times, positions, omegas):
         defect = float(np.linalg.norm(pos.value - omega))
         passed = defect <= tol * max(1.0, float(np.linalg.norm(omega)))
         results.append(

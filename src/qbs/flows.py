@@ -448,7 +448,8 @@ def expectation(state, m) -> complex:
     """<state, M state> for a unit vector; real up to roundoff for Hermitian M."""
     u = np.asarray(state, dtype=np.complex128).reshape(-1)
     nrm = float(np.linalg.norm(u))
-    if abs(nrm - 1.0) > 1e-12:
+    # a NaN norm must fail the check, not slip past it
+    if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"state norm {nrm!r} differs from 1 beyond 1e-12")
     a = as_matrix(m, "M")
     if a.shape[0] != u.size:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -106,13 +105,11 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
+    def apply(self, f) -> np.ndarray:
+        """V diag(f) V*, for f the values of a scalar function at the
+        eigenvalues: the spectral calculus of every operator function."""
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * f) @ v.conj().T
 
 
 def spectral_decompose(m, name: str = "matrix") -> SpectralDecomposition:
@@ -137,29 +134,14 @@ def spectral_decompose(m, name: str = "matrix") -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
-def apply_scalar_function(m, f: Callable[[float], float], name: str = "matrix") -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix spectrally.
-
-    Parameters
-    ----------
-    m : Hermitian matrix.
-    f : real-to-real map defined on the spectrum of ``m``.
-
-    Returns V diag(f(eigenvalues)) V*. Raises if f is undefined or
-    non-finite at some eigenvalue.
-    """
-    dec = spectral_decompose(m, name)
-    fvals = np.empty(dec.dim)
-    for i, lam in enumerate(dec.eigenvalues):
-        try:
-            y = float(f(float(lam)))
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise ValueError(f"{name}: function undefined at eigenvalue {lam!r}: {exc}") from None
-        if not math.isfinite(y):
-            raise ValueError(f"{name}: function non-finite at eigenvalue {lam!r}")
-        fvals[i] = y
-    v = dec.eigenvectors
-    return (v * fvals) @ v.conj().T
+def finite_exp(lam, name: str) -> np.ndarray:
+    """Elementwise e^lam. A value beyond float range is a numerical
+    failure, raised as FloatingPointError, never returned as inf."""
+    with np.errstate(over="ignore"):
+        out = np.exp(lam)
+    if not np.isfinite(out).all():
+        raise FloatingPointError(f"{name}: exp overflows at {float(lam[~np.isfinite(out)][0])!r}")
+    return out
 
 
 def operator_log(h, name: str = "matrix") -> np.ndarray:
@@ -168,20 +150,13 @@ def operator_log(h, name: str = "matrix") -> np.ndarray:
     smallest = float(dec.eigenvalues[0])
     if smallest <= 0.0:
         raise ValueError(f"{name}: operator log needs a positive spectrum, found eigenvalue {smallest!r}")
-    v = dec.eigenvectors
-    return (v * np.log(dec.eigenvalues)) @ v.conj().T
+    return dec.apply(np.log(dec.eigenvalues))
 
 
 def operator_exp(a, name: str = "matrix") -> np.ndarray:
     """Spectral exponential of a Hermitian matrix; output positive definite."""
-    return apply_scalar_function(a, math.exp, name)
-
-
-def positive_part(m, name: str = "matrix") -> np.ndarray:
-    """Spectral max(0, .); satisfies M = positive_part(M) - positive_part(-M)."""
-    dec = spectral_decompose(m, name)
-    v = dec.eigenvectors
-    return (v * np.maximum(dec.eigenvalues, 0.0)) @ v.conj().T
+    dec = spectral_decompose(a, name)
+    return dec.apply(finite_exp(dec.eigenvalues, name))
 
 
 def normal_cdf(x):
@@ -216,11 +191,6 @@ def phi_series(x: float, n_max: int) -> float:
         acc += term / (2 * n + 1)
         term *= -0.5 * x * x / (n + 1)
     return 0.5 + acc * _INV_SQRT_2PI
-
-
-def phi_operator(m, name: str = "matrix") -> np.ndarray:
-    """normal_cdf applied spectrally; spectrum lands in [0, 1]."""
-    return apply_scalar_function(m, normal_cdf, name)
 
 
 def sylvester_L(x, w, gap_tol: float = 1e-10, diag_tol: float = 1e-10) -> np.ndarray:

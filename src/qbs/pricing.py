@@ -18,6 +18,7 @@ from .flows import ModelOperators, expectation
 from .operators import (
     SpectralDecomposition,
     commutator,
+    finite_exp,
     frobenius,
     hermitian_part,
     normal_cdf,
@@ -31,9 +32,11 @@ COMMUTATION_RTOL = 1e-10
 
 
 def _require_commuting(a, b, name_a: str, name_b: str) -> None:
-    defect = frobenius(commutator(a, b))
-    bound = COMMUTATION_RTOL * frobenius(a) * frobenius(b)
-    if defect > bound:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or NaN
+        defect = frobenius(commutator(a, b))
+        bound = COMMUTATION_RTOL * frobenius(a) * frobenius(b)
+    # a NaN defect must fail the check, not slip past it
+    if not defect <= bound:
         raise ValueError(
             f"[{name_a}, {name_b}] norm {defect:.6e} exceeds {bound:.6e}; "
             "a simultaneous eigenbasis is required"
@@ -142,7 +145,7 @@ def _log_moneyness(x, k):
     # operator_log rejects a spectrum that is not positive
     z = operator_log(x, "X") - operator_log(k, "K")
     dec = spectral_decompose(z, "z")
-    err = frobenius(_priced(dec, k, _exp(dec.eigenvalues)) - x)
+    err = frobenius(_priced(dec, k, finite_exp(dec.eigenvalues, "z")) - x)
     if not err <= 1e-10 * max(1.0, frobenius(x)):
         raise ValueError(f"K exp(z) fails to reproduce X, error {err:.6e}")
     return z, dec
@@ -160,15 +163,6 @@ def _checked_z(z, k, t: float | None = None, name: str = "z") -> np.ndarray:
     return zh
 
 
-def _exp(lam):
-    """Elementwise e^lam; overflow is rejected, never returned as inf."""
-    with np.errstate(over="ignore"):
-        out = np.exp(lam)
-    if not np.isfinite(out).all():
-        raise ValueError(f"z: exp overflows at {float(lam[~np.isfinite(out)][0])!r}")
-    return out
-
-
 def _call_scalars(t: float, lam, r: float):
     """Per unit strike, the price w and its partials w10, w01, w02 at each
     eigenvalue lam of z.
@@ -179,7 +173,7 @@ def _call_scalars(t: float, lam, r: float):
     """
     sqrt_t = math.sqrt(t)
     disc = math.exp(-r * t)
-    ez = _exp(lam)
+    ez = finite_exp(lam, "z")
     g = lam / sqrt_t + (r + 0.5) * sqrt_t
     h = lam / sqrt_t + (r - 0.5) * sqrt_t
     phi_g, phi_h = normal_cdf(g), normal_cdf(h)
@@ -197,22 +191,8 @@ def _call_scalars(t: float, lam, r: float):
 def _priced(dec: SpectralDecomposition, k, f) -> np.ndarray:
     """hermitian_part(K V diag(f) V*) for z = V diag(lam) V*; with k None,
     V diag(f) V* alone."""
-    v = dec.eigenvectors
-    m = (v * f) @ v.conj().T
+    m = dec.apply(f)
     return hermitian_part(m if k is None else k @ m)
-
-
-def g_h_arguments(t: float, z, r: float):
-    """The two CDF arguments: g = z/sqrt(t) + (r+1/2) sqrt(t) I, h likewise
-    with (r-1/2); their difference is sqrt(t) I identically."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    zh = require_hermitian(z, "z")
-    eye = np.eye(zh.shape[0])
-    sqrt_t = math.sqrt(t)
-    g = zh / sqrt_t + (r + 0.5) * sqrt_t * eye
-    h = zh / sqrt_t + (r - 0.5) * sqrt_t * eye
-    return g, h
 
 
 def price(t: float, z, model: MarketModel, state=None) -> PriceQuote:
@@ -374,8 +354,8 @@ def residual_poisson_scalar(
 def terminal_payoff(z_t, k_op, convention: str = "spectral", state=None):
     """Call payoff at maturity from the terminal log-moneyness.
 
-    spectral: positive_part(K e^z - K), an operator; for positive K
-    commuting with z it is K max(e^z - 1, 0) evaluated at z.
+    spectral: K max(e^z - 1, 0), an operator: for positive K commuting
+    with z, the positive part of K e^z - K.
     expectation: max(0, <u, (K e^z - K) u>), a scalar; requires a state.
     The two disagree for indefinite K e^z - K, which is why both exist.
     """
@@ -387,7 +367,7 @@ def terminal_payoff(z_t, k_op, convention: str = "spectral", state=None):
     _require_positive_definite(k, "K")
     zh = _checked_z(z_t, k, name="zT")
     dec = spectral_decompose(zh, "zT")
-    excess = _exp(dec.eigenvalues) - 1.0
+    excess = finite_exp(dec.eigenvalues, "z") - 1.0
     if convention == "spectral":
         return _priced(dec, k, np.maximum(excess, 0.0))
     return max(0.0, float(expectation(state, _priced(dec, k, excess)).real))
@@ -426,7 +406,7 @@ def _terminal_deviation(z_t, model: MarketModel, t_small: float, min_gap: float)
             f"zT eigenvalue with |value| = {closest!r} lies within {min_gap} of 0; "
             "the terminal limit is not certified there"
         )
-    payoff = _priced(dec, model.K, np.maximum(_exp(eigs) - 1.0, 0.0))
+    payoff = _priced(dec, model.K, np.maximum(finite_exp(eigs, "z") - 1.0, 0.0))
     omega = _priced(dec, model.K, _call_scalars(t_small, eigs, model.r)[0])
     return float(np.linalg.norm(omega - payoff, 2)), payoff, eigs
 
@@ -451,34 +431,36 @@ def hedge_portfolio(
     b is fixed by b = (w - a j_x) e^{-rt} / beta0 either way, so the
     value identity a j_x + b beta_t = w holds by construction.
     """
-    return _hedge_times((t,), j_x, model, convention)[1][0]
+    return _hedge_times((t,), j_x, model, convention)[0][0]
 
 
 def _hedge_times(times, j_x, model: MarketModel, convention: str):
-    """(z, [hedge_portfolio(t, j_x, model, convention) for t in times]),
-    with the log-moneyness z of j_x decomposed once for all times."""
+    """([hedge_portfolio(t, j_x, model, convention) for t in times], the
+    price omega at each time), from one decomposition of the log-moneyness
+    of j_x."""
     for t in times:
         if not 0.0 < t < model.T:
             raise ValueError(f"t={t!r} outside (0, {model.T})")
     if convention not in ("direct", "classical"):
         raise ValueError(f"unknown hedge convention {convention!r}")
     jx = require_hermitian(j_x, "j_x")
-    z, dec = _log_moneyness(jx, model.K)
+    dec = _log_moneyness(jx, model.K)[1]
     lam = dec.eigenvalues
-    positions = []
+    positions, omegas = [], []
     for t in times:
         w, _, w01, _ = _call_scalars(model.T - t, lam, model.r)
         omega = _priced(dec, model.K, w)
         if convention == "direct":
             a = _priced(dec, model.K, w01)
         else:
-            a = _priced(dec, None, w01 * _exp(-lam))
+            a = _priced(dec, None, w01 * finite_exp(-lam, "z"))
         disc = math.exp(-model.r * t)
         b = hermitian_part((omega - hermitian_part(a @ jx)) * (disc / model.beta0))
         beta_t = model.beta0 * math.exp(model.r * t)
         value = hermitian_part(a @ jx) + beta_t * b
         positions.append(HedgePosition(a=a, b=b, value=value))
-    return z, positions
+        omegas.append(omega)
+    return positions, omegas
 
 
 def classical_bs(x: float, strike: float, r: float, sigma: float, t: float):

@@ -349,10 +349,41 @@ def test_eigensolver_failure_is_a_numerical_error(tmp_path, monkeypatch, capsys)
     assert "numerical error" in capsys.readouterr().err
 
 
-def test_overflowing_moneyness_is_a_config_error(tmp_path):
+def test_overflowing_moneyness_is_a_numerical_error(tmp_path):
     proc = run_cli(["price"], scalar_config(z_grid=[[[[800.0, 0.0]]]]), tmp_path)
-    assert proc.returncode == 2
+    assert proc.returncode == 4
     assert "overflow" in proc.stderr
+
+
+def test_nan_commutation_defect_is_a_config_error(tmp_path, capsys):
+    # [X, K] overflows to a NaN entry, which must fail the commutation check
+    model = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())["model"]
+    model["ops"]["X"] = [[[1e308, 0.0], [5e307, 0.0]], [[5e307, 0.0], [1e308, 0.0]]]
+    model["K"] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
+    path = _flow_2x2_with(tmp_path, model=model)
+    for command in ("price", "coeffs"):
+        assert qbs.cli.main([command, "--config", path, "--omit-timing"]) == 2
+        assert "a simultaneous eigenbasis is required" in capsys.readouterr().err
+
+
+# Imports the bare package, then the CLI, in a fresh interpreter and prints
+# the version and the qbs submodules loaded after each import.
+PACKAGE_IMPORT_PROBE = """
+import json, sys
+import qbs
+bare = sorted(m for m in sys.modules if m.startswith("qbs."))
+import qbs.cli
+print(json.dumps([qbs.__version__, bare, sorted(m for m in sys.modules if m.startswith("qbs."))]))
+"""
+
+
+def test_bare_import_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c", PACKAGE_IMPORT_PROBE], capture_output=True, text=True, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    layers = ["qbs.cli", "qbs.config", "qbs.flows", "qbs.operators", "qbs.pricing", "qbs.sampling"]
+    assert json.loads(proc.stdout) == ["0.1.0", [], layers]
 
 
 # Runs one command in a fresh interpreter and prints, to stderr, its exit

@@ -462,3 +462,6 @@ def test_expectation_examples():
 def test_expectation_requires_normalized_state():
     with pytest.raises(ValueError, match="norm"):
         expectation(np.array([1.0, 1.0]), np.eye(2))
+    # a NaN norm fails the check too
+    with pytest.raises(ValueError, match="norm"):
+        expectation(np.array([np.nan, 0.0]), np.eye(2))

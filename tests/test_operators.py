@@ -9,7 +9,6 @@ import oracles
 import qbs.cli
 from qbs.operators import (
     adjoint,
-    apply_scalar_function,
     as_matrix,
     commutator,
     hermitian_part,
@@ -17,9 +16,7 @@ from qbs.operators import (
     normal_pdf,
     operator_exp,
     operator_log,
-    phi_operator,
     phi_series,
-    positive_part,
     require_hermitian,
     require_unitary,
     spectral_decompose,
@@ -135,7 +132,7 @@ def test_commutator_dim_mismatch():
 def test_spectral_identity():
     dec = spectral_decompose(np.eye(3))
     assert np.allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
-    assert np.max(np.abs(dec.reconstruct() - np.eye(3))) <= 1e-14
+    assert np.max(np.abs(dec.apply(dec.eigenvalues) - np.eye(3))) <= 1e-14
 
 
 def test_spectral_ordering_and_reconstruction():
@@ -149,7 +146,7 @@ def test_spectral_ordering_and_reconstruction():
         m = random_hermitian(rng, dim)
         dec3 = spectral_decompose(m)
         scale = max(1.0, float(np.linalg.norm(m)))
-        assert np.max(np.abs(dec3.reconstruct() - m)) <= 1e-12 * scale
+        assert np.max(np.abs(dec3.apply(dec3.eigenvalues) - m)) <= 1e-12 * scale
         gram = dec3.eigenvectors.conj().T @ dec3.eigenvectors
         assert np.max(np.abs(gram - np.eye(dim))) <= 1e-12
 
@@ -165,20 +162,6 @@ def test_spectral_deterministic():
 def test_spectral_rejects_non_hermitian():
     with pytest.raises(ValueError):
         spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_apply_scalar_function_examples():
-    m = np.diag([1.0, 4.0])
-    assert np.allclose(apply_scalar_function(m, math.sqrt), np.diag([1.0, 2.0]), atol=1e-14)
-    rng = np.random.default_rng(11)
-    h = random_hermitian(rng, 3)
-    sq = apply_scalar_function(h, lambda v: v * v)
-    assert np.max(np.abs(sq - h @ h)) <= 1e-12 * max(1.0, float(np.linalg.norm(h)) ** 2)
-
-
-def test_apply_scalar_function_names_bad_eigenvalue():
-    with pytest.raises(ValueError, match="undefined at eigenvalue"):
-        apply_scalar_function(np.diag([0.0, 1.0]), lambda v: 1.0 / v)
 
 
 def test_operator_log_examples():
@@ -197,6 +180,11 @@ def test_operator_log_rejects_nonpositive_spectrum():
 def test_operator_exp_examples():
     assert np.allclose(operator_exp(np.zeros((2, 2))), np.eye(2), atol=1e-15)
     assert np.allclose(operator_exp(np.diag([math.log(2.0), math.log(3.0)])), np.diag([2.0, 3.0]), atol=1e-13)
+
+
+def test_operator_exp_rejects_an_overflowing_spectrum():
+    with pytest.raises(FloatingPointError, match="A: exp overflows at 800.0"):
+        operator_exp(np.diag([800.0]), "A")
 
 
 def test_operator_exp_matches_series_oracle():
@@ -226,25 +214,6 @@ def test_log_norm_bound():
         p = random_positive_definite(rng, 4, eig_low=0.25, eig_high=4.0)
         bound = max(abs(math.log(0.25)), abs(math.log(4.0)))
         assert np.linalg.norm(operator_log(p), 2) <= bound + 1e-12
-
-
-def test_positive_part_examples():
-    assert np.allclose(positive_part(np.diag([2.0, -3.0])), np.diag([2.0, 0.0]), atol=1e-15)
-    got = positive_part(SX)
-    assert np.allclose(got, 0.5 * np.ones((2, 2)), atol=1e-14)
-    rng = np.random.default_rng(19)
-    p = random_positive_definite(rng, 3)
-    assert np.max(np.abs(positive_part(p) - p)) <= 1e-12 * max(1.0, float(np.linalg.norm(p)))
-
-
-def test_positive_part_decomposition():
-    """M = M_+ - (-M)_+ and both parts are PSD."""
-    rng = np.random.default_rng(23)
-    m = random_hermitian(rng, 5)
-    plus, minus = positive_part(m), positive_part(-m)
-    assert np.max(np.abs((plus - minus) - m)) <= 1e-12 * max(1.0, float(np.linalg.norm(m)))
-    assert np.linalg.eigvalsh(plus).min() >= -1e-13
-    assert np.linalg.eigvalsh(minus).min() >= -1e-13
 
 
 def test_normal_cdf_frozen():
@@ -334,28 +303,13 @@ def test_phi_series_domain():
         phi_series(1.0, 0)
 
 
-def test_phi_operator_examples():
-    assert np.allclose(phi_operator(np.zeros((2, 2))), 0.5 * np.eye(2), atol=1e-15)
-    got = phi_operator(np.diag([1.0, -1.0]))
-    # quadrature oracle: Phi(1), 1 - Phi(1)
-    assert abs(got[0, 0].real - 0.8413447460685431) <= 1e-13
-    assert abs(got[1, 1].real - 0.1586552539314569) <= 1e-13
-
-
-def test_phi_operator_symmetry():
-    rng = np.random.default_rng(29)
-    m = random_hermitian(rng, 4)
-    s = phi_operator(m) + phi_operator(-m)
-    assert np.max(np.abs(s - np.eye(4))) <= 1e-12
-
-
 def test_phi_operator_unitary_equivariance():
-    """f(U* M U) = U* f(M) U, including a degenerate spectrum."""
+    """exp(U* M U) = U* exp(M) U, including a degenerate spectrum."""
     rng = np.random.default_rng(31)
     for base in (random_hermitian(rng, 3), np.diag([1.0, 1.0, 2.0])):
         u = random_unitary(rng, 3)
-        lhs = phi_operator(u.conj().T @ base @ u)
-        rhs = u.conj().T @ phi_operator(base) @ u
+        lhs = operator_exp(u.conj().T @ base @ u)
+        rhs = u.conj().T @ operator_exp(base) @ u
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 

@@ -12,7 +12,6 @@ from qbs.pricing import (
     MarketModel,
     _path_normals,
     classical_bs,
-    g_h_arguments,
     hedge_portfolio,
     log_moneyness,
     price,
@@ -62,6 +61,14 @@ def test_market_model_validation():
         MarketModel(ops=ops, K=np.diag([1.0, -1.0]), r=0.05, T=1.0)
 
 
+def test_nan_commutation_defect_is_rejected():
+    """[X, K] overflows to a NaN entry: the check fails rather than passes."""
+    x = np.array([[1e308, 5e307], [5e307, 1e308]])
+    ops = ModelOperators(X=x, H=np.zeros((2, 2)), L=np.zeros((2, 2)), S=np.eye(2))
+    with pytest.raises(ValueError, match="simultaneous eigenbasis"):
+        MarketModel(ops=ops, K=np.diag([1.0, 2.0]), r=0.05, T=1.0)
+
+
 def test_log_moneyness_examples():
     assert np.max(np.abs(log_moneyness(np.eye(2), np.eye(2)))) <= 1e-14
     z = log_moneyness(math.e * np.eye(2), np.eye(2))
@@ -75,25 +82,6 @@ def test_log_moneyness_rejections():
         log_moneyness(np.diag([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, 1.0]]))
     with pytest.raises(ValueError):
         log_moneyness(np.diag([0.0, 1.0]), np.eye(2))
-
-
-def test_g_h_examples():
-    g, h = g_h_arguments(1.0, np.zeros((1, 1)), 0.0)
-    assert abs(g[0, 0].real - 0.5) <= 1e-15
-    assert abs(h[0, 0].real + 0.5) <= 1e-15
-    g2, h2 = g_h_arguments(4.0, np.diag([1.0, -1.0]), 0.1)
-    assert np.max(np.abs(g2 - np.diag([1.7, 0.7]))) <= 1e-13
-    assert np.max(np.abs(h2 - np.diag([-0.3, -1.3]))) <= 1e-13
-    with pytest.raises(ValueError):
-        g_h_arguments(0.0, np.zeros((2, 2)), 0.05)
-
-
-def test_g_minus_h_is_sqrt_t():
-    rng = np.random.default_rng(2)
-    z = np.diag(rng.uniform(-1.0, 1.0, size=3))
-    for t in (0.3, 1.0, 2.7):
-        g, h = g_h_arguments(t, z, 0.07)
-        assert np.max(np.abs((g - h) - math.sqrt(t) * np.eye(3))) <= 1e-12
 
 
 def test_price_at_the_money_frozen():
@@ -145,7 +133,7 @@ def test_overflowing_exponent_is_rejected():
     """e^z overflows at z = 800: an error, never an inf or nan price."""
     model = _scalar_model()
     for fn in (price, price_derivatives):
-        with pytest.raises(ValueError, match="overflow"):
+        with pytest.raises(FloatingPointError, match="overflow"):
             fn(1.0, 800.0 * np.eye(1), model)
 
 
