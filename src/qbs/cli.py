@@ -20,15 +20,7 @@ from . import __version__
 from .config import SCHEMA_VERSION, ConfigError, RunConfig, _json_text, apply_overrides, parse_config
 from .flows import default_steps, flow_coefficients, power_rule_deviation, semigroup_evolve
 from .operators import hermitian_defect
-from .pricing import (
-    _hedge_times,
-    _terminal_deviation,
-    classical_bs,
-    price,
-    replication_simulation,
-    residual_eq8,
-    terminal_payoff,
-)
+from .pricing import classical_bs, moneyness, replication_simulation, stock_moneyness
 from .sampling import random_model
 
 COMMANDS = (
@@ -123,51 +115,51 @@ def _cmd_ito_check(cfg: RunConfig):
     return results, violations
 
 
-def _cmd_price(cfg: RunConfig):
+def _grid(cfg: RunConfig) -> list:
+    """(t, z_index, moneyness of z) at each grid point, t-major, one moneyness per z."""
     model = _need(cfg, "model", "a model section")
     t_grid = _need(cfg, "t_grid", "a t_grid")
-    z_grid = _need(cfg, "z_grid", "a z_grid")
+    spectra = [moneyness(z, model.K) for z in _need(cfg, "z_grid", "a z_grid")]
+    return [(t, i, m) for t in t_grid for i, m in enumerate(spectra)]
+
+
+def _cmd_price(cfg: RunConfig):
     results = []
-    for t in t_grid:
-        for i, z in enumerate(z_grid):
-            quote = price(t, z, model, state=cfg.state)
-            omega_eigs = np.linalg.eigvalsh(quote.omega)
-            results.append(
-                {
-                    "t": t,
-                    "z_index": i,
-                    "omega": quote.omega,
-                    "omega_min_eigenvalue": float(omega_eigs[0]),
-                    "omega_max_eigenvalue": float(omega_eigs[-1]),
-                    "omega_expectation": quote.omega_expectation,
-                }
-            )
+    for t, i, m in _grid(cfg):
+        quote = m.price(t, cfg.model.r, cfg.state)
+        omega_eigs = np.linalg.eigvalsh(quote.omega)
+        results.append(
+            {
+                "t": t,
+                "z_index": i,
+                "omega": quote.omega,
+                "omega_min_eigenvalue": float(omega_eigs[0]),
+                "omega_max_eigenvalue": float(omega_eigs[-1]),
+                "omega_expectation": quote.omega_expectation,
+            }
+        )
     return results, []
 
 
 def _cmd_residual(cfg: RunConfig):
-    model = _need(cfg, "model", "a model section")
-    t_grid = _need(cfg, "t_grid", "a t_grid")
-    z_grid = _need(cfg, "z_grid", "a z_grid")
     tol = cfg.tolerances["residual_eq8"]
     results = []
     violations = []
-    for t in t_grid:
-        for i, z in enumerate(z_grid):
-            rep = residual_eq8(t, z, model, tolerance=tol)
-            results.append(
-                {
-                    "t": t,
-                    "z_index": i,
-                    "residual_norm": rep.residual_norm,
-                    "tolerance": rep.tolerance,
-                    "passed": rep.passed,
-                }
+    for t, i, m in _grid(cfg):
+        rep = m.residual(t, cfg.model.r, tol)
+        results.append(
+            {
+                "t": t,
+                "z_index": i,
+                "residual_norm": rep.residual_norm,
+                "tolerance": rep.tolerance,
+                "passed": rep.passed,
+            }
+        )
+        if not rep.passed:
+            violations.append(
+                f"residual {rep.residual_norm:.6e} exceeds {tol:.6e} at t={t}, z_index={i}"
             )
-            if not rep.passed:
-                violations.append(
-                    f"residual {rep.residual_norm:.6e} exceeds {tol:.6e} at t={t}, z_index={i}"
-                )
     return results, violations
 
 
@@ -180,24 +172,24 @@ def _cmd_terminal_check(cfg: RunConfig):
     results = []
     violations = []
     for i, z in enumerate(z_grid):
-        deviation, payoff, _ = _terminal_deviation(z, model, t_small, min_gap)
-        tol = base * max(1.0, float(np.linalg.norm(payoff, 2)))
-        passed = deviation <= tol
+        m = moneyness(z, model.K, "zT")
+        rep, payoff = m.terminal(t_small, model.r, min_gap, base)
+        deviation, tol = rep.residual_norm, rep.tolerance
         expectation_payoff = None
         if cfg.state is not None:
-            expectation_payoff = terminal_payoff(z, model.K, "expectation", state=cfg.state)
+            expectation_payoff = m.payoff("expectation", cfg.state)
         results.append(
             {
                 "z_index": i,
                 "t_small": t_small,
                 "deviation": deviation,
                 "tolerance": tol,
-                "passed": passed,
+                "passed": rep.passed,
                 "payoff_spectral": payoff,
                 "payoff_expectation": expectation_payoff,
             }
         )
-        if not passed:
+        if not rep.passed:
             violations.append(f"terminal deviation {deviation:.6e} exceeds {tol:.6e} at z_index={i}")
     return results, violations
 
@@ -212,8 +204,9 @@ def _cmd_hedge(cfg: RunConfig):
     tol = cfg.tolerances["hedge_value"]
     results = []
     violations = []
-    positions, omegas = _hedge_times(times, stock, model, convention)
-    for t, pos, omega in zip(times, positions, omegas):
+    m = stock_moneyness(stock, model.K)
+    for t in times:
+        pos, omega = m.hedge(t, stock, model, convention)
         defect = float(np.linalg.norm(pos.value - omega))
         passed = defect <= tol * max(1.0, float(np.linalg.norm(omega)))
         results.append(

@@ -387,14 +387,15 @@ TABLE = {
         "steps": Field(_or_null(_as_int), None, (lambda n: n >= 1, "must be >= 1")),
         "x0": Field(_or_null(_hermitian), None),
     }),
+    # the bounds that replication_simulation enforces
     "replicate": _section({
-        "x0": Field(_as_number),
-        "strike": Field(_as_number),
-        "r": Field(_as_number),
-        "T": Field(_as_number),
-        "steps": Field(_as_int),
-        "paths": Field(_as_int),
-        "sigma": Field(_as_number, 1.0),
+        "x0": Field(_as_number, REQUIRED, _POSITIVE),
+        "strike": Field(_as_number, REQUIRED, _POSITIVE),
+        "r": Field(_as_number, REQUIRED, _NONNEGATIVE),
+        "T": Field(_as_number, REQUIRED, _POSITIVE),
+        "steps": Field(_as_int, REQUIRED, (lambda n: n >= 100, "must be >= 100")),
+        "paths": Field(_as_int, REQUIRED, (lambda n: n >= 1000, "must be >= 1000")),
+        "sigma": Field(_as_number, 1.0, _POSITIVE),
     }),
 }
 
@@ -453,9 +454,15 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise ConfigError("", f"invalid JSON: {exc}") from None
     cfg = RunConfig(**_read(TABLE, doc, ""))
-    if cfg.state is not None and cfg.model is not None:
-        size, dim = cfg.state.size, cfg.model.dim
-        _expect(size == dim, "state", f"length {size} does not match model dim {dim}")
+    if cfg.model is not None:
+        dim = cfg.model.dim
+        # the state, then every operator that a command applies to the model
+        sized = [("state", cfg.state, "length")]
+        sized += [(f"z_grid[{i}]", z, "dim") for i, z in enumerate(cfg.z_grid)]
+        sized += [("hedge.stock", cfg.hedge["stock"], "dim"), ("lindblad.x0", cfg.lindblad["x0"], "dim")]
+        for path, value, what in sized:
+            if value is not None:
+                _expect(len(value) == dim, path, f"{what} {len(value)} does not match model dim {dim}")
     return cfg
 
 

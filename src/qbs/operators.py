@@ -48,19 +48,23 @@ def unitary_defect(m) -> float:
         return float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0])))
 
 
+def power_of_two_scaled(a: np.ndarray):
+    """(A 2^-e, 2^-e), 2^e the least power of two above every real and imaginary
+    part of A, or e = 0 when none reaches 1: an exact scaling under which
+    norms and products cannot overflow."""
+    biggest = float(np.abs(np.ascontiguousarray(a).view(np.float64)).max())
+    scale = math.ldexp(1.0, -max(0, math.frexp(biggest)[1]))
+    return a * scale, scale
+
+
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     """Return M after checking ``||M - M*||_F <= 1e-12 * max(1, ||M||_F)``.
 
-    Should ||M||_F overflow, both sides are taken of M 2^-e instead, with
-    2^e above every real and imaginary part: a scaling that is exact and
-    under which neither norm overflows."""
+    Both sides are taken of power_of_two_scaled(M), so neither norm
+    overflows, however large M is."""
     a = as_matrix(m, name)
-    scale = 1.0
-    defect, norm = hermitian_defect(a), frobenius(a)
-    if math.isinf(norm):
-        biggest = max(np.abs(a.real).max(), np.abs(a.imag).max())
-        scale = math.ldexp(1.0, -math.frexp(float(biggest))[1])
-        defect, norm = hermitian_defect(a * scale), frobenius(a * scale)
+    scaled, scale = power_of_two_scaled(a)
+    defect, norm = hermitian_defect(scaled), frobenius(scaled)
     bound = HERMITIAN_RTOL * max(scale, norm)
     if defect > bound:
         raise ValueError(f"{name}: not Hermitian, defect {defect / scale:.6e} exceeds {bound / scale:.6e}")

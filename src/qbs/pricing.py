@@ -2,9 +2,9 @@
 
 The closed form prices a European call on a positive stock observable
 against a commuting strike operator K. Every priced operator is K F(z),
-a scalar function F of the log-moneyness z applied in one
-eigendecomposition of z, with unit volatility baked in by the model's
-structural assumption on X.
+a scalar function F of the log-moneyness z applied in the one
+eigendecomposition of z that a ``Moneyness`` holds, with unit volatility
+baked in by the model's structural assumption on X.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .operators import (
     normal_cdf,
     normal_pdf,
     operator_log,
+    power_of_two_scaled,
     require_hermitian,
     spectral_decompose,
 )
@@ -32,13 +33,14 @@ COMMUTATION_RTOL = 1e-10
 
 
 def _require_commuting(a, b, name_a: str, name_b: str) -> None:
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or NaN
-        defect = frobenius(commutator(a, b))
-        bound = COMMUTATION_RTOL * frobenius(a) * frobenius(b)
-    # a NaN defect must fail the check, not slip past it
+    """Check ||[A, B]||_F <= 1e-10 ||A||_F ||B||_F, both sides taken of the
+    power_of_two_scaled A and B, so that the check holds at any scale."""
+    (a_s, sa), (b_s, sb) = power_of_two_scaled(a), power_of_two_scaled(b)
+    defect = frobenius(commutator(a_s, b_s))
+    bound = COMMUTATION_RTOL * frobenius(a_s) * frobenius(b_s)
     if not defect <= bound:
         raise ValueError(
-            f"[{name_a}, {name_b}] norm {defect:.6e} exceeds {bound:.6e}; "
+            f"[{name_a}, {name_b}] norm {defect / sa / sb:.6e} exceeds {bound / sa / sb:.6e}; "
             "a simultaneous eigenbasis is required"
         )
 
@@ -132,45 +134,16 @@ class ReplicationStats:
     seed: int
 
 
-def log_moneyness(x_op, k_op) -> np.ndarray:
-    """The Hermitian z with K e^z = X, for commuting positive X and K."""
-    return _log_moneyness(require_hermitian(x_op, "X"), require_hermitian(k_op, "K"))[0]
-
-
-def _log_moneyness(x, k):
-    """log_moneyness of Hermitian x and k, with the decomposition of z."""
-    if x.shape != k.shape:
-        raise ValueError(f"dimension mismatch {x.shape} vs {k.shape}")
-    _require_commuting(x, k, "X", "K")
-    # operator_log rejects a spectrum that is not positive
-    z = operator_log(x, "X") - operator_log(k, "K")
-    dec = spectral_decompose(z, "z")
-    err = frobenius(_priced(dec, k, finite_exp(dec.eigenvalues, "z")) - x)
-    if not err <= 1e-10 * max(1.0, frobenius(x)):
-        raise ValueError(f"K exp(z) fails to reproduce X, error {err:.6e}")
-    return z, dec
-
-
-def _checked_z(z, k, t: float | None = None, name: str = "z") -> np.ndarray:
-    """Check t > 0 (when given) and that z is Hermitian, sized like K and
-    commutes with it, so that every priced operator is K F(z)."""
-    if t is not None and not t > 0.0:
-        raise ValueError("t must be positive")
-    zh = require_hermitian(z, name)
-    if zh.shape != k.shape:
-        raise ValueError(f"{name} dim {zh.shape[0]} does not match strike dim {k.shape[0]}")
-    _require_commuting(zh, k, name, "K")
-    return zh
-
-
 def _call_scalars(t: float, lam, r: float):
     """Per unit strike, the price w and its partials w10, w01, w02 at each
-    eigenvalue lam of z.
+    eigenvalue lam of z, at time to maturity t > 0.
 
     The terms are written out without algebraic simplification, so the
     PDE residual cancellation is a genuine numerical event rather than an
     identity baked into the code.
     """
+    if not t > 0.0:
+        raise ValueError("t must be positive")
     sqrt_t = math.sqrt(t)
     disc = math.exp(-r * t)
     ez = finite_exp(lam, "z")
@@ -188,11 +161,117 @@ def _call_scalars(t: float, lam, r: float):
     return w, w10, w01, w02
 
 
-def _priced(dec: SpectralDecomposition, k, f) -> np.ndarray:
-    """hermitian_part(K V diag(f) V*) for z = V diag(lam) V*; with k None,
-    V diag(f) V* alone."""
-    m = dec.apply(f)
-    return hermitian_part(m if k is None else k @ m)
+def _eq8_norm(r: float, w, w10, w01, w02) -> float:
+    """||w10 - w02/2 - (r-1/2) w01 + r w||_2."""
+    return float(np.linalg.norm(w10 - 0.5 * w02 - (r - 0.5) * w01 + r * w, 2))
+
+
+def _report(norm: float, tolerance: float, points, tail: float | None = None) -> ResidualReport:
+    """norm judged against tolerance, on the grid of (t, x) points."""
+    grid = tuple((float(t), float(x)) for t, x in points)
+    return ResidualReport(
+        residual_norm=norm, tolerance=float(tolerance), grid=grid, passed=norm <= tolerance,
+        tail_estimate=tail,
+    )
+
+
+@dataclass(frozen=True)
+class Moneyness:
+    """A log-moneyness z checked against a strike K and decomposed once:
+    Hermitian, sized like K and commuting with it, so every priced
+    operator at z is K F(z), a scalar function F applied in this one
+    decomposition. Every pricing entry point builds one with ``moneyness``
+    (a given z) or ``stock_moneyness`` (the z of a stock X)."""
+
+    z: np.ndarray
+    K: np.ndarray
+    dec: SpectralDecomposition
+
+    def priced(self, f) -> np.ndarray:
+        """hermitian_part(K V diag(f) V*) for z = V diag(lam) V* and f = F(lam)."""
+        return hermitian_part(self.K @ self.dec.apply(f))
+
+    def price(self, t: float, r: float, state=None) -> PriceQuote:
+        """price(t, z, model) for a model of rate r."""
+        omega = self.priced(_call_scalars(t, self.dec.eigenvalues, r)[0])
+        expect = None if state is None else float(expectation(state, omega).real)
+        return PriceQuote(t=float(t), z=self.z, omega=omega, omega_expectation=expect)
+
+    def residual(self, t: float, r: float, tolerance: float) -> ResidualReport:
+        """residual_eq8(t, z, model, tolerance=tolerance) for a model of rate r."""
+        eigs = self.dec.eigenvalues
+        norm = _eq8_norm(r, *(self.priced(f) for f in _call_scalars(t, eigs, r)))
+        return _report(norm, tolerance, ((t, v) for v in eigs))
+
+    def payoff(self, convention: str = "spectral", state=None):
+        """terminal_payoff(z, K, convention, state)."""
+        if convention not in ("spectral", "expectation"):
+            raise ValueError(f"unknown payoff convention {convention!r}")
+        if convention == "expectation" and state is None:
+            raise ValueError("expectation convention requires a state")
+        excess = finite_exp(self.dec.eigenvalues, "z") - 1.0
+        if convention == "spectral":
+            return self.priced(np.maximum(excess, 0.0))
+        return max(0.0, float(expectation(state, self.priced(excess)).real))
+
+    def terminal(self, t_small: float, r: float, min_gap: float, rel_tol: float, tolerance=None):
+        """(terminal_limit_check of z at rate r, the spectral payoff); tolerance
+        None judges the deviation against rel_tol max(1, ||payoff||_2)."""
+        eigs = self.dec.eigenvalues
+        closest = float(np.min(np.abs(eigs)))
+        if closest < min_gap:
+            raise ValueError(
+                f"zT eigenvalue with |value| = {closest!r} lies within {min_gap} of 0; "
+                "the terminal limit is not certified there"
+            )
+        payoff = self.payoff()
+        dev = float(np.linalg.norm(self.price(t_small, r).omega - payoff, 2))
+        if tolerance is None:
+            tolerance = rel_tol * max(1.0, float(np.linalg.norm(payoff, 2)))
+        return _report(dev, tolerance, ((t_small, v) for v in eigs)), payoff
+
+    def hedge(self, t: float, j_x, model: MarketModel, convention: str = "direct"):
+        """(hedge_portfolio(t, j_x, model, convention), the price omega that
+        its value reproduces), for z the log-moneyness of j_x against K."""
+        if not 0.0 < t < model.T:
+            raise ValueError(f"t={t!r} outside (0, {model.T})")
+        if convention not in ("direct", "classical"):
+            raise ValueError(f"unknown hedge convention {convention!r}")
+        lam = self.dec.eigenvalues
+        w, _, w01, _ = _call_scalars(model.T - t, lam, model.r)
+        omega = self.priced(w)
+        if convention == "direct":
+            a = self.priced(w01)
+        else:
+            a = hermitian_part(self.dec.apply(w01 * finite_exp(-lam, "z")))
+        a_jx = hermitian_part(a @ j_x)
+        b = hermitian_part((omega - a_jx) * (math.exp(-model.r * t) / model.beta0))
+        return HedgePosition(a=a, b=b, value=a_jx + model.beta0 * math.exp(model.r * t) * b), omega
+
+
+def moneyness(z, k: np.ndarray, name: str = "z") -> Moneyness:
+    """z checked against the checked strike k, then decomposed; errors call z name."""
+    zh = require_hermitian(z, name)
+    _require_commuting(zh, k, name, "K")  # the commutator rejects unlike shapes
+    return Moneyness(zh, k, spectral_decompose(zh, name))
+
+
+def stock_moneyness(x_op, k_op) -> Moneyness:
+    """The z with K e^z = X, for commuting positive X and K, checked by that identity."""
+    x, k = require_hermitian(x_op, "X"), require_hermitian(k_op, "K")
+    _require_commuting(x, k, "X", "K")  # the commutator rejects unlike shapes
+    # operator_log rejects a spectrum that is not positive
+    z = operator_log(x, "X") - operator_log(k, "K")
+    m = Moneyness(z, k, spectral_decompose(z, "z"))
+    err = frobenius(m.priced(finite_exp(m.dec.eigenvalues, "z")) - x)
+    if not err <= 1e-10 * max(1.0, frobenius(x)):
+        raise ValueError(f"K exp(z) fails to reproduce X, error {err:.6e}")
+    return m
+
+
+def log_moneyness(x_op, k_op) -> np.ndarray:
+    """The Hermitian z with K e^z = X, for commuting positive X and K."""
+    return stock_moneyness(x_op, k_op).z
 
 
 def price(t: float, z, model: MarketModel, state=None) -> PriceQuote:
@@ -202,21 +281,13 @@ def price(t: float, z, model: MarketModel, state=None) -> PriceQuote:
     F, applied in one eigendecomposition of z; the tiny skew left by
     finite arithmetic is symmetrized away.
     """
-    zh = _checked_z(z, model.K, t)
-    dec = spectral_decompose(zh, "z")
-    omega = _priced(dec, model.K, _call_scalars(t, dec.eigenvalues, model.r)[0])
-    expect = None
-    if state is not None:
-        expect = float(expectation(state, omega).real)
-    return PriceQuote(t=float(t), z=zh, omega=omega, omega_expectation=expect)
+    return moneyness(z, model.K).price(t, model.r, state)
 
 
 def price_derivatives(t: float, z, model: MarketModel):
     """Analytic partials (d/dt, d/dz, d2/dz2) of the closed form."""
-    zh = _checked_z(z, model.K, t)
-    dec = spectral_decompose(zh, "z")
-    _, *partials = _call_scalars(t, dec.eigenvalues, model.r)
-    return tuple(_priced(dec, model.K, f) for f in partials)
+    m = moneyness(z, model.K)
+    return tuple(m.priced(f) for f in _call_scalars(t, m.dec.eigenvalues, model.r)[1:])
 
 
 def residual_eq8(
@@ -235,34 +306,25 @@ def residual_eq8(
     of the analytic code path.
     """
     if candidate is None:
-        zh = _checked_z(z, model.K, t)
-        dec = spectral_decompose(zh, "z")
-        eigs = dec.eigenvalues
-        w, w10, w01, w02 = (_priced(dec, model.K, f) for f in _call_scalars(t, eigs, model.r))
-    else:
-        zh = require_hermitian(z, "z")
-        if not t > 0.0:
-            raise ValueError("t must be positive")
-        eye = np.eye(zh.shape[0])
-        ht = fd_step * max(1.0, abs(t))
-        if t - ht <= 0.0:
-            ht = 0.5 * t
-        hz = fd_step
-        w = np.asarray(candidate(t, zh), dtype=np.complex128)
-        w_zp = np.asarray(candidate(t, zh + hz * eye), dtype=np.complex128)
-        w_zm = np.asarray(candidate(t, zh - hz * eye), dtype=np.complex128)
-        w_tp = np.asarray(candidate(t + ht, zh), dtype=np.complex128)
-        w_tm = np.asarray(candidate(t - ht, zh), dtype=np.complex128)
-        w10 = (w_tp - w_tm) / (2.0 * ht)
-        w01 = (w_zp - w_zm) / (2.0 * hz)
-        w02 = (w_zp - 2.0 * w + w_zm) / (hz * hz)
-        eigs = np.linalg.eigvalsh(zh)
-    resid = w10 - 0.5 * w02 - (model.r - 0.5) * w01 + model.r * w
-    norm = float(np.linalg.norm(resid, 2))
-    grid = tuple((float(t), float(v)) for v in eigs)
-    return ResidualReport(
-        residual_norm=norm, tolerance=float(tolerance), grid=grid, passed=norm <= tolerance
-    )
+        return moneyness(z, model.K).residual(t, model.r, tolerance)
+    zh = require_hermitian(z, "z")
+    if not t > 0.0:
+        raise ValueError("t must be positive")
+    eye = np.eye(zh.shape[0])
+    ht = fd_step * max(1.0, abs(t))
+    if t - ht <= 0.0:
+        ht = 0.5 * t
+    hz = fd_step
+    w = np.asarray(candidate(t, zh), dtype=np.complex128)
+    w_zp = np.asarray(candidate(t, zh + hz * eye), dtype=np.complex128)
+    w_zm = np.asarray(candidate(t, zh - hz * eye), dtype=np.complex128)
+    w_tp = np.asarray(candidate(t + ht, zh), dtype=np.complex128)
+    w_tm = np.asarray(candidate(t - ht, zh), dtype=np.complex128)
+    w10 = (w_tp - w_tm) / (2.0 * ht)
+    w01 = (w_zp - w_zm) / (2.0 * hz)
+    w02 = (w_zp - 2.0 * w + w_zm) / (hz * hz)
+    norm = _eq8_norm(model.r, w, w10, w01, w02)
+    return _report(norm, tolerance, ((t, v) for v in np.linalg.eigvalsh(zh)))
 
 
 def residual_brownian_scalar(
@@ -286,10 +348,8 @@ def residual_brownian_scalar(
         u02 = (u(t, x + hx) - 2.0 * u00 + u(t, x - hx)) / (hx * hx)
         res = u10 - 0.5 * u02 * gfun(x) - u01 * x * r + u00 * r
         worst = max(worst, abs(res))
-        points.append((float(t), float(x)))
-    return ResidualReport(
-        residual_norm=worst, tolerance=float(tolerance), grid=tuple(points), passed=worst <= tolerance
-    )
+        points.append((t, x))
+    return _report(worst, tolerance, points)
 
 
 def _fd_x_derivative(u, t: float, x: float, k: int) -> float:
@@ -341,14 +401,8 @@ def residual_poisson_scalar(
         res = u10 - series - u01 * x * r + u00 * r
         worst = max(worst, abs(res))
         tail = max(tail, abs(last))
-        points.append((float(t), float(x)))
-    return ResidualReport(
-        residual_norm=worst,
-        tolerance=float(tolerance),
-        grid=tuple(points),
-        passed=worst <= tolerance,
-        tail_estimate=tail,
-    )
+        points.append((t, x))
+    return _report(worst, tolerance, points, tail)
 
 
 def terminal_payoff(z_t, k_op, convention: str = "spectral", state=None):
@@ -359,18 +413,9 @@ def terminal_payoff(z_t, k_op, convention: str = "spectral", state=None):
     expectation: max(0, <u, (K e^z - K) u>), a scalar; requires a state.
     The two disagree for indefinite K e^z - K, which is why both exist.
     """
-    if convention not in ("spectral", "expectation"):
-        raise ValueError(f"unknown payoff convention {convention!r}")
-    if convention == "expectation" and state is None:
-        raise ValueError("expectation convention requires a state")
     k = require_hermitian(k_op, "K")
     _require_positive_definite(k, "K")
-    zh = _checked_z(z_t, k, name="zT")
-    dec = spectral_decompose(zh, "zT")
-    excess = finite_exp(dec.eigenvalues, "z") - 1.0
-    if convention == "spectral":
-        return _priced(dec, k, np.maximum(excess, 0.0))
-    return max(0.0, float(expectation(state, _priced(dec, k, excess)).real))
+    return moneyness(z_t, k, "zT").payoff(convention, state)
 
 
 def terminal_limit_check(
@@ -380,42 +425,20 @@ def terminal_limit_check(
     min_gap: float = 0.1,
     tolerance: float | None = None,
 ) -> ResidualReport:
-    """Compare price(t_small, zT) with the spectral payoff.
+    """Compare price(t_small, zT) with the spectral payoff, against
+    tolerance, or 1e-6 max(1, ||payoff||_2) when it is None.
 
     Eigenvalues of zT inside (-min_gap, min_gap) are rejected: there the
     limit is governed by the CDF transition and no rate is claimed.
     """
-    dev, payoff, eigs = _terminal_deviation(z_t, model, t_small, min_gap)
-    if tolerance is None:
-        tolerance = 1e-6 * max(1.0, float(np.linalg.norm(payoff, 2)))
-    grid = tuple((float(t_small), float(v)) for v in eigs)
-    return ResidualReport(
-        residual_norm=dev, tolerance=float(tolerance), grid=grid, passed=dev <= tolerance
-    )
-
-
-def _terminal_deviation(z_t, model: MarketModel, t_small: float, min_gap: float):
-    """(||price(t_small, zT) - payoff||_2, the spectral payoff, the eigenvalues
-    of zT), from one decomposition of zT."""
-    zh = _checked_z(z_t, model.K, t_small, "zT")
-    dec = spectral_decompose(zh, "zT")
-    eigs = dec.eigenvalues
-    closest = float(np.min(np.abs(eigs)))
-    if closest < min_gap:
-        raise ValueError(
-            f"zT eigenvalue with |value| = {closest!r} lies within {min_gap} of 0; "
-            "the terminal limit is not certified there"
-        )
-    payoff = _priced(dec, model.K, np.maximum(finite_exp(eigs, "z") - 1.0, 0.0))
-    omega = _priced(dec, model.K, _call_scalars(t_small, eigs, model.r)[0])
-    return float(np.linalg.norm(omega - payoff, 2)), payoff, eigs
+    m = moneyness(z_t, model.K, "zT")
+    return m.terminal(t_small, model.r, min_gap, 1e-6, tolerance)[0]
 
 
 def reasonable_price(model: MarketModel, state=None) -> PriceQuote:
     """Initial wealth of the replicating strategy: the price at maturity
     horizon T and z0 = log-moneyness of today's stock against the strike."""
-    z0 = log_moneyness(model.ops.X, model.K)
-    return price(model.T, z0, model, state=state)
+    return stock_moneyness(model.ops.X, model.K).price(model.T, model.r, state)
 
 
 def hedge_portfolio(
@@ -431,36 +454,8 @@ def hedge_portfolio(
     b is fixed by b = (w - a j_x) e^{-rt} / beta0 either way, so the
     value identity a j_x + b beta_t = w holds by construction.
     """
-    return _hedge_times((t,), j_x, model, convention)[0][0]
-
-
-def _hedge_times(times, j_x, model: MarketModel, convention: str):
-    """([hedge_portfolio(t, j_x, model, convention) for t in times], the
-    price omega at each time), from one decomposition of the log-moneyness
-    of j_x."""
-    for t in times:
-        if not 0.0 < t < model.T:
-            raise ValueError(f"t={t!r} outside (0, {model.T})")
-    if convention not in ("direct", "classical"):
-        raise ValueError(f"unknown hedge convention {convention!r}")
     jx = require_hermitian(j_x, "j_x")
-    dec = _log_moneyness(jx, model.K)[1]
-    lam = dec.eigenvalues
-    positions, omegas = [], []
-    for t in times:
-        w, _, w01, _ = _call_scalars(model.T - t, lam, model.r)
-        omega = _priced(dec, model.K, w)
-        if convention == "direct":
-            a = _priced(dec, model.K, w01)
-        else:
-            a = _priced(dec, None, w01 * finite_exp(-lam, "z"))
-        disc = math.exp(-model.r * t)
-        b = hermitian_part((omega - hermitian_part(a @ jx)) * (disc / model.beta0))
-        beta_t = model.beta0 * math.exp(model.r * t)
-        value = hermitian_part(a @ jx) + beta_t * b
-        positions.append(HedgePosition(a=a, b=b, value=value))
-        omegas.append(omega)
-    return positions, omegas
+    return stock_moneyness(jx, model.K).hedge(t, jx, model, convention)[0]
 
 
 def classical_bs(x: float, strike: float, r: float, sigma: float, t: float):

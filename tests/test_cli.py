@@ -356,7 +356,7 @@ def test_overflowing_moneyness_is_a_numerical_error(tmp_path):
 
 
 def test_nan_commutation_defect_is_a_config_error(tmp_path, capsys):
-    # [X, K] overflows to a NaN entry, which must fail the commutation check
+    # unscaled, [X, K] overflows to a NaN entry; the pair must fail the check
     model = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())["model"]
     model["ops"]["X"] = [[[1e308, 0.0], [5e307, 0.0]], [[5e307, 0.0], [1e308, 0.0]]]
     model["K"] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
@@ -364,6 +364,51 @@ def test_nan_commutation_defect_is_a_config_error(tmp_path, capsys):
     for command in ("price", "coeffs"):
         assert qbs.cli.main([command, "--config", path, "--omit-timing"]) == 2
         assert "a simultaneous eigenbasis is required" in capsys.readouterr().err
+
+
+def test_overflowing_commutation_bound_is_a_config_error(tmp_path):
+    # 1e-10 ||X||_F ||K||_F overflows to inf; taken of the exactly rescaled
+    # pair the check still sees the relative defect 2.8e-9, and no overflow
+    # warning is printed on the way
+    model = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())["model"]
+    model["ops"]["X"] = [[[1e308, 0.0], [1e300, 0.0]], [[1e300, 0.0], [1e308, 0.0]]]
+    model["K"] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.5, 0.0]]]
+    path = _flow_2x2_with(tmp_path, model=model)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qbs.cli", "coeffs", "--config", path, "--omit-timing"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: model: [X, K] norm ")
+    assert proc.stderr.endswith("a simultaneous eigenbasis is required\n")
+
+
+# (command, shipped config, eigh/eigvalsh calls of the whole job): X and K
+# once each at parse, each z once, and price adds the spectrum of each row
+DECOMPOSITION_BUDGET = [
+    ("price", "price_scalar", 2 + 2 + 2 * 2),
+    ("residual", "price_scalar", 2 + 2),
+    ("terminal-check", "flow_2x2", 2 + 1),
+]
+
+
+@pytest.mark.parametrize("command,config,calls", DECOMPOSITION_BUDGET)
+def test_each_z_is_decomposed_once_per_job(command, config, calls, monkeypatch, capsys):
+    path = ROOT / "configs" / f"{config}.json"
+    z_grid = parse_config(path.read_text()).z_grid
+    inputs = []
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(a, *args, _solver=getattr(np.linalg, name), **kwargs):
+            inputs.append((a.shape, a.tobytes()))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert qbs.cli.main([command, "--config", str(path), "--omit-timing"]) == 0
+    capsys.readouterr()
+    assert [inputs.count((z.shape, z.tobytes())) for z in z_grid] == [1] * len(z_grid)
+    assert len(inputs) == calls
 
 
 # Imports the bare package, then the CLI, in a fresh interpreter and prints

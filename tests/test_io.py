@@ -209,6 +209,19 @@ SCHEMA_FAULTS = [
     (("model", "beta"), 1.0, "model.beta", "unknown field"),
     (("model", "ops", "Y"), NH, "model.ops.Y", "unknown field"),
     (("replicate", "path"), 10, "replicate.path", "unknown field"),
+    # an operator sized unlike the model, named at its field
+    (("z_grid",), [[[[0.2, 0]]]], "z_grid[0]", "dim 1 does not match model dim 2"),
+    (("hedge", "stock"), [[[1, 0]]], "hedge.stock", "dim 1 does not match model dim 2"),
+    (("lindblad", "x0"), [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]],
+     "lindblad.x0", "dim 3 does not match model dim 2"),
+    # the bounds that replication_simulation enforces
+    (("replicate", "x0"), -1, "replicate.x0", "must be positive"),
+    (("replicate", "strike"), 0, "replicate.strike", "must be positive"),
+    (("replicate", "r"), -0.01, "replicate.r", "must be nonnegative"),
+    (("replicate", "T"), 0, "replicate.T", "must be positive"),
+    (("replicate", "sigma"), 0.0, "replicate.sigma", "must be positive"),
+    (("replicate", "steps"), 50, "replicate.steps", "must be >= 100"),
+    (("replicate", "paths"), 10, "replicate.paths", "must be >= 1000"),
 ]
 
 

@@ -71,6 +71,12 @@ def test_require_hermitian_bound_is_relative_at_any_scale():
     require_hermitian(np.array([[1.0, 1e-308], [5e-308, 0.0]]))
 
 
+def test_require_hermitian_takes_subnormal_matrices_as_they_are():
+    # only a matrix with a part of magnitude 1 or more is scaled, and only down
+    for m in ([[5e-324, 0.0], [0.0, 1e-320]], [[0.0, 0.0], [0.0, 0.0]]):
+        assert require_hermitian(np.array(m)).tobytes() == np.array(m, dtype=complex).tobytes()
+
+
 def test_require_unitary():
     require_unitary(np.eye(3))
     with pytest.raises(ValueError, match="not unitary"):

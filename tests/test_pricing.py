@@ -62,11 +62,20 @@ def test_market_model_validation():
 
 
 def test_nan_commutation_defect_is_rejected():
-    """[X, K] overflows to a NaN entry: the check fails rather than passes."""
+    """Unscaled, [X, K] overflows to a NaN entry: the check fails rather than passes."""
     x = np.array([[1e308, 5e307], [5e307, 1e308]])
     ops = ModelOperators(X=x, H=np.zeros((2, 2)), L=np.zeros((2, 2)), S=np.eye(2))
     with pytest.raises(ValueError, match="simultaneous eigenbasis"):
         MarketModel(ops=ops, K=np.diag([1.0, 2.0]), r=0.05, T=1.0)
+
+
+def test_commutation_check_holds_when_the_bound_overflows():
+    """1e-10 ||X||_F ||K||_F overflows to inf here, yet [X, K] is 2.8e-9 of
+    it: the exactly rescaled check rejects the pair, without overflowing."""
+    x = np.array([[1e308, 1e300], [1e300, 1e308]])
+    ops = ModelOperators(X=x, H=np.zeros((2, 2)), L=np.zeros((2, 2)), S=np.eye(2))
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="simultaneous eigenbasis"):
+        MarketModel(ops=ops, K=np.diag([1.0, 1.5]), r=0.05, T=1.0)
 
 
 def test_log_moneyness_examples():
