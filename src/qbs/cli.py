@@ -9,6 +9,7 @@ or an Ito power or e^z left float range).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -227,22 +228,31 @@ def _cmd_hedge(cfg: RunConfig):
 
 def _cmd_classical(cfg: RunConfig):
     sec = _need(cfg, "classical", "a classical section")
+    strike, r, sigma = sec["strike"], sec["r"], sec["sigma"]
+    tol = cfg.tolerances["classical_match"]
     results = []
+    violations = []
     for x in sec["x"]:
+        # the d = 1 operator price at unit volatility, in time sigma^2 t and rate r / sigma^2
+        m = moneyness(np.array([[math.log(x / strike)]]), np.array([[strike]]))
         for t in sec["t"]:
-            value, delta = classical_bs(x, sec["strike"], sec["r"], sec["sigma"], t)
+            value, delta = classical_bs(x, strike, r, sigma, t)
+            operator_price = float(m.price(sigma * sigma * t, r / (sigma * sigma)).omega[0, 0].real)
+            mismatch = abs(value - operator_price)
+            if not mismatch <= tol * max(1.0, abs(value)):
+                violations.append(f"classical price mismatch {mismatch:.6e} at x={x}, t={t}")
             results.append(
                 {
                     "x": x,
                     "t": t,
-                    "strike": sec["strike"],
-                    "r": sec["r"],
-                    "sigma": sec["sigma"],
+                    "strike": strike,
+                    "r": r,
+                    "sigma": sigma,
                     "price": value,
                     "delta": delta,
                 }
             )
-    return results, []
+    return results, violations
 
 
 def _cmd_lindblad(cfg: RunConfig):

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -41,6 +42,19 @@ DEFAULT_TOLERANCES = {
 }
 
 _INDENT = "  "
+
+# Smallest square matrix whose numbers are rendered from one triangle
+# (_mirrored_texts). Its mask and gather passes cost about 20 us a matrix,
+# which the saved reprs pay back from d = 8 on; per matrix, plain against
+# mirrored: d = 2 5.4 us against 27 us, d = 6 52 us against 65 us, d = 8
+# 101 us against 100 us, d = 12 232 us against 163 us, d = 128 31.9 ms
+# against 20.3 ms (medians; numpy 2.4.6, Python 3.11.7, 2-vCPU Xeon host).
+_MIRROR_MIN_DIM = 8
+
+# XOR mask of an [re, im] pair's bits that negates its imaginary part
+_CONJUGATE = np.array([0, 1 << 63], dtype=np.uint64)
+
+_unsigned = itemgetter(slice(1, None))  # "-1.5" -> "1.5"
 
 
 class ConfigError(ValueError):
@@ -96,13 +110,40 @@ def pair_array(m) -> np.ndarray:
     return a.view(np.float64).reshape(a.shape + (2,))
 
 
+def _mirrored_texts(pairs: np.ndarray) -> list:
+    """float.__repr__ of each number of a square (d, d, 2) pair array, in
+    row-major order, with one repr per number on and above the diagonal.
+    An entry below it whose bits are those of its mirror's conjugate takes
+    the mirror's texts, the imaginary one with its sign toggled; any other
+    entry (a signed zero, a NaN payload, a matrix that is not Hermitian)
+    gets its own repr. Non-finite numbers are left for the caller to
+    rewrite."""
+    bits = pairs.view(np.uint64)
+    reuse = (bits == bits.transpose(1, 0, 2) ^ _CONJUGATE) & np.tri(len(pairs), k=-1, dtype=bool)[..., None]
+    texts = np.empty(pairs.shape, dtype=object)
+    own = ~reuse
+    texts[own] = list(map(float.__repr__, pairs[own].tolist()))
+    mirror = texts.transpose(1, 0, 2)
+    re = reuse[..., 0]
+    texts[..., 0][re] = mirror[..., 0][re]
+    neg = reuse[..., 1] & np.signbit(pairs[..., 1])
+    pos = reuse[..., 1] & ~neg
+    texts[..., 1][neg] = np.add("-", mirror[..., 1][neg])
+    texts[..., 1][pos] = list(map(_unsigned, mirror[..., 1][pos]))
+    return texts.ravel().tolist()
+
+
 def _pairs_text(pairs: np.ndarray, level: int) -> str:
     """json.dumps(pairs.tolist(), indent=2) as it reads at nesting level,
     for a non-empty float array: the numbers come from one float.__repr__
-    pass and the text between them from one separator per nesting depth."""
+    pass, over one triangle for a square matrix from _MIRROR_MIN_DIM up,
+    and the text between them from one separator per nesting depth."""
     depth = pairs.ndim
     flat = pairs.ravel()
-    texts = list(map(float.__repr__, flat.tolist()))
+    if depth == 3 and len(pairs) == pairs.shape[1] >= _MIRROR_MIN_DIM:
+        texts = _mirrored_texts(pairs)
+    else:
+        texts = list(map(float.__repr__, flat.tolist()))
     for i in np.flatnonzero(~np.isfinite(flat)).tolist():
         texts[i] = json.dumps(flat[i].item())  # NaN, Infinity or -Infinity
     pad = ["\n" + _INDENT * (level + k) for k in range(depth + 1)]
@@ -463,6 +504,9 @@ def parse_config(text: str) -> RunConfig:
         for path, value, what in sized:
             if value is not None:
                 _expect(len(value) == dim, path, f"{what} {len(value)} does not match model dim {dim}")
+        maturity = cfg.model.T
+        for i, t in enumerate(cfg.hedge["times"]):
+            _expect(0.0 < t < maturity, f"hedge.times[{i}]", f"t={t!r} outside (0, {maturity!r})")
     return cfg
 
 

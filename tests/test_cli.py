@@ -232,6 +232,32 @@ def test_lindblad_step_doubling_gate(lindblad, flags, tmp_path, capsys):
     assert all(v.startswith("step-doubling error") for v in report["invariant_violations"])
 
 
+def test_classical_match_gate_catches_a_broken_formula(monkeypatch, capsys):
+    # negative control: a classical price 1e-6 above the d = 1 operator
+    # price at every row, against the default tolerance of 1e-9
+    classical_bs = qbs.cli.classical_bs
+
+    def off(*args):
+        value, delta = classical_bs(*args)
+        return value + 1e-6, delta
+
+    monkeypatch.setattr(qbs.cli, "classical_bs", off)
+    config = ROOT / "configs" / "monte_carlo.json"
+    assert qbs.cli.main(["classical", "--config", str(config), "--omit-timing"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["invariant_violations"]) == len(report["results"]) == 6
+    assert all(v.startswith("classical price mismatch") for v in report["invariant_violations"])
+
+
+@pytest.mark.parametrize("time", [1.0, 1.5, 0.0])
+def test_hedge_time_outside_the_maturity_is_a_config_error(time, tmp_path, capsys):
+    path = _flow_2x2_with(tmp_path, hedge={"times": [0.5, time]})
+    assert qbs.cli.main(["hedge", "--config", path, "--omit-timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: hedge.times[1]: t={time!r} outside (0, 1.0)\n"
+
+
 def test_csv_output(tmp_path):
     proc = run_cli(["classical", "--csv"], full_config(), tmp_path)
     assert proc.returncode == 0

@@ -222,6 +222,9 @@ SCHEMA_FAULTS = [
     (("replicate", "sigma"), 0.0, "replicate.sigma", "must be positive"),
     (("replicate", "steps"), 50, "replicate.steps", "must be >= 100"),
     (("replicate", "paths"), 10, "replicate.paths", "must be >= 1000"),
+    # a hedge time outside (0, model.T)
+    (("hedge", "times"), [0.5, 1.0], "hedge.times[1]", "t=1.0 outside (0, 1.0)"),
+    (("hedge", "times"), [0], "hedge.times[0]", "t=0.0 outside (0, 1.0)"),
 ]
 
 
@@ -331,6 +334,70 @@ def test_render_json_matches_json_dumps(results, violations, seed, wall):
         "wall_time_s": wall,
     }
     assert render_json(report) == json.dumps(doc, indent=2) + "\n"
+
+
+SIGN = np.uint64(1 << 63)
+# changes to the bits of an entry below the diagonal that break its mirror
+PERTURBATIONS = {
+    "flip the sign": lambda b: b ^ SIGN,  # of a zero, too
+    "move one ulp": lambda b: b ^ np.uint64(1),  # inf becomes a NaN with a payload
+    "sign a NaN": lambda b: b | np.uint64(0xFFF8 << 48),  # keeps b's payload bits
+}
+
+
+def _hermitian_pairs(palette, dim: int, seed: int, perturbations) -> np.ndarray:
+    """The [re, im] pairs of an exactly Hermitian dim x dim matrix whose
+    numbers on and above the diagonal are picked from palette (real
+    diagonal), each entry below it the bits of its mirror with the
+    imaginary sign bit flipped; then the (index, part, name) perturbations
+    applied to entries below the diagonal."""
+    pairs = np.random.default_rng(seed).choice(np.asarray(palette, dtype=np.float64), (dim, dim, 2))
+    pairs[np.arange(dim), np.arange(dim), 1] = 0.0
+    bits = pairs.view(np.uint64)
+    below = np.tril_indices(dim, -1)
+    bits[below] = bits.transpose(1, 0, 2)[below] ^ np.array([0, SIGN], dtype=np.uint64)
+    for index, part, name in perturbations if dim > 1 else ():
+        i, j = below[0][index % len(below[0])], below[1][index % len(below[0])]
+        bits[i, j, part] = PERTURBATIONS[name](bits[i, j, part])
+    return pairs
+
+
+def _renders_like_json_dumps(pairs) -> bool:
+    matrix = pairs.view(np.complex128)[..., 0]
+    report = RunReport("price", None, {}, [{"omega": matrix}], [], None)
+    doc = {
+        "schema_version": 1,
+        "version": qbs.__version__,
+        "command": "price",
+        "seed": None,
+        "tolerances": {},
+        "results": [{"omega": _nested(matrix)}],
+        "invariant_violations": [],
+        "wall_time_s": None,
+    }
+    return render_json(report) == json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(numbers, min_size=1, max_size=8),
+    st.integers(1, 24),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 1), st.sampled_from(sorted(PERTURBATIONS))), max_size=4),
+)
+def test_render_json_of_a_hermitian_matrix_matches_json_dumps(palette, dim, seed, perturbations):
+    """Matrices on both sides of config._MIRROR_MIN_DIM, with signed zeros,
+    subnormals, infinities and NaNs, exactly Hermitian or broken below the
+    diagonal."""
+    assert _renders_like_json_dumps(_hermitian_pairs(palette, dim, seed, perturbations))
+
+
+def test_render_json_of_a_d128_hermitian_matrix_matches_json_dumps():
+    rng = np.random.default_rng(128)
+    palette = np.concatenate([rng.standard_normal(64), SPECIAL])
+    perturbations = [(int(k), int(k) % 2, name) for k, name in zip(rng.integers(0, 8128, 30), sorted(PERTURBATIONS) * 10)]
+    assert _renders_like_json_dumps(_hermitian_pairs(palette, 128, 1, []))
+    assert _renders_like_json_dumps(_hermitian_pairs(palette, 128, 2, perturbations))
 
 
 # --- golden reports ----------------------------------------------------
