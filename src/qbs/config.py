@@ -43,16 +43,8 @@ DEFAULT_TOLERANCES = {
 
 _INDENT = "  "
 
-# Smallest square matrix whose numbers are rendered from one triangle
-# (_mirrored_texts). Its mask and gather passes cost about 20 us a matrix,
-# which the saved reprs pay back from d = 8 on; per matrix, plain against
-# mirrored: d = 2 5.4 us against 27 us, d = 6 52 us against 65 us, d = 8
-# 101 us against 100 us, d = 12 232 us against 163 us, d = 128 31.9 ms
-# against 20.3 ms (medians; numpy 2.4.6, Python 3.11.7, 2-vCPU Xeon host).
-_MIRROR_MIN_DIM = 8
-
-# XOR mask of an [re, im] pair's bits that negates its imaginary part
-_CONJUGATE = np.array([0, 1 << 63], dtype=np.uint64)
+# the factors that take an [re, im] pair to its conjugate
+_CONJUGATE = np.array([1.0, -1.0])
 
 _unsigned = itemgetter(slice(1, None))  # "-1.5" -> "1.5"
 
@@ -113,20 +105,27 @@ def pair_array(m) -> np.ndarray:
 def _mirrored_texts(pairs: np.ndarray) -> list:
     """float.__repr__ of each number of a square (d, d, 2) pair array, in
     row-major order, with one repr per number on and above the diagonal.
-    An entry below it whose bits are those of its mirror's conjugate takes
-    the mirror's texts, the imaginary one with its sign toggled; any other
-    entry (a signed zero, a NaN payload, a matrix that is not Hermitian)
-    gets its own repr. Non-finite numbers are left for the caller to
-    rewrite."""
-    bits = pairs.view(np.uint64)
-    reuse = (bits == bits.transpose(1, 0, 2) ^ _CONJUGATE) & np.tri(len(pairs), k=-1, dtype=bool)[..., None]
+    An entry below it that equals its mirror's conjugate takes the mirror's
+    texts, the imaginary one with its sign toggled. Equal doubles have
+    equal bits, and so equal texts, unless they are zeros (0.0 == -0.0);
+    NaNs equal nothing. So a zero, a NaN and any entry of a matrix that is
+    not Hermitian get their own repr. Non-finite numbers are left for the
+    caller to rewrite.
+
+    Every test here is a float64 comparison, as elsewhere in a report: a
+    uint64 XOR or an integer index mask would fault in numpy loop code that
+    no other step of a small job touches, about 0.15 MB of peak RSS."""
+    index = np.arange(len(pairs), dtype=np.float64)
+    below = (index < index[:, None])[..., None]
+    with np.errstate(invalid="ignore"):  # a signalling NaN; NaNs take no mirror
+        reuse = (pairs == pairs.transpose(1, 0, 2) * _CONJUGATE) & (pairs != 0.0) & below
     texts = np.empty(pairs.shape, dtype=object)
     own = ~reuse
     texts[own] = list(map(float.__repr__, pairs[own].tolist()))
     mirror = texts.transpose(1, 0, 2)
     re = reuse[..., 0]
     texts[..., 0][re] = mirror[..., 0][re]
-    neg = reuse[..., 1] & np.signbit(pairs[..., 1])
+    neg = reuse[..., 1] & (pairs[..., 1] < 0.0)
     pos = reuse[..., 1] & ~neg
     texts[..., 1][neg] = np.add("-", mirror[..., 1][neg])
     texts[..., 1][pos] = list(map(_unsigned, mirror[..., 1][pos]))
@@ -136,11 +135,11 @@ def _mirrored_texts(pairs: np.ndarray) -> list:
 def _pairs_text(pairs: np.ndarray, level: int) -> str:
     """json.dumps(pairs.tolist(), indent=2) as it reads at nesting level,
     for a non-empty float array: the numbers come from one float.__repr__
-    pass, over one triangle for a square matrix from _MIRROR_MIN_DIM up,
-    and the text between them from one separator per nesting depth."""
+    pass, over one triangle for a square matrix, and the text between them
+    from one separator per nesting depth."""
     depth = pairs.ndim
     flat = pairs.ravel()
-    if depth == 3 and len(pairs) == pairs.shape[1] >= _MIRROR_MIN_DIM:
+    if depth == 3 and len(pairs) == pairs.shape[1]:
         texts = _mirrored_texts(pairs)
     else:
         texts = list(map(float.__repr__, flat.tolist()))
@@ -507,6 +506,16 @@ def parse_config(text: str) -> RunConfig:
         maturity = cfg.model.T
         for i, t in enumerate(cfg.hedge["times"]):
             _expect(0.0 < t < maturity, f"hedge.times[{i}]", f"t={t!r} outside (0, {maturity!r})")
+    if cfg.classical is not None:
+        # the d = 1 operator price that classical checks each row against
+        # takes log(x / strike), time sigma^2 t and rate r / sigma^2
+        sec = cfg.classical
+        strike, variance = sec["strike"], sec["sigma"] * sec["sigma"]
+        for i, x in enumerate(sec["x"]):
+            _expect(0.0 < x / strike < math.inf, f"classical.x[{i}]", f"x / strike = {x / strike!r} leaves float range")
+        for i, t in enumerate(sec["t"]):
+            _expect(variance * t > 0.0, f"classical.t[{i}]", f"sigma^2 t underflows to 0 at sigma={sec['sigma']!r}")
+        _expect(sec["r"] / variance < math.inf, "classical.r", f"r / sigma^2 overflows at sigma={sec['sigma']!r}")
     return cfg
 
 

@@ -249,6 +249,18 @@ def test_classical_match_gate_catches_a_broken_formula(monkeypatch, capsys):
     assert all(v.startswith("classical price mismatch") for v in report["invariant_violations"])
 
 
+def test_classical_match_gate_allows_rounding_at_a_large_strike(tmp_path, capsys):
+    # at the money with x = strike = 1e12 and sigma sqrt(t) = 1e-8, the two
+    # formulas round apart by about 6e-5, far beyond 1e-9 |price| (price
+    # about 4e3) but well within 1e-9 strike
+    doc = full_config()
+    doc["classical"] = {"x": [1e12], "t": [1e-16], "strike": 1e12, "r": 0.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert qbs.cli.main(["classical", "--config", str(path), "--omit-timing"]) == 0
+    assert json.loads(capsys.readouterr().out)["invariant_violations"] == []
+
+
 @pytest.mark.parametrize("time", [1.0, 1.5, 0.0])
 def test_hedge_time_outside_the_maturity_is_a_config_error(time, tmp_path, capsys):
     path = _flow_2x2_with(tmp_path, hedge={"times": [0.5, time]})

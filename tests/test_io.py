@@ -225,6 +225,13 @@ SCHEMA_FAULTS = [
     # a hedge time outside (0, model.T)
     (("hedge", "times"), [0.5, 1.0], "hedge.times[1]", "t=1.0 outside (0, 1.0)"),
     (("hedge", "times"), [0], "hedge.times[0]", "t=0.0 outside (0, 1.0)"),
+    # classical inputs whose d = 1 operator price leaves float range
+    (("classical",), {"x": [1e300], "t": [0.7], "strike": 1e-10, "r": 0.0},
+     "classical.x[0]", "x / strike = inf leaves float range"),
+    (("classical",), {"x": [1.5, 1e-300], "t": [0.7], "strike": 1e100, "r": 0.0},
+     "classical.x[1]", "x / strike = 0.0 leaves float range"),
+    (("classical", "sigma"), 1e-170, "classical.t[0]", "sigma^2 t underflows to 0 at sigma=1e-170"),
+    (("classical", "sigma"), 1e-155, "classical.r", "r / sigma^2 overflows at sigma=1e-155"),
 ]
 
 
@@ -386,9 +393,8 @@ def _renders_like_json_dumps(pairs) -> bool:
     st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 1), st.sampled_from(sorted(PERTURBATIONS))), max_size=4),
 )
 def test_render_json_of_a_hermitian_matrix_matches_json_dumps(palette, dim, seed, perturbations):
-    """Matrices on both sides of config._MIRROR_MIN_DIM, with signed zeros,
-    subnormals, infinities and NaNs, exactly Hermitian or broken below the
-    diagonal."""
+    """Matrices of d = 1 to 24, with signed zeros, subnormals, infinities
+    and NaNs, exactly Hermitian or broken below the diagonal."""
     assert _renders_like_json_dumps(_hermitian_pairs(palette, dim, seed, perturbations))
 
 
