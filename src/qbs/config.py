@@ -12,11 +12,9 @@ shortest-repr form.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -439,12 +437,13 @@ TABLE = {
     }),
 }
 
+
 def _doc(value):
-    """The normalized document of a parsed value: dicts, and the dataclasses
-    that the table builds, with keys in sorted order as
+    """The normalized document of a parsed value: dicts, and the named
+    tuples that the table builds, with keys in sorted order as
     json.dumps(sort_keys=True) writes them; lists copied; arrays as they are."""
-    if dataclasses.is_dataclass(value):
-        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
     if isinstance(value, dict):
         return {key: _doc(value[key]) for key in sorted(value)}
     if isinstance(value, list):
@@ -452,36 +451,17 @@ def _doc(value):
     return value
 
 
-@dataclass(eq=False)
 class RunConfig:
-    """Parsed, validated configuration plus its normalized document.
+    """Parsed, validated configuration: one attribute per entry of TABLE.
 
     Two configs are equal when their normalized documents are equal.
     """
 
-    schema_version: int
-    output: str
-    seed: int | None
-    tolerances: dict
-    model: MarketModel | None
-    state: np.ndarray | None
-    t_grid: list
-    z_grid: list
-    ito_check: dict
-    terminal: dict
-    hedge: dict
-    classical: dict | None
-    lindblad: dict
-    replicate: dict | None
+    __slots__ = tuple(TABLE)
 
-    @cached_property
-    def raw(self) -> dict:
-        """The normalized document, built from the fields on first use. A
-        top-level entry is absent when its field is None (seed, model,
-        state, classical, replicate) or an empty list (t_grid, z_grid, which
-        parse as non-empty)."""
-        entries = {name: getattr(self, name) for name in TABLE}
-        return _doc({k: v for k, v in entries.items() if v is not None and not (isinstance(v, list) and not v)})
+    def __init__(self, **entries):
+        for name in TABLE:
+            setattr(self, name, entries[name])
 
     def __eq__(self, other):
         return isinstance(other, RunConfig) and serialize_config(self) == serialize_config(other)
@@ -529,6 +509,10 @@ def apply_overrides(cfg: RunConfig, tolerances: dict, seed: int | None) -> None:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Emit the normalized document as json.dumps(indent=2, sort_keys=True)
-    writes it; parse(serialize(cfg)) == cfg."""
-    return _json_text(cfg.raw)
+    """Emit the normalized document, built from the fields as they are now,
+    as json.dumps(indent=2, sort_keys=True) writes it; parse(serialize(cfg))
+    == cfg. A top-level entry is absent when its field is None (seed, model,
+    state, classical, replicate) or an empty list (t_grid, z_grid, which
+    parse as non-empty)."""
+    entries = {name: getattr(cfg, name) for name in TABLE}
+    return _json_text(_doc({k: v for k, v in entries.items() if v is not None and not (isinstance(v, list) and not v)}))

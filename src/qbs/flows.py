@@ -7,7 +7,8 @@ time coefficient generates the vacuum (semigroup) dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,87 +30,51 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ModelOperators:
+class ModelOperators(namedtuple("ModelOperators", "X H L S")):
     """System quadruple (X, H, L, S): stock observable, Hamiltonian,
-    coupling, and scattering, all of one dimension."""
+    coupling, and scattering, all of one dimension; validated, then held
+    as read-only copies."""
 
-    X: np.ndarray
-    H: np.ndarray
-    L: np.ndarray
-    S: np.ndarray
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
-    def __post_init__(self):
-        x = require_hermitian(self.X, "X")
-        h = require_hermitian(self.H, "H")
-        l = as_matrix(self.L, "L")
-        s = require_unitary(self.S, "S")
+    def __new__(cls, X, H, L, S):
+        x = require_hermitian(X, "X")
+        h = require_hermitian(H, "H")
+        l = as_matrix(L, "L")
+        s = require_unitary(S, "S")
         shapes = {a.shape for a in (x, h, l, s)}
         if len(shapes) != 1:
             raise ValueError(f"operator dims differ: {sorted(shapes)}")
-        object.__setattr__(self, "X", _freeze(x))
-        object.__setattr__(self, "H", _freeze(h))
-        object.__setattr__(self, "L", _freeze(l))
-        object.__setattr__(self, "S", _freeze(s))
+        return super().__new__(cls, _freeze(x), _freeze(h), _freeze(l), _freeze(s))
 
     @property
     def dim(self) -> int:
         return self.X.shape[0]
 
 
-@dataclass(frozen=True)
-class QuantumStochasticDifferential:
-    """Coefficients of dA+, dLambda, dA, dt, in that slot order."""
+class QuantumStochasticDifferential(namedtuple("QuantumStochasticDifferential", _SLOTS)):
+    """Coefficients of dA+, dLambda, dA, dt, in that slot order: the
+    differential is its own slot tuple."""
 
-    creation: np.ndarray
-    conservation: np.ndarray
-    annihilation: np.ndarray
-    time: np.ndarray
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
-    def __post_init__(self):
-        dim = None
-        for name in _SLOTS:
-            a = as_matrix(getattr(self, name), name)
-            if dim is None:
-                dim = a.shape[0]
-            elif a.shape[0] != dim:
+    def __new__(cls, creation, conservation, annihilation, time):
+        slots = []
+        for name, a in zip(_SLOTS, (creation, conservation, annihilation, time)):
+            a = as_matrix(a, name)
+            if slots and a.shape != slots[0].shape:
                 raise ValueError("differential slots have mixed dimensions")
-            object.__setattr__(self, name, _freeze(a))
+            slots.append(_freeze(a))
+        return super().__new__(cls, *slots)
 
     @property
     def dim(self) -> int:
         return self.creation.shape[0]
 
-    def slots(self):
-        return self.creation, self.conservation, self.annihilation, self.time
 
-    def __add__(self, other):
-        if not isinstance(other, QuantumStochasticDifferential):
-            return NotImplemented
-        return QuantumStochasticDifferential(
-            *(a + b for a, b in zip(self.slots(), other.slots()))
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, QuantumStochasticDifferential):
-            return NotImplemented
-        return QuantumStochasticDifferential(
-            *(a - b for a, b in zip(self.slots(), other.slots()))
-        )
-
-    def __mul__(self, c):
-        if not isinstance(c, (int, float, complex)):
-            return NotImplemented
-        return QuantumStochasticDifferential(*(c * a for a in self.slots()))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
-
-@dataclass(frozen=True)
-class FlowCoefficients:
+class FlowCoefficients(NamedTuple):
     """The quadruple (alpha, alpha_dagger, lam, theta).
 
     lam is the conservation coefficient (the keyword ``lambda`` is taken
@@ -120,10 +85,6 @@ class FlowCoefficients:
     alpha_dagger: np.ndarray
     lam: np.ndarray
     theta: np.ndarray
-
-    def __post_init__(self):
-        for name in ("alpha", "alpha_dagger", "lam", "theta"):
-            object.__setattr__(self, name, _freeze(as_matrix(getattr(self, name), name)))
 
 
 def _coefficients(x, h, l, s):
@@ -144,11 +105,19 @@ def _coefficients(x, h, l, s):
 
 def flow_coefficients(x, m: ModelOperators) -> FlowCoefficients:
     """Coefficients of the flow differential of a Hermitian observable
-    (the formulas are in ``_coefficients``)."""
+    (the formulas are in ``_coefficients``). A coefficient beyond float
+    range is a numerical failure, raised as FloatingPointError at the first
+    one with a non-finite entry."""
     xh = require_hermitian(x, "X")
     if xh.shape[0] != m.dim:
         raise ValueError(f"X dim {xh.shape[0]} does not match model dim {m.dim}")
-    return FlowCoefficients(*_coefficients(xh, m.H, m.L, m.S))
+    # overflow is detected below and raised once, not warned about per product
+    with np.errstate(over="ignore", invalid="ignore"):
+        fc = FlowCoefficients(*_coefficients(xh, m.H, m.L, m.S))
+    for name, a in zip(fc._fields, fc):
+        if not np.isfinite(a).all():
+            raise FloatingPointError(f"{name}: non-finite entries")
+    return fc
 
 
 def flow_differential(x, m: ModelOperators) -> QuantumStochasticDifferential:
@@ -190,7 +159,7 @@ def ito_product(
     """Product of two differentials under the Ito table (``_ito_table``)."""
     if d1.dim != d2.dim:
         raise ValueError(f"ito_product: dimension mismatch {d1.dim} vs {d2.dim}")
-    return QuantumStochasticDifferential(*_ito_table(d1.slots(), d2.slots()))
+    return QuantumStochasticDifferential(*_ito_table(d1, d2))
 
 
 def qsd_power_closed_form(x, m: ModelOperators, k: int) -> QuantumStochasticDifferential:
@@ -262,8 +231,7 @@ def power_rule_deviation(x, h, l, s, k_max: int) -> np.ndarray:
     return worst
 
 
-@dataclass(frozen=True)
-class BrownianReport:
+class BrownianReport(NamedTuple):
     """Deviations of the S=1 reduction: lam from 0, brackets from alpha."""
 
     lambda_deviation: float
@@ -294,8 +262,7 @@ def brownian_reduction_check(m: ModelOperators, tol: float = 1e-14) -> BrownianR
     )
 
 
-@dataclass(frozen=True)
-class PoissonReport:
+class PoissonReport(NamedTuple):
     """How far lam = S*XS - X sits from the identity.
 
     interior_deviation: max |lam - I| over the masked block.

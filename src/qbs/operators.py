@@ -7,7 +7,7 @@ strict: inputs that miss a tolerance are rejected, never repaired.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +102,7 @@ def commutator(a, b) -> np.ndarray:
     return am @ bm - bm @ am
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Eigenvalues (real, ascending) and orthonormal eigenvector columns."""
 
     eigenvalues: np.ndarray

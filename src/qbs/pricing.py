@@ -10,11 +10,12 @@ baked in by the model's structural assumption on X.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .flows import ModelOperators, expectation
+from .flows import ModelOperators, _freeze, expectation
 from .operators import (
     SpectralDecomposition,
     commutator,
@@ -51,48 +52,38 @@ def _require_positive_definite(m, name: str) -> None:
         raise ValueError(f"{name}: not positive definite, smallest eigenvalue {low!r}")
 
 
-@dataclass(frozen=True)
-class MarketModel:
+class MarketModel(namedtuple("MarketModel", "ops K r T beta0")):
     """Quantum market data: flow operators plus strike, rate, maturity, bond.
 
     The strike must commute with the stock observable, otherwise no
     log-moneyness operator exists.
     """
 
-    ops: ModelOperators
-    K: np.ndarray
-    r: float
-    T: float
-    beta0: float = 1.0
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
-    def __post_init__(self):
-        k = require_hermitian(self.K, "K")
-        if k.shape[0] != self.ops.dim:
-            raise ValueError(f"K dim {k.shape[0]} does not match model dim {self.ops.dim}")
+    def __new__(cls, ops: ModelOperators, K, r: float, T: float, beta0: float = 1.0):
+        k = require_hermitian(K, "K")
+        if k.shape[0] != ops.dim:
+            raise ValueError(f"K dim {k.shape[0]} does not match model dim {ops.dim}")
         _require_positive_definite(k, "K")
-        _require_positive_definite(self.ops.X, "X")
+        _require_positive_definite(ops.X, "X")
         # r = 0 is admitted: the classical comparison grid includes it
-        if not self.r >= 0.0:
+        if not r >= 0.0:
             raise ValueError("r must be nonnegative")
-        if not self.T > 0.0:
+        if not T > 0.0:
             raise ValueError("T must be positive")
-        if not self.beta0 > 0.0:
+        if not beta0 > 0.0:
             raise ValueError("beta0 must be positive")
-        _require_commuting(self.ops.X, k, "X", "K")
-        k = k.copy()
-        k.setflags(write=False)
-        object.__setattr__(self, "K", k)
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "T", float(self.T))
-        object.__setattr__(self, "beta0", float(self.beta0))
+        _require_commuting(ops.X, k, "X", "K")
+        return super().__new__(cls, ops, _freeze(k), float(r), float(T), float(beta0))
 
     @property
     def dim(self) -> int:
         return self.ops.dim
 
 
-@dataclass(frozen=True)
-class PriceQuote:
+class PriceQuote(NamedTuple):
     """Price operator at (t, z), optionally with a state expectation."""
 
     t: float
@@ -101,8 +92,7 @@ class PriceQuote:
     omega_expectation: float | None = None
 
 
-@dataclass(frozen=True)
-class HedgePosition:
+class HedgePosition(NamedTuple):
     """Stock weight a, bond weight b, and the reconstructed value a x + b beta."""
 
     a: np.ndarray
@@ -110,8 +100,7 @@ class HedgePosition:
     value: np.ndarray
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Worst residual over a grid against a tolerance."""
 
     residual_norm: float
@@ -121,8 +110,7 @@ class ResidualReport:
     tail_estimate: float | None = None
 
 
-@dataclass(frozen=True)
-class ReplicationStats:
+class ReplicationStats(NamedTuple):
     """Terminal hedging-error statistics of the discrete replication run."""
 
     initial_price: float
@@ -134,9 +122,10 @@ class ReplicationStats:
     seed: int
 
 
-def _call_scalars(t: float, lam, r: float):
-    """Per unit strike, the price w and its partials w10, w01, w02 at each
-    eigenvalue lam of z, at time to maturity t > 0.
+def _call_scalars(t: float, lam, r: float, partials: bool = True):
+    """Per unit strike, (w, w10, w01, w02): the price w and its partials at
+    each eigenvalue lam of z, at time to maturity t > 0; with partials
+    False, w alone.
 
     The terms are written out without algebraic simplification, so the
     PDE residual cancellation is a genuine numerical event rather than an
@@ -150,10 +139,12 @@ def _call_scalars(t: float, lam, r: float):
     g = lam / sqrt_t + (r + 0.5) * sqrt_t
     h = lam / sqrt_t + (r - 0.5) * sqrt_t
     phi_g, phi_h = normal_cdf(g), normal_cdf(h)
+    w = ez * phi_g - disc * phi_h
+    if not partials:
+        return w
     dens_g, dens_h = normal_pdf(g), normal_pdf(h)
     g_t = -0.5 * lam / t**1.5 + 0.5 * (r + 0.5) / sqrt_t
     h_t = -0.5 * lam / t**1.5 + 0.5 * (r - 0.5) / sqrt_t
-    w = ez * phi_g - disc * phi_h
     w10 = ez * dens_g * g_t + r * disc * phi_h - disc * dens_h * h_t
     w01 = ez * phi_g + (ez * dens_g - disc * dens_h) / sqrt_t
     ddens_g, ddens_h = -g * dens_g, -h * dens_h
@@ -175,8 +166,7 @@ def _report(norm: float, tolerance: float, points, tail: float | None = None) ->
     )
 
 
-@dataclass(frozen=True)
-class Moneyness:
+class Moneyness(NamedTuple):
     """A log-moneyness z checked against a strike K and decomposed once:
     Hermitian, sized like K and commuting with it, so every priced
     operator at z is K F(z), a scalar function F applied in this one
@@ -193,7 +183,7 @@ class Moneyness:
 
     def price(self, t: float, r: float, state=None) -> PriceQuote:
         """price(t, z, model) for a model of rate r."""
-        omega = self.priced(_call_scalars(t, self.dec.eigenvalues, r)[0])
+        omega = self.priced(_call_scalars(t, self.dec.eigenvalues, r, partials=False))
         expect = None if state is None else float(expectation(state, omega).real)
         return PriceQuote(t=float(t), z=self.z, omega=omega, omega_expectation=expect)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qbs.cli
-from qbs.config import ConfigError, parse_config, serialize_config
+from qbs.config import ConfigError, apply_overrides, parse_config, serialize_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -317,7 +317,6 @@ def test_parse_config_round_trip():
     with every optional section present and with them absent."""
     for doc in (full_config(), scalar_config()):
         c1 = parse_config(json.dumps(doc))
-        assert "raw" not in vars(c1)  # the normalized document is built on first use
         s1 = serialize_config(c1)
         c2 = parse_config(s1)
         assert c1 == c2
@@ -325,6 +324,18 @@ def test_parse_config_round_trip():
         assert s1 == json.dumps(json.loads(s1), indent=2, sort_keys=True) + "\n"
     absent = json.loads(serialize_config(parse_config(json.dumps(scalar_config()))))
     assert not {"state", "classical", "replicate"} & set(absent)
+
+
+def test_serialization_follows_overrides():
+    # a config serialized once still serializes what it holds after an override
+    text = (ROOT / "configs" / "flow_2x2.json").read_text()
+    cfg = parse_config(text)
+    before = json.loads(serialize_config(cfg))
+    assert (before["seed"], before["tolerances"]["terminal"]) == (42, 1e-6)
+    apply_overrides(cfg, {"terminal": 1e-3}, 7)
+    after = json.loads(serialize_config(cfg))
+    assert (after["seed"], after["tolerances"]["terminal"]) == (7, 1e-3)
+    assert cfg != parse_config(text)
 
 
 def test_parse_config_reports_dotted_paths():
@@ -422,6 +433,31 @@ def test_overflowing_commutation_bound_is_a_config_error(tmp_path):
     assert proc.stderr.endswith("a simultaneous eigenbasis is required\n")
 
 
+def _run_warnings_as_errors(command, path):
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qbs.cli", command, "--config", path, "--omit-timing"],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_overflowing_flow_coefficients_are_a_numerical_error(tmp_path):
+    # L*L overflows in theta: the first non-finite coefficient is named,
+    # with no overflow warning, as for an overflowing Ito power
+    model = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())["model"]
+    model["ops"]["L"] = [[[1e200 * v for v in pair] for pair in row] for row in model["ops"]["L"]]
+    proc = _run_warnings_as_errors("coeffs", _flow_2x2_with(tmp_path, model=model))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", "numerical error: theta: non-finite entries\n")
+
+
+def test_classical_at_an_extreme_rate_warns_nothing(tmp_path):
+    # the d = 1 operator price computes no partial, so none can overflow
+    classical = {"x": [1.5], "t": [1e10], "strike": 1.0, "r": 1e300}
+    proc = _run_warnings_as_errors("classical", _flow_2x2_with(tmp_path, classical=classical))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["results"][0]["price"] == 1.5
+
+
 # (command, shipped config, eigh/eigvalsh calls of the whole job): X and K
 # once each at parse, each z once, and price adds the spectrum of each row
 DECOMPOSITION_BUDGET = [
@@ -494,6 +530,13 @@ def _modules_loaded_by(command, config):
     code, *loaded = proc.stderr.split()
     assert code == "0"
     return tuple(flag == "True" for flag in loaded)
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the value types are named tuples; nothing else in a qbs job imports dataclasses
+    probe = "import sys, qbs.cli; sys.exit('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_pricing_commands_do_not_import_scipy():

@@ -14,6 +14,7 @@ from qbs.pricing import (
     classical_bs,
     hedge_portfolio,
     log_moneyness,
+    moneyness,
     price,
     price_derivatives,
     reasonable_price,
@@ -59,6 +60,20 @@ def test_market_model_validation():
         MarketModel(ops=ops, K=np.array([[2.0, 0.5], [0.5, 1.0]]), r=0.05, T=1.0)
     with pytest.raises(ValueError):
         MarketModel(ops=ops, K=np.diag([1.0, -1.0]), r=0.05, T=1.0)
+
+
+def test_market_model_builds_by_keyword_and_is_read_only():
+    ops = ModelOperators(X=np.diag([1.0, 2.0]), H=np.zeros((2, 2)), L=np.zeros((2, 2)), S=np.eye(2))
+    model = MarketModel(ops=ops, K=np.eye(2), r=0, T=1)
+    assert model.beta0 == 1.0 and model.dim == 2
+    assert all(type(v) is float for v in (model.r, model.T, model.beta0))
+    assert not model.K.flags.writeable
+    for name in ("ops", "K", "r", "T", "beta0"):
+        with pytest.raises(AttributeError):
+            setattr(model, name, 2.0)
+    # _replace builds through the validating constructor
+    with pytest.raises(ValueError, match="beta0 must be positive"):
+        model._replace(beta0=0.0)
 
 
 def test_nan_commutation_defect_is_rejected():
@@ -144,6 +159,14 @@ def test_overflowing_exponent_is_rejected():
     for fn in (price, price_derivatives):
         with pytest.raises(FloatingPointError, match="overflow"):
             fn(1.0, 800.0 * np.eye(1), model)
+
+
+def test_price_computes_no_partials():
+    # at r = 1e300, t = 1e10 the normal densities of the partials overflow;
+    # the price alone is K e^z - 0 (the discount underflows to 0)
+    with np.errstate(all="raise"):
+        quote = moneyness(np.array([[0.3]]), np.array([[2.0]])).price(1e10, 1e300)
+    assert quote.omega[0, 0] == 2.0 * math.exp(0.3)
 
 
 def test_price_derivatives_match_finite_differences():
