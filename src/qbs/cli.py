@@ -126,15 +126,14 @@ def _grid(cfg: RunConfig) -> list:
 def _cmd_price(cfg: RunConfig):
     results = []
     for t, i, m in _grid(cfg):
-        quote = m.price(t, cfg.model.r, cfg.state)
-        omega_eigs = np.linalg.eigvalsh(quote.omega)
+        quote, low, high = m.price_extremes(t, cfg.model.r, cfg.state)
         results.append(
             {
                 "t": t,
                 "z_index": i,
                 "omega": quote.omega,
-                "omega_min_eigenvalue": float(omega_eigs[0]),
-                "omega_max_eigenvalue": float(omega_eigs[-1]),
+                "omega_min_eigenvalue": low,
+                "omega_max_eigenvalue": high,
                 "omega_expectation": quote.omega_expectation,
             }
         )

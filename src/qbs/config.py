@@ -12,6 +12,7 @@ shortest-repr form.
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import math
 from functools import partial
@@ -468,7 +469,25 @@ class RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a configuration document."""
+    """Parse and validate a configuration document.
+
+    The cyclic garbage collector is paused meanwhile. json.loads builds one
+    list per [re, im] pair, tens of thousands for a large market, and each
+    would count towards a collection that walks the whole tree; the tree
+    holds no cycle, so reference counting frees all of it. A parse that
+    succeeds frees it before the collector runs again, and every exit path
+    restores the collector's state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(text: str) -> RunConfig:
+    """parse_config, with the JSON tree alive only while this call runs."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit

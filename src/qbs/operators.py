@@ -147,13 +147,19 @@ def finite_exp(lam, name: str) -> np.ndarray:
     return out
 
 
+def spectrum_log(lam, name: str) -> np.ndarray:
+    """Elementwise log of the eigenvalues lam of the operator called name,
+    which must all be positive."""
+    smallest = float(np.min(lam))
+    if smallest <= 0.0:
+        raise ValueError(f"{name}: operator log needs a positive spectrum, found eigenvalue {smallest!r}")
+    return np.log(lam)
+
+
 def operator_log(h, name: str = "matrix") -> np.ndarray:
     """Spectral logarithm of a positive-definite Hermitian matrix."""
     dec = spectral_decompose(h, name)
-    smallest = float(dec.eigenvalues[0])
-    if smallest <= 0.0:
-        raise ValueError(f"{name}: operator log needs a positive spectrum, found eigenvalue {smallest!r}")
-    return dec.apply(np.log(dec.eigenvalues))
+    return dec.apply(spectrum_log(dec.eigenvalues, name))
 
 
 def operator_exp(a, name: str = "matrix") -> np.ndarray:
@@ -171,8 +177,10 @@ def normal_cdf(x):
 
 
 def normal_pdf(x: float) -> float:
-    """Standard normal density; elementwise on arrays."""
-    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    """Standard normal density; elementwise on arrays. Where x * x overflows
+    the density is exactly 0, and it is returned as such, without a warning."""
+    with np.errstate(over="ignore"):
+        return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def phi_series(x: float, n_max: int) -> float:

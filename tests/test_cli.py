@@ -458,31 +458,82 @@ def test_classical_at_an_extreme_rate_warns_nothing(tmp_path):
     assert json.loads(proc.stdout)["results"][0]["price"] == 1.5
 
 
-# (command, shipped config, eigh/eigvalsh calls of the whole job): X and K
-# once each at parse, each z once, and price adds the spectrum of each row
+def test_hedge_at_an_overflowing_rate_is_a_numerical_error(tmp_path):
+    # e^{rt} leaves float range at r = 1e300; the product r t is named
+    model = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())["model"]
+    model["r"] = 1e300
+    proc = _run_warnings_as_errors("hedge", _flow_2x2_with(tmp_path, model=model))
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "numerical error: r t: exp overflows at 2.5e+299\n"
+
+
+def test_residual_at_an_extreme_rate_warns_nothing(tmp_path):
+    # the normal densities underflow to exactly 0 where their squared
+    # arguments overflow; the row is the one computed with the warning
+    model = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())["model"]
+    model["r"] = 1e300
+    proc = _run_warnings_as_errors("residual", _flow_2x2_with(tmp_path, model=model))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    row = {"t": 0.5, "z_index": 0, "residual_norm": 0.0, "tolerance": 1e-06, "passed": True}
+    assert json.loads(proc.stdout)["results"] == [row]
+
+
+# The dense decompositions of numpy.linalg. Each is counted where qbs calls
+# it, in numpy.linalg, and where numpy calls it itself, in the module that
+# defines them (norm(..., 2) takes an svd there; numpy.linalg.linalg before
+# numpy 2).
+try:
+    import numpy.linalg._linalg as LINALG_IMPL
+except ImportError:
+    import numpy.linalg.linalg as LINALG_IMPL
+
+DECOMPOSITIONS = (
+    "cholesky", "qr", "svd", "eig", "eigh", "eigvals", "eigvalsh",
+    "inv", "solve", "det", "slogdet", "lstsq",
+)
+
+# (command, shipped config, eigh calls on each z, decompositions of the
+# whole job): X and K once each at parse, then each z once (the stock once
+# for hedge); residual adds the 2-norm of each row's operator and
+# terminal-check that of each deviation. The joint spectrum of (z, K)
+# gives the extremes of price's rows without a spectrum. Before the joint
+# spectrum these were 8, 8, 5 and 5.
 DECOMPOSITION_BUDGET = [
-    ("price", "price_scalar", 2 + 2 + 2 * 2),
-    ("residual", "price_scalar", 2 + 2),
-    ("terminal-check", "flow_2x2", 2 + 1),
+    ("price", "price_scalar", 1, 2 + 2),
+    ("residual", "price_scalar", 1, 2 + 2 + 2 * 2),
+    ("terminal-check", "flow_2x2", 1, 2 + 1 + 1),
+    ("hedge", "flow_2x2", 0, 2 + 1),
 ]
 
 
-@pytest.mark.parametrize("command,config,calls", DECOMPOSITION_BUDGET)
-def test_each_z_is_decomposed_once_per_job(command, config, calls, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "command,config,per_z,calls", DECOMPOSITION_BUDGET, ids=[f"{c}-{cfg}" for c, cfg, *_ in DECOMPOSITION_BUDGET]
+)
+def test_each_z_is_decomposed_once_per_job(command, config, per_z, calls, monkeypatch, capsys):
     path = ROOT / "configs" / f"{config}.json"
     z_grid = parse_config(path.read_text()).z_grid
     inputs = []
-    for name in ("eigh", "eigvalsh"):
+    for module in (np.linalg, LINALG_IMPL):
+        for name in DECOMPOSITIONS:
 
-        def counted(a, *args, _solver=getattr(np.linalg, name), **kwargs):
-            inputs.append((a.shape, a.tobytes()))
-            return _solver(a, *args, **kwargs)
+            def counted(a, *args, _name=name, _solver=getattr(module, name), **kwargs):
+                inputs.append((_name, a.shape, a.tobytes()))
+                return _solver(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(module, name, counted)
     assert qbs.cli.main([command, "--config", str(path), "--omit-timing"]) == 0
     capsys.readouterr()
-    assert [inputs.count((z.shape, z.tobytes())) for z in z_grid] == [1] * len(z_grid)
+    assert [inputs.count(("eigh", z.shape, z.tobytes())) for z in z_grid] == [per_z] * len(z_grid)
     assert len(inputs) == calls
+
+
+def test_decomposition_count_sees_the_2_norm(monkeypatch):
+    # norm(..., 2) of numpy reaches svd inside numpy, not through numpy.linalg
+    calls = []
+    svd = LINALG_IMPL.svd
+    monkeypatch.setattr(LINALG_IMPL, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert np.linalg.norm(np.eye(2), 2) == 1.0
+    assert calls == [1]
 
 
 # Imports the bare package, then the CLI, in a fresh interpreter and prints

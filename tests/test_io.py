@@ -1,4 +1,5 @@
 """Matrix I/O: config parsing errors, report rendering, golden reports."""
+import gc
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import qbs.cli
 from qbs.cli import RunReport, render_json
-from qbs.config import DEFAULT_TOLERANCES, ConfigError, matrix_from_json, parse_config
+from qbs.config import DEFAULT_TOLERANCES, ConfigError, matrix_from_json, pair_array, parse_config
+from qbs.pricing import log_moneyness
+from qbs.sampling import random_commuting_positive_pair, random_complex, random_hermitian, random_unitary
 from test_cli import full_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +68,57 @@ def test_malformed_matrix_error(edits, path, message):
 def test_integer_past_the_digit_limit_is_invalid_json():
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config('{"schema_version": ' + "1" * 5000 + "}")
+
+
+# --- the collector during a parse --------------------------------------
+
+
+def _market_text(dim: int, seed: int = 5) -> str:
+    """A valid document for a seeded d x d market with one z."""
+    rng = np.random.default_rng(seed)
+    x, k = random_commuting_positive_pair(rng, dim)
+    ops = {"X": x, "H": random_hermitian(rng, dim), "L": random_complex(rng, dim), "S": random_unitary(rng, dim)}
+    matrix = lambda m: pair_array(m).tolist()
+    doc = {
+        "schema_version": 1,
+        "model": {"ops": {name: matrix(m) for name, m in ops.items()}, "K": matrix(k), "r": 0.05, "T": 1.0},
+        "t_grid": [0.5],
+        "z_grid": [matrix(log_moneyness(x, k))],
+    }
+    return json.dumps(doc)
+
+
+def test_parse_config_restores_the_collector_state():
+    good, bad_json, bad_field = json.dumps(full_config()), "{", '{"schema_version": 2}'
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            parse_config(good)
+            assert gc.isenabled() is enabled
+            for text in (bad_json, bad_field):
+                with pytest.raises(ConfigError):
+                    parse_config(text)
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+
+def test_parse_config_runs_no_collection():
+    # the list tree of a d = 64 market sets off collections in json.loads
+    # alone; parse_config runs none, not even once the collector is back on
+    text = _market_text(64)
+    starts = []
+    record = lambda phase, info: starts.append(info["generation"]) if phase == "start" else None
+    gc.callbacks.append(record)
+    try:
+        json.loads(text)
+        control = len(starts)
+        starts.clear()
+        parse_config(text)
+    finally:
+        gc.callbacks.remove(record)
+    assert control > 0
+    assert starts == []
 
 
 @st.composite

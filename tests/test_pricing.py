@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from qbs import pricing
 from qbs.flows import ModelOperators, expectation
 from qbs.operators import adjoint, hermitian_part
 from qbs.pricing import (
@@ -510,14 +511,10 @@ def test_replication_domain():
         replication_simulation(1.0, 1.0, 0.05, 1.0, 100, 10, seed=1)
 
 
-@st.composite
-def commuting_markets(draw):
-    """A unitary U with z = U diag(lam) U* and K = U diag(k) U*. lam takes
-    fewer distinct values than the dimension, so z has a repeated
-    eigenvalue, and k has distinct entries, so K is not scalar on it."""
-    dim = draw(st.integers(2, 4))
-    levels = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=dim - 1))
-    lam = np.array(draw(st.lists(st.sampled_from(levels), min_size=dim, max_size=dim))) / 20.0
+def _commuting_market(draw, lam):
+    """(U, lam, k, z, model): a unitary U with z = U diag(lam) U*, K = U diag(k)
+    U* for distinct k, and the stock X = K e^z."""
+    dim = len(lam)
     k = np.array(draw(st.lists(st.integers(10, 40), min_size=dim, max_size=dim, unique=True))) / 20.0
     u = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), dim)
     r = draw(st.integers(0, 10)) / 100.0
@@ -529,15 +526,87 @@ def commuting_markets(draw):
     return u, lam, k, build(lam), MarketModel(ops=ops, K=build(k), r=r, T=T)
 
 
+@st.composite
+def commuting_markets(draw):
+    """A unitary U with z = U diag(lam) U* and K = U diag(k) U*. lam takes
+    fewer distinct values than the dimension, so z has a repeated
+    eigenvalue, and k has distinct entries, so K is not scalar on it."""
+    dim = draw(st.integers(2, 4))
+    levels = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=dim - 1))
+    lam = np.array(draw(st.lists(st.sampled_from(levels), min_size=dim, max_size=dim))) / 20.0
+    return _commuting_market(draw, lam)
+
+
+@st.composite
+def distinct_markets(draw):
+    """As commuting_markets, but the eigenvalues of z are distinct, at least
+    1/20 apart, so its eigenbasis diagonalizes K as well."""
+    dim = draw(st.integers(2, 4))
+    lam = np.array(draw(st.lists(st.integers(-20, 20), min_size=dim, max_size=dim, unique=True))) / 20.0
+    return _commuting_market(draw, lam)
+
+
+def _scalar_call_oracle(u, lam, k, r, t):
+    """U diag(k_i C(e^lam_i)) U*, C the scalar call at strike 1."""
+    scalar = [classical_bs(ki * math.exp(li), ki, r, 1.0, t)[0] for ki, li in zip(k, lam)]
+    return (u * np.array(scalar)) @ u.conj().T
+
+
 @settings(max_examples=40, deadline=None)
 @given(commuting_markets(), st.integers(1, 40))
 def test_price_is_scalar_call_in_the_eigenbasis(market, t_tenths):
     u, lam, k, z, model = market
     t = t_tenths / 10.0
+    # K splits the repeated eigenvalue of z: the joint check fails, and
+    # K V diag(f) V* prices
+    assert moneyness(z, model.K).k is None
     omega = price(t, z, model).omega
-    scalar = [classical_bs(ki * math.exp(li), ki, model.r, 1.0, t)[0] for ki, li in zip(k, lam)]
-    want = (u * np.array(scalar)) @ u.conj().T
+    want = _scalar_call_oracle(u, lam, k, model.r, t)
     assert np.max(np.abs(omega - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+def _pricing_outputs(z, model, t, h, convention):
+    """(operators, norm): the price and its three partials at (t, z), the
+    hedge's a, b and value at time h, and the residual_eq8 norm at (t, z)."""
+    quote = price(t, z, model)
+    pos = hedge_portfolio(h, model.ops.X, model, convention=convention)
+    ops = [quote.omega, *price_derivatives(t, z, model), pos.a, pos.b, pos.value]
+    return ops, residual_eq8(t, z, model).residual_norm
+
+
+@settings(max_examples=40, deadline=None)
+@given(distinct_markets(), st.integers(1, 40), st.integers(1, 9), st.sampled_from(["direct", "classical"]))
+def test_joint_spectrum_prices_as_the_strike_product(market, t_tenths, h_tenths, convention):
+    # the joint route, V diag(k f) V*, against K V diag(f) V*
+    _, _, _, z, model = market
+    t, h = t_tenths / 10.0, model.T * h_tenths / 10.0
+    assert moneyness(z, model.K).k is not None
+    assert pricing.stock_moneyness(model.ops.X, model.K).k is not None
+    joint, joint_norm = _pricing_outputs(z, model, t, h, convention)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pricing, "_joint_strike", lambda dec, strike: None)
+        assert moneyness(z, model.K).k is None
+        product, product_norm = _pricing_outputs(z, model, t, h, convention)
+    for got, want in zip(joint, product):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+    assert abs(joint_norm - product_norm) <= 1e-12 * max(1.0, float(np.max(np.abs(joint[0]))))
+
+
+def test_near_repeated_eigenvalue_takes_the_checked_fallback():
+    # two eigenvalues of z 1e-9 apart, split by K: eigh may mix their
+    # eigenvectors, so diag(V*KV) alone would misprice; the check sends the
+    # price through K V diag(f) V*
+    u = random_unitary(np.random.default_rng(17), 3)
+    lam, k = np.array([0.2, 0.2 + 1e-9, -0.4]), np.array([0.8, 1.6, 1.1])
+    build = lambda d: hermitian_part((u * d) @ u.conj().T)
+    ops = ModelOperators(X=build(k * np.exp(lam)), H=np.zeros((3, 3)), L=np.zeros((3, 3)), S=np.eye(3))
+    model = MarketModel(ops=ops, K=build(k), r=0.03, T=1.0)
+    z = build(lam)
+    assert moneyness(z, model.K).k is None
+    for t in (0.1, 0.7, 2.0):
+        want = _scalar_call_oracle(u, lam, k, model.r, t)
+        omega = price(t, z, model).omega
+        assert np.max(np.abs(omega - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
 @settings(max_examples=40, deadline=None)
