@@ -39,6 +39,13 @@ COMMANDS = (
 # matrix entries per (models, d, d) stack in ito-check
 _STACK_ENTRIES = 1 << 14
 
+# characters per stdout write of a report (see _emit)
+_EMIT_CHUNK = 1 << 20
+
+# the errors of a command run without a config entry that several commands need
+_NO_MODEL = "a model section required for this command"
+_NO_SEED = "a seed is required for stochastic commands"
+
 
 class RunReport(NamedTuple):
     """One command's output. Result rows hold scalars and complex ndarrays;
@@ -52,21 +59,15 @@ class RunReport(NamedTuple):
     wall_time_s: float | None
 
 
-def _need(cfg: RunConfig, attr: str, what: str):
-    value = getattr(cfg, attr)
+def _need(value, path: str, message: str):
+    """value, the config entry at path; unset or empty, a ConfigError."""
     if value is None or (isinstance(value, (list, dict)) and not value):
-        raise ConfigError(attr, f"{what} required for this command")
+        raise ConfigError(path, message)
     return value
 
 
-def _need_seed(cfg: RunConfig) -> int:
-    if cfg.seed is None:
-        raise ConfigError("seed", "a seed is required for stochastic commands")
-    return cfg.seed
-
-
 def _cmd_coeffs(cfg: RunConfig):
-    model = _need(cfg, "model", "a model section")
+    model = _need(cfg.model, "model", _NO_MODEL)
     fc = flow_coefficients(model.ops.X, model.ops)
     result = {
         "alpha": fc.alpha,
@@ -81,7 +82,7 @@ def _cmd_coeffs(cfg: RunConfig):
 
 
 def _cmd_ito_check(cfg: RunConfig):
-    seed = _need_seed(cfg)
+    seed = _need(cfg.seed, "seed", _NO_SEED)
     tol = cfg.tolerances["power_rule"]
     trials = cfg.ito_check["trials"]
     # numpy.random is a sizeable import that only the seeded commands need
@@ -117,9 +118,10 @@ def _cmd_ito_check(cfg: RunConfig):
 
 def _grid(cfg: RunConfig) -> list:
     """(t, z_index, moneyness of z) at each grid point, t-major, one moneyness per z."""
-    model = _need(cfg, "model", "a model section")
-    t_grid = _need(cfg, "t_grid", "a t_grid")
-    spectra = [moneyness(z, model.K) for z in _need(cfg, "z_grid", "a z_grid")]
+    model = _need(cfg.model, "model", _NO_MODEL)
+    t_grid = _need(cfg.t_grid, "t_grid", "a t_grid required for this command")
+    z_grid = _need(cfg.z_grid, "z_grid", "a z_grid required for this command")
+    spectra = [moneyness(z, model.K, f"z_grid[{i}]") for i, z in enumerate(z_grid)]
     return [(t, i, m) for t in t_grid for i, m in enumerate(spectra)]
 
 
@@ -163,15 +165,15 @@ def _cmd_residual(cfg: RunConfig):
 
 
 def _cmd_terminal_check(cfg: RunConfig):
-    model = _need(cfg, "model", "a model section")
-    z_grid = _need(cfg, "z_grid", "a z_grid")
+    model = _need(cfg.model, "model", _NO_MODEL)
+    z_grid = _need(cfg.z_grid, "z_grid", "a z_grid required for this command")
     base = cfg.tolerances["terminal"]
     t_small = cfg.terminal["t_small"]
     min_gap = cfg.terminal["min_gap"]
     results = []
     violations = []
     for i, z in enumerate(z_grid):
-        m = moneyness(z, model.K, "zT")
+        m = moneyness(z, model.K, f"z_grid[{i}]")
         rep, payoff = m.terminal(t_small, model.r, min_gap, base)
         deviation, tol = rep.residual_norm, rep.tolerance
         expectation_payoff = None
@@ -194,16 +196,21 @@ def _cmd_terminal_check(cfg: RunConfig):
 
 
 def _cmd_hedge(cfg: RunConfig):
-    model = _need(cfg, "model", "a model section")
-    times = cfg.hedge["times"]
-    if not times:
-        raise ConfigError("hedge.times", "at least one time required")
-    stock = cfg.hedge["stock"] if cfg.hedge["stock"] is not None else model.ops.X
+    model = _need(cfg.model, "model", _NO_MODEL)
+    times = _need(cfg.hedge["times"], "hedge.times", "at least one time required")
+    stock, path = cfg.hedge["stock"], "hedge.stock"
+    if stock is None:
+        stock, path = model.ops.X, "model.ops.X"
     convention = cfg.hedge["convention"]
     tol = cfg.tolerances["hedge_value"]
     results = []
     violations = []
-    m = stock_moneyness(stock, model.K)
+    try:
+        m = stock_moneyness(stock, model.K)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:  # its checks against K call the stock X
+        raise ConfigError(path, str(exc)) from None
     for t in times:
         pos, omega = m.hedge(t, stock, model, convention)
         defect = float(np.linalg.norm(pos.value - omega))
@@ -225,7 +232,7 @@ def _cmd_hedge(cfg: RunConfig):
 
 
 def _cmd_classical(cfg: RunConfig):
-    sec = _need(cfg, "classical", "a classical section")
+    sec = _need(cfg.classical, "classical", "a classical section required for this command")
     strike, r, sigma = sec["strike"], sec["r"], sec["sigma"]
     tol = cfg.tolerances["classical_match"]
     results = []
@@ -257,10 +264,8 @@ def _cmd_classical(cfg: RunConfig):
 
 
 def _cmd_lindblad(cfg: RunConfig):
-    model = _need(cfg, "model", "a model section")
-    t_list = cfg.lindblad["t"]
-    if not t_list:
-        raise ConfigError("lindblad.t", "at least one time required")
+    model = _need(cfg.model, "model", _NO_MODEL)
+    t_list = _need(cfg.lindblad["t"], "lindblad.t", "at least one time required")
     x0 = cfg.lindblad["x0"] if cfg.lindblad["x0"] is not None else model.ops.X
     tol = cfg.tolerances["semigroup"]
     results = []
@@ -295,8 +300,8 @@ def _cmd_lindblad(cfg: RunConfig):
 
 
 def _cmd_replicate(cfg: RunConfig):
-    sec = _need(cfg, "replicate", "a replicate section")
-    seed = _need_seed(cfg)
+    sec = _need(cfg.replicate, "replicate", "a replicate section required for this command")
+    seed = _need(cfg.seed, "seed", _NO_SEED)
     stats = replication_simulation(
         sec["x0"],
         sec["strike"],
@@ -401,13 +406,13 @@ def _parse_tol_overrides(pairs) -> dict:
     return out
 
 
-def _emit(text: str, chunk: int = 1 << 20) -> None:
-    """Write text to stdout a slice at a time. One write of a multi-MB str
-    encodes it into a bytes copy as large, and whether the allocator can
-    place that copy in memory the process already holds varies from run
-    to run; a slice always fits."""
-    for start in range(0, len(text), chunk):
-        sys.stdout.write(text[start : start + chunk])
+def _emit(text: str) -> None:
+    """Write text to stdout _EMIT_CHUNK characters at a time. One write of a
+    multi-MB str encodes it into a bytes copy as large, and whether the
+    allocator can place that copy in memory the process already holds
+    varies from run to run; a slice always fits."""
+    for start in range(0, len(text), _EMIT_CHUNK):
+        sys.stdout.write(text[start : start + _EMIT_CHUNK])
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -411,7 +411,7 @@ TABLE = {
     }),
     "hedge": _section({
         "convention": Field(_one_of("convention", "direct", "classical"), "direct"),
-        "times": Field(_list_of(_as_number, 0), []),  # empty: no hedge rows
+        "times": Field(_list_of(_as_number, 0), []),  # may be empty; the hedge command needs one
         "stock": Field(_or_null(_hermitian), None),
     }),
     "classical": _section({

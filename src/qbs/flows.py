@@ -87,20 +87,24 @@ class FlowCoefficients(NamedTuple):
     theta: np.ndarray
 
 
+def _theta(x, h, l, ld, ldl):
+    """theta = i[H, X] - (L*L X + X L*L - 2 L* X L) / 2 of (..., d, d) stacks,
+    given ld = L* and ldl = L*L."""
+    return 1j * (h @ x - x @ h) - 0.5 * (ldl @ x + x @ ldl - 2.0 * (ld @ x @ l))
+
+
 def _coefficients(x, h, l, s):
     """(alpha, alpha_dagger, lam, theta) of (..., d, d) stacks of X, H, L, S.
 
-    alpha = [L*, X] S; alpha_dagger = S* [X, L]; lam = S* X S - X;
-    theta = i[H, X] - (L*L X + X L*L - 2 L* X L) / 2.
+    alpha = [L*, X] S; alpha_dagger = S* [X, L]; lam = S* X S - X; theta
+    as ``_theta`` gives it.
     """
     ld = adjoint(l)
     sd = adjoint(s)
     alpha = (ld @ x - x @ ld) @ s
     alpha_dagger = sd @ (x @ l - l @ x)
     lam = sd @ x @ s - x
-    ldl = ld @ l
-    theta = 1j * (h @ x - x @ h) - 0.5 * (ldl @ x + x @ ldl - 2.0 * (ld @ x @ l))
-    return alpha, alpha_dagger, lam, theta
+    return alpha, alpha_dagger, lam, _theta(x, h, l, ld, ld @ l)
 
 
 def flow_coefficients(x, m: ModelOperators) -> FlowCoefficients:
@@ -399,14 +403,11 @@ def semigroup_evolve(x0, m: ModelOperators, t: float, steps: int | None = None) 
     if m.dim <= _DENSE_MAX_DIM:
         return x + (_rk4_increment(h, l, ld, ldl, dt, steps) @ x.reshape(-1)).reshape(x.shape)
 
-    def rhs(y):
-        return 1j * (h @ y - y @ h) - 0.5 * (ldl @ y + y @ ldl) + ld @ y @ l
-
     for _ in range(steps):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * dt * k1)
-        k3 = rhs(x + 0.5 * dt * k2)
-        k4 = rhs(x + dt * k3)
+        k1 = _theta(x, h, l, ld, ldl)
+        k2 = _theta(x + 0.5 * dt * k1, h, l, ld, ldl)
+        k3 = _theta(x + 0.5 * dt * k2, h, l, ld, ldl)
+        k4 = _theta(x + dt * k3, h, l, ld, ldl)
         x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     return x
 

@@ -13,6 +13,10 @@ import numpy as np
 
 HERMITIAN_RTOL = 1e-12
 UNITARY_RTOL = 1e-12
+# sylvester_L rejects an eigenvalue of X, or a gap between two, within this
+# times max(1, max|x|), and a diagonal entry of W in X's eigenbasis above it.
+SYLVESTER_GAP_RTOL = 1e-10
+SYLVESTER_DIAG_TOL = 1e-10
 
 _SQRT1_2 = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -121,7 +125,11 @@ def spectral_decompose(m, name: str = "matrix") -> SpectralDecomposition:
     The largest-modulus component of each eigenvector is made real positive
     so repeated runs on one build produce identical output.
     """
-    a = require_hermitian(m, name)
+    return _decompose(require_hermitian(m, name), name)
+
+
+def _decompose(a: np.ndarray, name: str) -> SpectralDecomposition:
+    """spectral_decompose of a matrix that its caller has checked Hermitian."""
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -204,7 +212,7 @@ def phi_series(x: float, n_max: int) -> float:
     return 0.5 + acc * _INV_SQRT_2PI
 
 
-def sylvester_L(x, w, gap_tol: float = 1e-10, diag_tol: float = 1e-10) -> np.ndarray:
+def sylvester_L(x, w) -> np.ndarray:
     """Solve [X, L] = W X for L, given Hermitian X and unitary W.
 
     Requires distinct nonzero eigenvalues of X and zero diagonal of W in
@@ -217,14 +225,14 @@ def sylvester_L(x, w, gap_tol: float = 1e-10, diag_tol: float = 1e-10) -> np.nda
     wu = require_unitary(w, "W")
     if xh.shape != wu.shape:
         raise ValueError(f"sylvester_L: dimension mismatch {xh.shape} vs {wu.shape}")
-    dec = spectral_decompose(xh, "X")
+    dec = _decompose(xh, "X")
     lam = dec.eigenvalues
     scale = max(1.0, float(np.max(np.abs(lam))))
     for i, v in enumerate(lam):
-        if abs(v) <= gap_tol * scale:
+        if abs(v) <= SYLVESTER_GAP_RTOL * scale:
             raise ValueError(f"X eigenvalue {float(v)!r} at index {i} is numerically zero")
     for i in range(len(lam) - 1):
-        if lam[i + 1] - lam[i] <= gap_tol * scale:
+        if lam[i + 1] - lam[i] <= SYLVESTER_GAP_RTOL * scale:
             raise ValueError(
                 f"X eigenvalues at indices {i} and {i + 1} coincide "
                 f"({float(lam[i])!r}, {float(lam[i + 1])!r})"
@@ -233,7 +241,7 @@ def sylvester_L(x, w, gap_tol: float = 1e-10, diag_tol: float = 1e-10) -> np.nda
     w_tilde = v.conj().T @ wu @ v
     diag_mags = np.abs(np.diag(w_tilde))
     worst = int(np.argmax(diag_mags))
-    if diag_mags[worst] > diag_tol:
+    if diag_mags[worst] > SYLVESTER_DIAG_TOL:
         raise ValueError(
             f"W has nonzero diagonal entry {diag_mags[worst]:.6e} at index {worst} in X's eigenbasis"
         )

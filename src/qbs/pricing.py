@@ -22,6 +22,7 @@ import numpy as np
 from .flows import ModelOperators, _freeze, expectation
 from .operators import (
     SpectralDecomposition,
+    _decompose,
     commutator,
     finite_exp,
     frobenius,
@@ -31,7 +32,6 @@ from .operators import (
     operator_log,
     power_of_two_scaled,
     require_hermitian,
-    spectral_decompose,
     spectrum_log,
 )
 
@@ -42,6 +42,11 @@ COMMUTATION_RTOL = 1e-10
 # benchmark's d = 128 markets of seeds 1-50 it measured 1.2e-13 in the
 # median and 2.2e-11 at most; the 4 bases above this bound fall back.
 JOINT_RTOL = 1e-11
+# The central-difference step of the finite-difference checks, scaled by
+# max(1, |v|) at a point v (``_fd_step``).
+FD_STEP = 1e-4
+# terminal_limit_check judges its deviation against this times max(1, ||payoff||_2).
+TERMINAL_RTOL = 1e-6
 
 
 def _require_commuting(a, b, name_a: str, name_b: str) -> None:
@@ -97,8 +102,6 @@ class MarketModel(namedtuple("MarketModel", "ops K r T beta0")):
 class PriceQuote(NamedTuple):
     """Price operator at (t, z), optionally with a state expectation."""
 
-    t: float
-    z: np.ndarray
     omega: np.ndarray
     omega_expectation: float | None = None
 
@@ -116,7 +119,6 @@ class ResidualReport(NamedTuple):
 
     residual_norm: float
     tolerance: float
-    grid: tuple
     passed: bool
     tail_estimate: float | None = None
 
@@ -188,13 +190,26 @@ def _rate_factors(r: float, t: float):
         raise FloatingPointError(f"r t: exp overflows at {rt!r}") from None
 
 
-def _report(norm: float, tolerance: float, points, tail: float | None = None) -> ResidualReport:
-    """norm judged against tolerance, on the grid of (t, x) points."""
-    grid = tuple((float(t), float(x)) for t, x in points)
+def _report(norm: float, tolerance: float, tail: float | None = None) -> ResidualReport:
+    """norm judged against tolerance."""
     return ResidualReport(
-        residual_norm=norm, tolerance=float(tolerance), grid=grid, passed=norm <= tolerance,
-        tail_estimate=tail,
+        residual_norm=norm, tolerance=float(tolerance), passed=norm <= tolerance, tail_estimate=tail
     )
+
+
+def _fd_step(v: float) -> float:
+    """The central-difference step at v: FD_STEP max(1, |v|)."""
+    return FD_STEP * max(1.0, abs(v))
+
+
+def _central_first(up, down, h: float):
+    """(f(v + h) - f(v - h)) / 2h, from up = f(v + h) and down = f(v - h)."""
+    return (up - down) / (2.0 * h)
+
+
+def _central_second(up, mid, down, h: float):
+    """(f(v + h) - 2 f(v) + f(v - h)) / h^2, from up, mid = f(v) and down."""
+    return (up - 2.0 * mid + down) / (h * h)
 
 
 def _joint_strike(dec: SpectralDecomposition, strike: np.ndarray):
@@ -217,12 +232,11 @@ class Moneyness(NamedTuple):
     """A log-moneyness z checked against a strike K and decomposed once:
     Hermitian, sized like K and commuting with it, so every priced
     operator at z is K F(z), a scalar function F applied in this one
-    decomposition. k is diag(V*KV) in its eigenbasis V when the check of
-    ``_joint_strike`` passed, else None. Every pricing entry point builds
+    decomposition dec. k is diag(V*KV) in its eigenbasis V when the check
+    of ``_joint_strike`` passed, else None. Every pricing entry point builds
     one with ``moneyness`` (a given z) or ``stock_moneyness`` (the z of a
     stock X)."""
 
-    z: np.ndarray
     K: np.ndarray
     dec: SpectralDecomposition
     k: np.ndarray | None
@@ -245,24 +259,23 @@ class Moneyness(NamedTuple):
 
     def price(self, t: float, r: float, state=None) -> PriceQuote:
         """price(t, z, model) for a model of rate r."""
-        return self._quote(t, *_call_scalars(t, self.dec.eigenvalues, r, "w"), state)
+        return self._quote(*_call_scalars(t, self.dec.eigenvalues, r, "w"), state)
 
     def price_extremes(self, t: float, r: float, state=None):
         """(price(t, r, state), the smallest and the largest eigenvalue of its omega)."""
         (w,) = _call_scalars(t, self.dec.eigenvalues, r, "w")
-        quote = self._quote(t, w, state)
+        quote = self._quote(w, state)
         return (quote, *self._extremes(w, quote.omega))
 
-    def _quote(self, t: float, w, state) -> PriceQuote:
+    def _quote(self, w, state) -> PriceQuote:
         omega = self.priced(w)
         expect = None if state is None else float(expectation(state, omega).real)
-        return PriceQuote(t=float(t), z=self.z, omega=omega, omega_expectation=expect)
+        return PriceQuote(omega=omega, omega_expectation=expect)
 
     def residual(self, t: float, r: float, tolerance: float) -> ResidualReport:
         """residual_eq8(t, z, model, tolerance=tolerance) for a model of rate r."""
-        eigs = self.dec.eigenvalues
-        norm = _hermitian_norm(_eq8(r, *(self.priced(f) for f in _call_scalars(t, eigs, r))))
-        return _report(norm, tolerance, ((t, v) for v in eigs))
+        scalars = _call_scalars(t, self.dec.eigenvalues, r)
+        return _report(_hermitian_norm(_eq8(r, *map(self.priced, scalars))), tolerance)
 
     def payoff(self, convention: str = "spectral", state=None):
         """terminal_payoff(z, K, convention, state)."""
@@ -280,11 +293,10 @@ class Moneyness(NamedTuple):
         f = np.maximum(finite_exp(self.dec.eigenvalues, "z") - 1.0, 0.0)
         return f, self.priced(f)
 
-    def terminal(self, t_small: float, r: float, min_gap: float, rel_tol: float, tolerance=None):
-        """(terminal_limit_check of z at rate r, the spectral payoff); tolerance
-        None judges the deviation against rel_tol max(1, ||payoff||_2)."""
-        eigs = self.dec.eigenvalues
-        closest = float(np.min(np.abs(eigs)))
+    def terminal(self, t_small: float, r: float, min_gap: float, rel_tol: float):
+        """(terminal_limit_check of z at rate r, the spectral payoff), the
+        deviation judged against rel_tol max(1, ||payoff||_2)."""
+        closest = float(np.min(np.abs(self.dec.eigenvalues)))
         if closest < min_gap:
             raise ValueError(
                 f"zT eigenvalue with |value| = {closest!r} lies within {min_gap} of 0; "
@@ -292,9 +304,8 @@ class Moneyness(NamedTuple):
             )
         positive, payoff = self._spectral_payoff()
         dev = _hermitian_norm(self.price(t_small, r).omega - payoff)
-        if tolerance is None:
-            tolerance = rel_tol * max(1.0, *map(abs, self._extremes(positive, payoff)))
-        return _report(dev, tolerance, ((t_small, v) for v in eigs)), payoff
+        tolerance = rel_tol * max(1.0, *map(abs, self._extremes(positive, payoff)))
+        return _report(dev, tolerance), payoff
 
     def hedge(self, t: float, j_x, model: MarketModel, convention: str = "direct"):
         """(hedge_portfolio(t, j_x, model, convention), the price omega that
@@ -317,9 +328,9 @@ class Moneyness(NamedTuple):
 
 
 def _decomposed(z: np.ndarray, strike: np.ndarray, name: str) -> Moneyness:
-    """The Moneyness of a checked z against strike, in one eigendecomposition of z."""
-    dec = spectral_decompose(z, name)
-    return Moneyness(z, strike, dec, _joint_strike(dec, strike))
+    """The Moneyness of a Hermitian z against strike, in one eigendecomposition of z."""
+    dec = _decompose(z, name)
+    return Moneyness(strike, dec, _joint_strike(dec, strike))
 
 
 def moneyness(z, k: np.ndarray, name: str = "z") -> Moneyness:
@@ -337,7 +348,7 @@ def stock_moneyness(x_op, k_op) -> Moneyness:
     log X - log K, decomposed on its own."""
     x, k = require_hermitian(x_op, "X"), require_hermitian(k_op, "K")
     _require_commuting(x, k, "X", "K")  # the commutator rejects unlike shapes
-    dec_x = spectral_decompose(x, "X")
+    dec_x = _decompose(x, "X")
     log_x = spectrum_log(dec_x.eigenvalues, "X")
     k_x = _joint_strike(dec_x, k)
     if k_x is None:
@@ -346,7 +357,7 @@ def stock_moneyness(x_op, k_op) -> Moneyness:
         lam = log_x - spectrum_log(k_x, "K")
         order = np.argsort(lam, kind="stable")
         dec = SpectralDecomposition(lam[order], dec_x.eigenvectors[:, order])
-        m = Moneyness(hermitian_part(dec.apply(dec.eigenvalues)), k, dec, k_x[order])
+        m = Moneyness(k, dec, k_x[order])
     err = frobenius(m.priced(finite_exp(m.dec.eigenvalues, "z")) - x)
     if not err <= 1e-10 * max(1.0, frobenius(x)):
         raise ValueError(f"K exp(z) fails to reproduce X, error {err:.6e}")
@@ -355,7 +366,8 @@ def stock_moneyness(x_op, k_op) -> Moneyness:
 
 def log_moneyness(x_op, k_op) -> np.ndarray:
     """The Hermitian z with K e^z = X, for commuting positive X and K."""
-    return stock_moneyness(x_op, k_op).z
+    dec = stock_moneyness(x_op, k_op).dec
+    return hermitian_part(dec.apply(dec.eigenvalues))
 
 
 def price(t: float, z, model: MarketModel, state=None) -> PriceQuote:
@@ -374,66 +386,58 @@ def price_derivatives(t: float, z, model: MarketModel):
     return tuple(m.priced(f) for f in _call_scalars(t, m.dec.eigenvalues, model.r, "w10 w01 w02"))
 
 
-def residual_eq8(
-    t: float,
-    z,
-    model: MarketModel,
-    candidate=None,
-    tolerance: float = 1e-6,
-    fd_step: float = 1e-4,
-) -> ResidualReport:
+def residual_eq8(t: float, z, model: MarketModel, candidate=None, tolerance: float = 1e-6) -> ResidualReport:
     """Residual of w10 - w02/2 - (r-1/2) w01 + r w at one grid point.
 
     With no candidate the built-in price and its analytic derivatives are
     used. A candidate callable (t, z) -> matrix is differentiated by
     central differences instead, which keeps the check route independent
-    of the analytic code path.
+    of the analytic code path; z moves by FD_STEP I, and t by its
+    ``_fd_step``, halved to t / 2 where it would reach 0.
     """
     if candidate is None:
         return moneyness(z, model.K).residual(t, model.r, tolerance)
     zh = require_hermitian(z, "z")
     if not t > 0.0:
         raise ValueError("t must be positive")
-    eye = np.eye(zh.shape[0])
-    ht = fd_step * max(1.0, abs(t))
+    ht = _fd_step(t)
     if t - ht <= 0.0:
         ht = 0.5 * t
-    hz = fd_step
-    w = np.asarray(candidate(t, zh), dtype=np.complex128)
-    w_zp = np.asarray(candidate(t, zh + hz * eye), dtype=np.complex128)
-    w_zm = np.asarray(candidate(t, zh - hz * eye), dtype=np.complex128)
-    w_tp = np.asarray(candidate(t + ht, zh), dtype=np.complex128)
-    w_tm = np.asarray(candidate(t - ht, zh), dtype=np.complex128)
-    w10 = (w_tp - w_tm) / (2.0 * ht)
-    w01 = (w_zp - w_zm) / (2.0 * hz)
-    w02 = (w_zp - 2.0 * w + w_zm) / (hz * hz)
-    norm = float(np.linalg.norm(_eq8(model.r, w, w10, w01, w02), 2))
-    return _report(norm, tolerance, ((t, v) for v in np.linalg.eigvalsh(zh)))
+    shift = FD_STEP * np.eye(zh.shape[0])
+
+    def w_at(t_at: float, z_at: np.ndarray) -> np.ndarray:
+        return np.asarray(candidate(t_at, z_at), dtype=np.complex128)
+
+    w = w_at(t, zh)
+    w_zp, w_zm = w_at(t, zh + shift), w_at(t, zh - shift)
+    w10 = _central_first(w_at(t + ht, zh), w_at(t - ht, zh), ht)
+    w01, w02 = _central_first(w_zp, w_zm, FD_STEP), _central_second(w_zp, w, w_zm, FD_STEP)
+    return _report(float(np.linalg.norm(_eq8(model.r, w, w10, w01, w02), 2)), tolerance)
 
 
-def residual_brownian_scalar(
-    u, gfun, r: float, grid, tolerance: float = 1e-6, fd_step: float = 1e-4
-) -> ResidualReport:
+def _scalar_differences(u, grid):
+    """(t, x, u, u10, u01, u02) at each (t, x) of grid, x > 0, the partials
+    of u taken by central differences in 5 calls of u."""
+    for t, x in grid:
+        if not x > 0.0:
+            raise ValueError(f"grid point x={x!r} is not positive")
+        ht, hx = _fd_step(t), _fd_step(x)
+        u00 = u(t, x)
+        u10 = _central_first(u(t + ht, x), u(t - ht, x), ht)
+        u_xp, u_xm = u(t, x + hx), u(t, x - hx)
+        yield t, x, u00, u10, _central_first(u_xp, u_xm, hx), _central_second(u_xp, u00, u_xm, hx)
+
+
+def residual_brownian_scalar(u, gfun, r: float, grid, tolerance: float = 1e-6) -> ResidualReport:
     """Finite-difference residual of u10 = g(x) u02 / 2 + r x u01 - r u.
 
     The drift coefficient h(x) = x r is fixed; gfun supplies the
     volatility structure (x^2 recovers the solved model).
     """
     worst = 0.0
-    points = []
-    for t, x in grid:
-        if not x > 0.0:
-            raise ValueError(f"grid point x={x!r} is not positive")
-        ht = fd_step * max(1.0, abs(t))
-        hx = fd_step * max(1.0, abs(x))
-        u00 = u(t, x)
-        u10 = (u(t + ht, x) - u(t - ht, x)) / (2.0 * ht)
-        u01 = (u(t, x + hx) - u(t, x - hx)) / (2.0 * hx)
-        u02 = (u(t, x + hx) - 2.0 * u00 + u(t, x - hx)) / (hx * hx)
-        res = u10 - 0.5 * u02 * gfun(x) - u01 * x * r + u00 * r
-        worst = max(worst, abs(res))
-        points.append((t, x))
-    return _report(worst, tolerance, points)
+    for _, x, u00, u10, u01, u02 in _scalar_differences(u, grid):
+        worst = max(worst, abs(u10 - 0.5 * u02 * gfun(x) - u01 * x * r + u00 * r))
+    return _report(worst, tolerance)
 
 
 def _fd_x_derivative(u, t: float, x: float, k: int) -> float:
@@ -446,47 +450,28 @@ def _fd_x_derivative(u, t: float, x: float, k: int) -> float:
 
 
 def residual_poisson_scalar(
-    u,
-    gfun,
-    r: float,
-    k_max: int,
-    grid,
-    x_derivs=None,
-    tolerance: float = 1e-6,
-    fd_step: float = 1e-4,
+    u, gfun, r: float, k_max: int, grid, x_derivs=None, tolerance: float = 1e-6
 ) -> ResidualReport:
     """Residual of the number-process equation with the derivative series
     truncated at k_max; the dropped magnitude is reported as a tail estimate.
 
     u10 = sum_{k=2..k_max} u0k g(x) / k! + r x u01 - r u. Higher x
-    derivatives come from x_derivs(t, x, k) when supplied, else from
+    derivatives come from x_derivs(u, t, x, k) when supplied, else from
     central stencils with order-scaled steps.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     deriv = x_derivs if x_derivs is not None else _fd_x_derivative
-    worst = 0.0
-    tail = 0.0
-    points = []
-    for t, x in grid:
-        if not x > 0.0:
-            raise ValueError(f"grid point x={x!r} is not positive")
-        ht = fd_step * max(1.0, abs(t))
-        hx = fd_step * max(1.0, abs(x))
-        u00 = u(t, x)
-        u10 = (u(t + ht, x) - u(t - ht, x)) / (2.0 * ht)
-        u01 = (u(t, x + hx) - u(t, x - hx)) / (2.0 * hx)
+    worst = tail = 0.0
+    for t, x, u00, u10, u01, _ in _scalar_differences(u, grid):
         g_x = gfun(x)
-        series = 0.0
-        last = 0.0
+        series = last = 0.0
         for k in range(2, k_max + 1):
             last = deriv(u, t, x, k) * g_x / math.factorial(k)
             series += last
-        res = u10 - series - u01 * x * r + u00 * r
-        worst = max(worst, abs(res))
+        worst = max(worst, abs(u10 - series - u01 * x * r + u00 * r))
         tail = max(tail, abs(last))
-        points.append((t, x))
-    return _report(worst, tolerance, points, tail)
+    return _report(worst, tolerance, tail)
 
 
 def terminal_payoff(z_t, k_op, convention: str = "spectral", state=None):
@@ -502,21 +487,15 @@ def terminal_payoff(z_t, k_op, convention: str = "spectral", state=None):
     return moneyness(z_t, k, "zT").payoff(convention, state)
 
 
-def terminal_limit_check(
-    z_t,
-    model: MarketModel,
-    t_small: float = 1e-8,
-    min_gap: float = 0.1,
-    tolerance: float | None = None,
-) -> ResidualReport:
+def terminal_limit_check(z_t, model: MarketModel, t_small: float = 1e-8, min_gap: float = 0.1) -> ResidualReport:
     """Compare price(t_small, zT) with the spectral payoff, against
-    tolerance, or 1e-6 max(1, ||payoff||_2) when it is None.
+    TERMINAL_RTOL max(1, ||payoff||_2).
 
     Eigenvalues of zT inside (-min_gap, min_gap) are rejected: there the
     limit is governed by the CDF transition and no rate is claimed.
     """
     m = moneyness(z_t, model.K, "zT")
-    return m.terminal(t_small, model.r, min_gap, 1e-6, tolerance)[0]
+    return m.terminal(t_small, model.r, min_gap, TERMINAL_RTOL)[0]
 
 
 def reasonable_price(model: MarketModel, state=None) -> PriceQuote:

@@ -433,6 +433,61 @@ def test_overflowing_commutation_bound_is_a_config_error(tmp_path):
     assert proc.stderr.endswith("a simultaneous eigenbasis is required\n")
 
 
+def _flow_2x2_split_by_k(tmp_path, **sections):
+    """_flow_2x2_with a strike K = diag(1, 2), which X and the shipped z commute with."""
+    model = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())["model"]
+    model["K"] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
+    return _flow_2x2_with(tmp_path, model=model, **sections)
+
+
+@pytest.mark.parametrize("command", ["price", "residual", "terminal-check"])
+def test_a_z_that_splits_from_k_is_named_by_its_grid_entry(command, tmp_path, capsys):
+    z_grid = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())["z_grid"]
+    z_grid.append([[[0.0, 0.0], [0.3, 0.0]], [[0.3, 0.0], [0.0, 0.0]]])
+    path = _flow_2x2_split_by_k(tmp_path, z_grid=z_grid)
+    assert qbs.cli.main([command, "--config", path, "--omit-timing"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "config error: [z_grid[1], K] norm 4.242641e-01 exceeds 9.486833e-11; "
+        "a simultaneous eigenbasis is required\n",
+    )
+
+
+def test_a_hedge_stock_that_splits_from_k_is_named_by_its_path(tmp_path, capsys):
+    hedge = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())["hedge"]
+    hedge["stock"] = [[[1.3, 0.0], [0.1, 0.0]], [[0.1, 0.0], [1.1, 0.0]]]
+    path = _flow_2x2_split_by_k(tmp_path, hedge=hedge)
+    assert qbs.cli.main(["hedge", "--config", path, "--omit-timing"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "config error: hedge.stock: [X, K] norm 1.414214e-01 exceeds 3.820995e-10; "
+        "a simultaneous eigenbasis is required\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "command,path,message",
+    [
+        ("hedge", "hedge.times", "at least one time required"),
+        ("lindblad", "lindblad.t", "at least one time required"),
+        ("price", "z_grid", "a z_grid required for this command"),
+        ("ito-check", "seed", "a seed is required for stochastic commands"),
+    ],
+)
+def test_a_missing_requirement_names_its_path(command, path, message, tmp_path, capsys):
+    # an empty list where a section key is named, else no top-level entry
+    doc = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())
+    section, _, key = path.partition(".")
+    if key:
+        doc[section][key] = []
+    else:
+        del doc[section]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    assert qbs.cli.main([command, "--config", str(config), "--omit-timing"]) == 2
+    assert capsys.readouterr() == ("", f"config error: {path}: {message}\n")
+
+
 def _run_warnings_as_errors(command, path):
     return subprocess.run(
         [sys.executable, "-W", "error", "-m", "qbs.cli", command, "--config", path, "--omit-timing"],

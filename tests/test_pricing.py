@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from qbs import pricing
+import qbs.cli
+from qbs import operators, pricing
+from qbs.config import parse_config
 from qbs.flows import ModelOperators, expectation
 from qbs.operators import adjoint, hermitian_part
 from qbs.pricing import (
@@ -23,6 +25,7 @@ from qbs.pricing import (
     residual_brownian_scalar,
     residual_eq8,
     residual_poisson_scalar,
+    stock_moneyness,
     terminal_limit_check,
     terminal_payoff,
 )
@@ -32,6 +35,7 @@ from qbs.sampling import (
     random_state,
     random_unitary,
 )
+from test_cli import ROOT
 
 # quadrature-oracle constants reused across the module
 ATM_UNIT_PRICE = 0.38292492254802646  # strike 1, rate 0, maturity 1, at the money
@@ -323,6 +327,118 @@ def test_residual_poisson_tail_shrinks_with_cutoff():
 def test_residual_poisson_domain():
     with pytest.raises(ValueError):
         residual_poisson_scalar(lambda t, x: x, lambda x: x, 0.05, 1, [(0.5, 1.0)])
+
+
+# Three (t, x) grids of the finite-difference residuals, and the solved
+# model's price as u; the residual values below are the bits that the
+# stencils computed when each residual wrote its own (the Brownian
+# residual, then the Poisson residual and tail at k_max = 2..5), and that
+# the one stencil of FD_STEP must keep.
+FD_GRIDS = [
+    [(0.25, 0.8), (0.5, 1.0), (1.0, 1.3), (2.0, 2.0)],
+    [(0.5, 1.0), (1.0, 1.2)],
+    [(0.1, 3.5), (3.0, 0.6), (1e-3, 1.05)],
+]
+FD_RESIDUALS = [
+    ["0x1.7a28bb7a00000p-27", ("0x1.eb7d467000000p-28", "0x1.420de4ccccccep-2"),
+     ("0x1.14c0bc2229697p-3", "0x1.14c0bc2f811d5p-3"), ("0x1.a4882689f7047p-3", "0x1.e82fbf056238dp-4"),
+     ("0x1.64844d4ef7e44p-4", "0x1.644825515cb20p-3")],
+    ["0x1.58bbf07c00000p-29", ("0x1.7ca24b8000000p-29", "0x1.0bd3432000000p-2"),
+     ("0x1.14c0bc2229697p-3", "0x1.14c0bc2f811d5p-3"), ("0x1.7b31f9017cc5ep-4", "0x1.5c9efe85ac19fp-5"),
+     ("0x1.64844d4ef7e44p-4", "0x1.11f0c463bd8dcp-6")],
+    ["0x1.2d18d70cbe466p-8", ("0x1.2d2e21568a566p-8", "0x1.f5f7b58000000p+0"),
+     ("0x1.f548cbcc641e9p+4", "0x1.f55b9eae79873p+4"), ("0x1.953dbeb1706ccp+7", "0x1.d3e6d82afcf08p+7"),
+     ("0x1.86847dfa77c07p+9", "0x1.21350e4e1ba53p+9")],
+]
+# residual_eq8 of the priced candidate at t = 1e-5 (where the t step
+# halves to t / 2), 1e-2, 1 and 4, frozen likewise
+FD_CANDIDATE_TIMES = (1e-5, 1e-2, 1.0, 4.0)
+FD_CANDIDATE_NORMS = ["0x1.5fc37d736eb8ep-30", "0x1.8afb283e11935p-17", "0x1.2969c61f9cb20p-26", "0x1.fd44c0e5da7a4p-28"]
+
+
+def _solved_price(t, x):
+    return classical_bs(x, 1.0, 0.05, 1.0, t)[0]
+
+
+def _candidate_market():
+    ops = ModelOperators(X=np.diag([1.3, 1.1]), H=np.zeros((2, 2)), L=np.zeros((2, 2)), S=np.eye(2))
+    return MarketModel(ops=ops, K=np.eye(2), r=0.05, T=1.0), np.array([[0.2, 0.05], [0.05, -0.1]])
+
+
+@pytest.mark.parametrize("grid,frozen", list(zip(FD_GRIDS, FD_RESIDUALS)))
+def test_scalar_residuals_are_frozen(grid, frozen):
+    square = lambda x: x * x  # noqa: E731
+    got = [residual_brownian_scalar(_solved_price, square, 0.05, grid).residual_norm.hex()]
+    for k_max in range(2, 6):
+        rep = residual_poisson_scalar(_solved_price, square, 0.05, k_max, grid)
+        got.append((rep.residual_norm.hex(), rep.tail_estimate.hex()))
+    assert got == frozen
+
+
+def test_candidate_residual_is_frozen():
+    model, z = _candidate_market()
+    norms = [
+        residual_eq8(t, z, model, candidate=lambda t, z: price(t, z, model).omega).residual_norm.hex()
+        for t in FD_CANDIDATE_TIMES
+    ]
+    assert norms == FD_CANDIDATE_NORMS
+
+
+def test_brownian_residual_calls_u_five_times_per_point():
+    calls = []
+
+    def u(t, x):
+        calls.append((t, x))
+        return _solved_price(t, x)
+
+    residual_brownian_scalar(u, lambda x: x * x, 0.05, FD_GRIDS[0])
+    assert len(calls) == 5 * len(FD_GRIDS[0])
+
+
+def test_candidate_residual_decomposes_nothing_itself(monkeypatch):
+    # the candidate prices through eigh; the check around it takes none
+    model, z = _candidate_market()
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _s=solver, _n=name, **k: calls.append(_n) or _s(*a, **k))
+    residual_eq8(1.0, z, model, candidate=lambda t, z: np.diag(np.diag(z)) * t)
+    assert calls == []
+
+
+def _hermitian_checks(monkeypatch):
+    """The matrices that require_hermitian checks from now on, as the bytes
+    of their power_of_two_scaled form, which it hands hermitian_defect."""
+    checked = []
+    defect = operators.hermitian_defect
+    monkeypatch.setattr(operators, "hermitian_defect", lambda m: checked.append(m.tobytes()) or defect(m))
+    return checked
+
+
+def _checks_of(checked, m) -> int:
+    return checked.count(operators.power_of_two_scaled(np.asarray(m, dtype=np.complex128))[0].tobytes())
+
+
+def test_each_input_is_checked_hermitian_once(monkeypatch):
+    model, z = _candidate_market()
+    x = model.ops.X
+    checked = _hermitian_checks(monkeypatch)
+    price(0.5, z, model)
+    assert _checks_of(checked, z) == 1
+    stock_moneyness(x, model.K)
+    assert _checks_of(checked, x) == 1
+    operators.sylvester_L(x, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert _checks_of(checked, x) == 2
+
+
+def test_each_z_of_a_price_job_is_checked_hermitian_once_per_boundary(monkeypatch, capsys):
+    # once as parse_config reads the z_grid entry, once as moneyness takes it
+    path = ROOT / "configs" / "flow_2x2.json"
+    z_grid = parse_config(path.read_text()).z_grid
+    checked = _hermitian_checks(monkeypatch)
+    assert qbs.cli.main(["price", "--config", str(path), "--omit-timing"]) == 0
+    capsys.readouterr()
+    assert [_checks_of(checked, z) for z in z_grid] == [2] * len(z_grid)
 
 
 def test_terminal_payoff_conventions():
