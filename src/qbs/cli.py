@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import SCHEMA_VERSION, ConfigError, RunConfig, _json_text, apply_overrides, parse_config
+from .config import SCHEMA_VERSION, ConfigError, RunConfig, _json_pieces, apply_overrides, parse_config
 from .flows import default_steps, flow_coefficients, power_rule_deviation, semigroup_evolve
 from .operators import hermitian_defect
 from .pricing import classical_bs, moneyness, replication_simulation, stock_moneyness
@@ -39,7 +39,8 @@ COMMANDS = (
 # matrix entries per (models, d, d) stack in ito-check
 _STACK_ENTRIES = 1 << 14
 
-# characters per stdout write of a report (see _emit)
+# the fewest characters in one write of a streamed report, but for its
+# last: a report shorter than this goes out in one write (see _emit)
 _EMIT_CHUNK = 1 << 20
 
 # the errors of a command run without a config entry that several commands need
@@ -173,8 +174,9 @@ def _cmd_terminal_check(cfg: RunConfig):
     results = []
     violations = []
     for i, z in enumerate(z_grid):
-        m = moneyness(z, model.K, f"z_grid[{i}]")
-        rep, payoff = m.terminal(t_small, model.r, min_gap, base)
+        name = f"z_grid[{i}]"
+        m = moneyness(z, model.K, name)
+        rep, payoff = m.terminal(t_small, model.r, min_gap, base, name)
         deviation, tol = rep.residual_norm, rep.tolerance
         expectation_payoff = None
         if cfg.state is not None:
@@ -358,9 +360,10 @@ def run(cfg: RunConfig, command: str, timing: bool = True) -> RunReport:
     )
 
 
-def render_json(report: RunReport) -> str:
+def render_json(report: RunReport, out=None) -> str | None:
     """The report as json.dumps(doc, indent=2) would write it, matrices as
-    nested [re, im] pairs."""
+    nested [re, im] pairs. Given a text stream out, the report is written
+    to it as it renders (see _emit) instead of returned."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -371,7 +374,10 @@ def render_json(report: RunReport) -> str:
         "invariant_violations": report.invariant_violations,
         "wall_time_s": report.wall_time_s,
     }
-    return _json_text(doc)
+    if out is None:
+        return "".join(_json_pieces(doc))
+    _emit(_json_pieces(doc), out)
+    return None
 
 
 def render_csv(report: RunReport) -> str:
@@ -406,13 +412,21 @@ def _parse_tol_overrides(pairs) -> dict:
     return out
 
 
-def _emit(text: str) -> None:
-    """Write text to stdout _EMIT_CHUNK characters at a time. One write of a
-    multi-MB str encodes it into a bytes copy as large, and whether the
-    allocator can place that copy in memory the process already holds
-    varies from run to run; a slice always fits."""
-    for start in range(0, len(text), _EMIT_CHUNK):
-        sys.stdout.write(text[start : start + _EMIT_CHUNK])
+def _emit(pieces, out) -> None:
+    """Write the str pieces of a text to out as they come, joined into one
+    write each time the pieces in hand reach _EMIT_CHUNK characters, and
+    the rest in one last write. A d = 128 report is up to 24 MB; written
+    this way, no more of it is alive at once than one matrix text and the
+    pieces gathered before it, never the whole text or its encoded copy."""
+    run, size = [], 0
+    for piece in pieces:
+        run.append(piece)
+        size += len(piece)
+        if size >= _EMIT_CHUNK:
+            out.write("".join(run))
+            run, size = [], 0
+    if run:
+        out.write("".join(run))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -447,6 +461,7 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = parse_config(text)
+        del text  # MBs at d = 128 that nothing reads again
         apply_overrides(cfg, _parse_tol_overrides(args.tol), args.seed)
         report = run(cfg, args.command, timing=not args.omit_timing)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
@@ -455,8 +470,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    use_csv = args.csv or cfg.output == "csv"
-    _emit(render_csv(report) if use_csv else render_json(report))
+    if args.csv or cfg.output == "csv":
+        sys.stdout.write(render_csv(report))
+    else:
+        render_json(report, sys.stdout)
     return 3 if report.invariant_violations else 0
 
 

@@ -165,39 +165,42 @@ def _pairs_text(pairs: np.ndarray, level: int) -> str:
     return "[" + opening(depth - 1) + "".join(out)
 
 
-def _write(value, level: int, out: list) -> None:
-    """Append json.dumps(value, indent=2) as it reads at nesting level, with
-    each ndarray written as the nested [re, im] pairs of pair_array. Object
-    keys must be strings."""
+def _write(value, level: int):
+    """Yield json.dumps(value, indent=2) as it reads at nesting level, in
+    pieces, with each ndarray one piece: the nested [re, im] pairs of
+    pair_array. Object keys must be strings."""
     if isinstance(value, np.ndarray):
         pairs = pair_array(value)
         if pairs.size:
-            out.append(_pairs_text(pairs, level))
+            yield _pairs_text(pairs, level)
         else:
-            _write(pairs.tolist(), level, out)
+            yield from _write(pairs.tolist(), level)
     elif isinstance(value, dict) and value:
         pad = "\n" + _INDENT * (level + 1)
         for sep, (key, item) in zip(chain("{", repeat(",")), value.items()):
-            out.append(f"{sep}{pad}{json.dumps(key)}: ")
-            _write(item, level + 1, out)
-        out.append("\n" + _INDENT * level + "}")
+            yield f"{sep}{pad}{json.dumps(key)}: "
+            yield from _write(item, level + 1)
+        yield "\n" + _INDENT * level + "}"
     elif isinstance(value, (list, tuple)) and value:
         pad = "\n" + _INDENT * (level + 1)
         for sep, item in zip(chain("[", repeat(",")), value):
-            out.append(sep + pad)
-            _write(item, level + 1, out)
-        out.append("\n" + _INDENT * level + "]")
+            yield sep + pad
+            yield from _write(item, level + 1)
+        yield "\n" + _INDENT * level + "]"
     else:
-        out.append(json.dumps(value))
+        yield json.dumps(value)
+
+
+def _json_pieces(value):
+    """The pieces of json.dumps(value, indent=2) plus a newline, each
+    ndarray written as nested [re, im] pairs; keys keep their order."""
+    yield from _write(value, 0)
+    yield "\n"
 
 
 def _json_text(value) -> str:
-    """json.dumps(value, indent=2) plus a newline, each ndarray written as
-    nested [re, im] pairs; keys keep their order."""
-    out = []
-    _write(value, 0, out)
-    out.append("\n")
-    return "".join(out)
+    """The joined _json_pieces of value."""
+    return "".join(_json_pieces(value))
 
 
 def _pair_values(cells: list):
@@ -287,18 +290,20 @@ def _take(field: Field, obj, path: str):
 
 def _read(table: dict, obj, path: str) -> dict:
     """The fields of the object at path, read by table in table order; a
-    key that table does not name is an error."""
+    key that table does not name is an error. Each field is taken out of
+    obj as it is read, so the JSON tree of a matrix is freed once its array
+    exists: obj must be a private tree, as _parse's is."""
     doc = _as_dict(obj, path)
     prefix = f"{path}." if path else ""
     out = {}
     for name, field in table.items():
         if name in doc:
-            out[name] = _take(field, doc[name], prefix + name)
+            out[name] = _take(field, doc.pop(name), prefix + name)
         else:
             _expect(field.default is not REQUIRED, prefix + name, "missing")
             out[name] = copy.deepcopy(field.default)
-    for name in doc:
-        _expect(name in table, prefix + name, "unknown field")
+    if doc:  # only the names that table does not hold are left
+        raise ConfigError(prefix + next(iter(doc)), "unknown field")
     return out
 
 
@@ -487,7 +492,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _parse(text: str) -> RunConfig:
-    """parse_config, with the JSON tree alive only while this call runs."""
+    """parse_config, with the JSON tree consumed as the table walk reads it."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit

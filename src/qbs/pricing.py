@@ -293,13 +293,14 @@ class Moneyness(NamedTuple):
         f = np.maximum(finite_exp(self.dec.eigenvalues, "z") - 1.0, 0.0)
         return f, self.priced(f)
 
-    def terminal(self, t_small: float, r: float, min_gap: float, rel_tol: float):
+    def terminal(self, t_small: float, r: float, min_gap: float, rel_tol: float, name: str):
         """(terminal_limit_check of z at rate r, the spectral payoff), the
-        deviation judged against rel_tol max(1, ||payoff||_2)."""
+        deviation judged against rel_tol max(1, ||payoff||_2); a gap error
+        calls z name."""
         closest = float(np.min(np.abs(self.dec.eigenvalues)))
         if closest < min_gap:
             raise ValueError(
-                f"zT eigenvalue with |value| = {closest!r} lies within {min_gap} of 0; "
+                f"{name} eigenvalue with |value| = {closest!r} lies within {min_gap} of 0; "
                 "the terminal limit is not certified there"
             )
         positive, payoff = self._spectral_payoff()
@@ -415,6 +416,12 @@ def residual_eq8(t: float, z, model: MarketModel, candidate=None, tolerance: flo
     return _report(float(np.linalg.norm(_eq8(model.r, w, w10, w01, w02), 2)), tolerance)
 
 
+def _largest(values: list) -> float:
+    """The largest of values, 0.0 when there are none, and NaN when one is
+    NaN: max() would drop it, and a NaN residual would pass."""
+    return float(np.max(values, initial=0.0))
+
+
 def _scalar_differences(u, grid):
     """(t, x, u, u10, u01, u02) at each (t, x) of grid, x > 0, the partials
     of u taken by central differences in 5 calls of u."""
@@ -434,10 +441,11 @@ def residual_brownian_scalar(u, gfun, r: float, grid, tolerance: float = 1e-6) -
     The drift coefficient h(x) = x r is fixed; gfun supplies the
     volatility structure (x^2 recovers the solved model).
     """
-    worst = 0.0
-    for _, x, u00, u10, u01, u02 in _scalar_differences(u, grid):
-        worst = max(worst, abs(u10 - 0.5 * u02 * gfun(x) - u01 * x * r + u00 * r))
-    return _report(worst, tolerance)
+    residuals = [
+        abs(u10 - 0.5 * u02 * gfun(x) - u01 * x * r + u00 * r)
+        for _, x, u00, u10, u01, u02 in _scalar_differences(u, grid)
+    ]
+    return _report(_largest(residuals), tolerance)
 
 
 def _fd_x_derivative(u, t: float, x: float, k: int) -> float:
@@ -462,16 +470,16 @@ def residual_poisson_scalar(
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     deriv = x_derivs if x_derivs is not None else _fd_x_derivative
-    worst = tail = 0.0
+    residuals, tails = [], []
     for t, x, u00, u10, u01, _ in _scalar_differences(u, grid):
         g_x = gfun(x)
         series = last = 0.0
         for k in range(2, k_max + 1):
             last = deriv(u, t, x, k) * g_x / math.factorial(k)
             series += last
-        worst = max(worst, abs(u10 - series - u01 * x * r + u00 * r))
-        tail = max(tail, abs(last))
-    return _report(worst, tolerance, tail)
+        residuals.append(abs(u10 - series - u01 * x * r + u00 * r))
+        tails.append(abs(last))
+    return _report(_largest(residuals), tolerance, _largest(tails))
 
 
 def terminal_payoff(z_t, k_op, convention: str = "spectral", state=None):
@@ -495,7 +503,7 @@ def terminal_limit_check(z_t, model: MarketModel, t_small: float = 1e-8, min_gap
     limit is governed by the CDF transition and no rate is claimed.
     """
     m = moneyness(z_t, model.K, "zT")
-    return m.terminal(t_small, model.r, min_gap, TERMINAL_RTOL)[0]
+    return m.terminal(t_small, model.r, min_gap, TERMINAL_RTOL, "zT")[0]
 
 
 def reasonable_price(model: MarketModel, state=None) -> PriceQuote:
@@ -621,6 +629,7 @@ def replication_simulation(
                 new_delta = ndtr(_delta_argument(xs, strike, r, sigma, tau))
                 cash -= (new_delta - delta) * xs
                 delta = new_delta
+        del growth_factors  # else it stays alive beside the next block's draw
         errors[start:stop] = delta * xs + cash - np.maximum(xs - strike, 0.0)
     return ReplicationStats(
         initial_price=v0,

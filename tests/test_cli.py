@@ -1,7 +1,11 @@
 """Command line driver: config validation, output formats, exit codes."""
+import contextlib
+import importlib.util
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +283,72 @@ def test_csv_output(tmp_path):
     assert abs(float(row[5]) - 0.7170498285392044) <= 1e-12
 
 
+# the --csv reports of two shipped jobs, byte for byte
+CSV_REPORTS = {
+    ("price", "flow_2x2"): (
+        "t,z_index,omega_min_eigenvalue,omega_max_eigenvalue,omega_expectation\n"
+        "0.5,0,0.22593009932911506,0.4410869305342794,0.4410869305342794\n"
+    ),
+    ("residual", "price_scalar"): (
+        "t,z_index,residual_norm,tolerance,passed\n"
+        "0.25,0,1.6653345369377348e-16,1e-06,True\n"
+        "0.25,1,1.1102230246251565e-16,1e-06,True\n"
+        "1.0,0,5.551115123125783e-17,1e-06,True\n"
+        "1.0,1,0.0,1e-06,True\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command,config", sorted(CSV_REPORTS))
+def test_csv_report_is_unchanged(command, config, capsys):
+    path = str(ROOT / "configs" / f"{config}.json")
+    assert qbs.cli.main([command, "--config", path, "--omit-timing", "--csv"]) == 0
+    assert capsys.readouterr() == (CSV_REPORTS[command, config], "")
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, which builds the benchmark's seeded markets."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where its dataclasses look up their annotations
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def market_d64(tmp_path_factory):
+    """Path of the benchmark's seeded market at d = 64."""
+    workloads = _perfbench_workloads()
+    path = tmp_path_factory.mktemp("market") / "market_d64.json"
+    path.write_text(json.dumps(workloads.market_document(workloads.make_market(1, 64))))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["price", "hedge"])
+def test_a_large_job_peaks_at_its_config_parse(command, market_d64):
+    # under tracemalloc, a whole job at d = 64 allocates at most what
+    # parse_config does, plus the config text that main reads and 1 MB: its
+    # report (6 MB for price) is written as it renders, the text is dropped
+    # once parsed, and the JSON tree is freed as the table walk reads it
+    text = Path(market_d64).read_text()
+    argv = [command, "--config", market_d64, "--omit-timing"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert qbs.cli.main(argv) == 0  # first-call work outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            parse_config(text)
+            parse_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            code = qbs.cli.main(argv)
+            job_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert job_peak <= parse_peak + len(text) + 2**20, (job_peak, parse_peak, len(text))
+
+
 def test_missing_config_file(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "qbs.cli", "price", "--config", str(tmp_path / "absent.json")],
@@ -450,6 +520,18 @@ def test_a_z_that_splits_from_k_is_named_by_its_grid_entry(command, tmp_path, ca
         "",
         "config error: [z_grid[1], K] norm 4.242641e-01 exceeds 9.486833e-11; "
         "a simultaneous eigenbasis is required\n",
+    )
+
+
+def test_a_z_within_the_terminal_gap_is_named_by_its_grid_entry(tmp_path, capsys):
+    z_grid = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())["z_grid"]
+    z_grid.append([[[0.05, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]])
+    path = _flow_2x2_with(tmp_path, z_grid=z_grid)
+    assert qbs.cli.main(["terminal-check", "--config", path, "--omit-timing"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "config error: z_grid[1] eigenvalue with |value| = 0.05 lies within 0.1 of 0; "
+        "the terminal limit is not certified there\n",
     )
 
 

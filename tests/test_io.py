@@ -300,6 +300,31 @@ def test_schema_fault_reports_exact_error(where, value, path, message):
     assert str(info.value) == (f"{path}: {message}" if path else message)
 
 
+# a bad known field with a mistyped key ahead of it in its object, at each
+# level: every known field is read before any unknown name is reported
+BAD_BEHIND_UNKNOWN = [
+    ((), "seeed", ("seed",), -1, "seed", "seed must be nonnegative"),
+    (("model",), "beta", ("model", "r"), "0", "model.r", "expected a number, got '0'"),
+    (("model", "ops"), "Y", ("model", "ops", "H"), NH, "model.ops.H", NOT_HERMITIAN),
+    (("replicate",), "path", ("replicate", "paths"), 10, "replicate.paths", "must be >= 1000"),
+]
+
+
+@pytest.mark.parametrize("where,unknown,field,value,path,message", BAD_BEHIND_UNKNOWN)
+def test_a_bad_field_is_reported_before_an_unknown_one(where, unknown, field, value, path, message):
+    doc = full_config()
+    _mutate(doc, field, value)
+    section = doc
+    for key in where:
+        section = section[key]
+    fields = {unknown: 1.0, **section}
+    section.clear()
+    section.update(fields)
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc))
+    assert str(info.value) == f"{path}: {message}"
+
+
 # null where the schema admits it, and an empty list where it means "none"
 SCHEMA_ALLOWED = [
     (("tolerances",), None, "tolerances", DEFAULT_TOLERANCES),
@@ -395,6 +420,34 @@ def test_render_json_matches_json_dumps(results, violations, seed, wall):
         "wall_time_s": wall,
     }
     assert render_json(report) == json.dumps(doc, indent=2) + "\n"
+    assert _streams_as_rendered(report)
+
+
+class _Stdout(list):
+    """A text stream that keeps each write."""
+
+    write = list.append
+
+
+def _streams_as_rendered(report) -> bool:
+    """What render_json(report, out) writes, as main writes a report to
+    stdout through _emit, joins to render_json(report): at the shipped
+    _EMIT_CHUNK and at chunks of 1 and 100 characters. Every write but the
+    last holds at least a chunk, and a shorter report is one write."""
+    text = render_json(report)
+    shipped = qbs.cli._EMIT_CHUNK
+    try:
+        for chunk in (1, 100, shipped):
+            qbs.cli._EMIT_CHUNK = chunk
+            out = _Stdout()
+            assert render_json(report, out) is None
+            if "".join(out) != text or any(len(w) < chunk for w in out[:-1]):
+                return False
+            if len(text) < chunk and len(out) != 1:
+                return False
+    finally:
+        qbs.cli._EMIT_CHUNK = shipped
+    return True
 
 
 SIGN = np.uint64(1 << 63)
@@ -436,7 +489,7 @@ def _renders_like_json_dumps(pairs) -> bool:
         "invariant_violations": [],
         "wall_time_s": None,
     }
-    return render_json(report) == json.dumps(doc, indent=2) + "\n"
+    return render_json(report) == json.dumps(doc, indent=2) + "\n" and _streams_as_rendered(report)
 
 
 @settings(max_examples=200, deadline=None)

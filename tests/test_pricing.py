@@ -1,5 +1,6 @@
 """Operator call prices, generator residuals, hedging, Monte Carlo replication."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,6 +396,26 @@ def test_brownian_residual_calls_u_five_times_per_point():
     assert len(calls) == 5 * len(FD_GRIDS[0])
 
 
+def _nan_at(bad):
+    """The solved model's price as u, but NaN at the point bad."""
+    return lambda t, x: math.nan if (t, x) == bad else _solved_price(t, x)
+
+
+@pytest.mark.parametrize(
+    "grid,bad",
+    [([(0.5, 1.0)], (0.5, 1.0))] + [(FD_GRIDS[0], point) for point in (FD_GRIDS[0][0], FD_GRIDS[0][2], FD_GRIDS[0][-1])],
+)
+def test_a_nan_residual_fails_its_check(grid, bad):
+    # a NaN at the only, the first, an inner or the last grid point gives a
+    # NaN norm that does not pass, where max() over floats would drop it;
+    # the k = 4 stencil of the Poisson tail reads u at the point too
+    square = lambda x: x * x  # noqa: E731
+    rep = residual_brownian_scalar(_nan_at(bad), square, 0.05, grid)
+    assert math.isnan(rep.residual_norm) and rep.passed is False
+    rep = residual_poisson_scalar(_nan_at(bad), square, 0.05, 4, grid)
+    assert math.isnan(rep.residual_norm) and math.isnan(rep.tail_estimate) and rep.passed is False
+
+
 def test_candidate_residual_decomposes_nothing_itself(monkeypatch):
     # the candidate prices through eigh; the check around it takes none
     model, z = _candidate_market()
@@ -605,6 +626,20 @@ def test_replication_stats_do_not_depend_on_block():
         for block in (7, 1024, paths)
     ]
     assert repr(runs[0]) == repr(runs[1]) == repr(runs[2])
+
+
+def test_replication_holds_one_path_block():
+    # each block of paths is 500 x 200 normals; the finished one is freed
+    # before the next is drawn, so two are never alive at once
+    replication_simulation(1.0, 1.0, 0.05, 1.0, 100, 1000, 3)  # imports outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        replication_simulation(1.0, 1.0, 0.05, 1.0, 200, 2000, 3, block=500)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (500 * 200 * 8)
 
 
 def test_replication_smoke():
