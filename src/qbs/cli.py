@@ -9,6 +9,7 @@ or an Ito power or e^z left float range).
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import time
@@ -452,7 +453,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _release_free_heap() -> None:
+    """Hand the free pages of the C heap back to the OS: glibc's
+    malloc_trim(0), and nothing where the C library has no such call.
+    Importing qbs from source, as a job does without a bytecode cache,
+    leaves the compiler's freed buffers there, resident until reused, and
+    a small job's peak RSS would count them."""
+    if sys.platform.startswith("linux"):
+        import ctypes  # numpy has loaded it already
+
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+        if trim is not None:
+            trim(0)
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit code. Called as the program
+    (argv None, arguments from sys.argv), it first hands the free heap
+    that the imports left back to the OS, and last, on every exit path,
+    freezes the heap: the report is written by then, and the interpreter's
+    shutdown collections have nothing left to walk or free. Streams are
+    still flushed and atexit handlers still run."""
+    if argv is None:
+        _release_free_heap()
+    try:
+        return _main(argv)
+    finally:
+        if argv is None:
+            gc.freeze()
+
+
+def _main(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = Path(args.config).read_text()

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .flows import ModelOperators
-from .operators import require_hermitian, require_unitary
+from .operators import require_hermitian
 from .pricing import MarketModel
 
 SCHEMA_VERSION = 1
@@ -288,8 +288,9 @@ def _take(field: Field, obj, path: str):
     return value
 
 
-def _read(table: dict, obj, path: str) -> dict:
-    """The fields of the object at path, read by table in table order; a
+def _read(table: dict, obj, path: str, build: Callable | None = None):
+    """The fields of the object at path, read by table in table order, as
+    a dict, or given build, as the value build(fields, path); after that a
     key that table does not name is an error. Each field is taken out of
     obj as it is read, so the JSON tree of a matrix is freed once its array
     exists: obj must be a private tree, as _parse's is."""
@@ -302,6 +303,8 @@ def _read(table: dict, obj, path: str) -> dict:
         else:
             _expect(field.default is not REQUIRED, prefix + name, "missing")
             out[name] = copy.deepcopy(field.default)
+    if build is not None:
+        out = build(out, path)
     if doc:  # only the names that table does not hold are left
         raise ConfigError(prefix + next(iter(doc)), "unknown field")
     return out
@@ -314,23 +317,22 @@ def _section(table: dict) -> Field:
     return Field(partial(_read, table), None if REQUIRED in defaults.values() else defaults)
 
 
-def _checked(read: Callable, check: Callable) -> Callable:
-    """Reader of what read parses, passed through check(value, path); a
-    ValueError that check raises is reported at the field path."""
-
-    def read_checked(obj, path: str):
-        value = read(obj, path)
-        try:
-            return check(value, path)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc).removeprefix(f"{path}: ")) from None
-
-    return read_checked
-
-
 def _built(cls, table: dict) -> Callable:
-    """Reader of a section whose fields construct cls."""
-    return _checked(partial(_read, table), lambda kwargs, path: cls(**kwargs))
+    """Reader of a section whose fields construct cls, the one check of
+    each field. A ValueError that cls raises is reported at the path of the
+    field it names ("X: not Hermitian, ..." at path.X), or else at the
+    section path."""
+
+    def build(fields: dict, path: str):
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            name, sep, message = str(exc).partition(": ")
+            if sep and name in table:
+                raise ConfigError(f"{path}.{name}", message) from None
+            raise ConfigError(path, str(exc)) from None
+
+    return partial(_read, table, build=build)
 
 
 def _list_of(read: Callable, min_len: int = 1) -> Callable:
@@ -357,7 +359,13 @@ def _one_of(what: str, *choices) -> Callable:
     return read_choice
 
 
-_hermitian = _checked(matrix_from_json, require_hermitian)
+def _hermitian(obj, path: str) -> np.ndarray:
+    """The matrix at path, checked Hermitian; its error is reported at path."""
+    value = matrix_from_json(obj, path)
+    try:
+        return require_hermitian(value, path)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc).removeprefix(f"{path}: ")) from None
 
 
 def _read_state(obj, path: str) -> np.ndarray:
@@ -384,7 +392,8 @@ _NONNEGATIVE = (lambda v: v >= 0.0, "must be nonnegative")
 
 # Every field of a config document, in the order parse_config reads and
 # checks them. RunConfig has one attribute per top-level entry; model and
-# model.ops construct MarketModel and ModelOperators.
+# model.ops construct MarketModel and ModelOperators, which check their
+# matrices (X and H Hermitian, S unitary, K) once each.
 TABLE = {
     "schema_version": Field(_as_int, REQUIRED, (lambda v: v == SCHEMA_VERSION, "unsupported version {}")),
     "output": Field(_one_of("output format", "json", "csv"), "json"),
@@ -392,10 +401,10 @@ TABLE = {
     "tolerances": Field(_read_tolerances, DEFAULT_TOLERANCES),
     "model": Field(_built(MarketModel, {
         "ops": Field(_built(ModelOperators, {
-            "X": Field(_hermitian),
-            "H": Field(_hermitian),
+            "X": Field(matrix_from_json),
+            "H": Field(matrix_from_json),
             "L": Field(matrix_from_json),
-            "S": Field(_checked(matrix_from_json, require_unitary)),
+            "S": Field(matrix_from_json),
         })),
         "K": Field(matrix_from_json),
         "r": Field(_as_number),

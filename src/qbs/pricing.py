@@ -547,12 +547,6 @@ def classical_bs(x: float, strike: float, r: float, sigma: float, t: float):
     return value, normal_cdf(g)
 
 
-def _delta_argument(xs: np.ndarray, strike: float, r: float, sigma: float, tau: float) -> np.ndarray:
-    """g at each stock price in xs, for the call delta Phi(g) at time to maturity tau."""
-    vol_sqrt_t = sigma * math.sqrt(tau)
-    return (np.log(xs / strike) + (r + 0.5 * sigma * sigma) * tau) / vol_sqrt_t
-
-
 def _path_normals(seed: int, first: int, count: int, steps: int) -> np.ndarray:
     """(count, steps) standard normals; row i is the start of path
     first + i's substream, Philox keyed by the seed with counter
@@ -621,14 +615,24 @@ def replication_simulation(
         xs = np.full(count, float(x0))
         delta = np.full(count, delta0)
         cash = v0 - delta * xs
+        # the step loop's buffers: the delta argument g, the new delta
+        # Phi(g) and the cash paid for the change of delta
+        arg, new_delta, paid = np.empty(count), np.empty(count), np.empty(count)
         for j in range(steps):
             xs *= growth_factors[:, j]
             cash *= growth
             if j < steps - 1:
+                # g = (log(xs / strike) + (r + sigma^2 / 2) tau) / (sigma sqrt(tau))
                 tau = T - (j + 1) * dt
-                new_delta = ndtr(_delta_argument(xs, strike, r, sigma, tau))
-                cash -= (new_delta - delta) * xs
-                delta = new_delta
+                np.divide(xs, strike, out=arg)
+                np.log(arg, out=arg)
+                arg += (r + 0.5 * sigma * sigma) * tau
+                arg /= sigma * math.sqrt(tau)
+                ndtr(arg, out=new_delta)
+                np.subtract(new_delta, delta, out=paid)
+                paid *= xs
+                cash -= paid
+                delta, new_delta = new_delta, delta
         del growth_factors  # else it stays alive beside the next block's draw
         errors[start:stop] = delta * xs + cash - np.maximum(xs - strike, 0.0)
     return ReplicationStats(

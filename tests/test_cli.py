@@ -1,5 +1,6 @@
 """Command line driver: config validation, output formats, exit codes."""
 import contextlib
+import gc
 import importlib.util
 import json
 import os
@@ -110,6 +111,62 @@ def test_output_is_deterministic(tmp_path):
     d3.pop("wall_time_s")
     d1.pop("wall_time_s", None)
     assert d1 == d3
+
+
+# main as the program runs it (argv None), with the size of the permanent
+# generation printed to stderr by an atexit handler: after the report, and
+# before the interpreter's shutdown collections
+PROGRAM_PROBE = (
+    "import atexit, gc, sys; from qbs.cli import main; "
+    "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); sys.exit(main())"
+)
+
+
+def _run_as_program(*args):
+    """(exit code, stdout bytes, freeze count at exit) of PROGRAM_PROBE."""
+    proc = subprocess.run([sys.executable, "-c", PROGRAM_PROBE, *args], capture_output=True, cwd=ROOT)
+    return proc.returncode, proc.stdout, int(proc.stderr.decode().splitlines()[-1])
+
+
+def test_the_program_freezes_its_heap_after_the_report():
+    code, out, frozen = _run_as_program("coeffs", "--config", "configs/flow_2x2.json", "--omit-timing")
+    assert (code, out) == (0, (ROOT / "tests" / "golden" / "coeffs.flow_2x2.json").read_bytes())
+    assert frozen > 0
+
+
+@pytest.mark.parametrize("args,exit_code", [
+    (["coeffs", "--config", "configs/missing.json"], 2),
+    (["coeffs", "--config", "configs/flow_2x2.json", "--tol", "bogus=1"], 2),
+    (["residual", "--config", "configs/price_scalar.json", "--tol", "residual_eq8=1e-30"], 3),
+    (["coeffs", "--config", "configs/flow_2x2.json", "--bogus"], 2),
+])
+def test_the_program_freezes_its_heap_on_every_exit_path(args, exit_code):
+    code, _, frozen = _run_as_program(*args)
+    assert code == exit_code
+    assert frozen > 0
+
+
+def test_the_program_hands_the_free_heap_back_before_the_job():
+    probe = (
+        "import sys, qbs.cli as cli; calls = []; "
+        "cli._release_free_heap = lambda f=cli._release_free_heap: calls.append('release') or f(); "
+        "cli.parse_config = lambda text, f=cli.parse_config: calls.append('parse') or f(text); "
+        "code = cli.main(); print(*calls, file=sys.stderr); sys.exit(code)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, "coeffs", "--config", "configs/flow_2x2.json"],
+                          capture_output=True, text=True, cwd=ROOT)
+    assert (proc.returncode, proc.stderr) == (0, "release parse\n")
+
+
+def test_main_in_process_leaves_the_process_as_it_was(tmp_path, monkeypatch, capsys):
+    released = []
+    monkeypatch.setattr(qbs.cli, "_release_free_heap", lambda: released.append(1))
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert qbs.cli.main(["coeffs", "--config", str(ROOT / "configs" / "flow_2x2.json"), "--omit-timing"]) == 0
+    (tmp_path / "cfg.json").write_text("{")
+    assert qbs.cli.main(["coeffs", "--config", str(tmp_path / "cfg.json")]) == 2
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled(), released) == (*before, [])
 
 
 def test_replicate_is_seed_stable(tmp_path):

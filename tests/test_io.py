@@ -286,6 +286,10 @@ SCHEMA_FAULTS = [
      "classical.x[1]", "x / strike = 0.0 leaves float range"),
     (("classical", "sigma"), 1e-170, "classical.t[0]", "sigma^2 t underflows to 0 at sigma=1e-170"),
     (("classical", "sigma"), 1e-155, "classical.r", "r / sigma^2 overflows at sigma=1e-155"),
+    # MarketModel checks K, and names it
+    (("model", "K"), NH, "model.K", NOT_HERMITIAN),
+    (("model", "K"), [[[-1, 0], [0, 0]], [[0, 0], [2, 0]]], "model.K",
+     "not positive definite, smallest eigenvalue -1.0"),
 ]
 
 
@@ -307,6 +311,7 @@ BAD_BEHIND_UNKNOWN = [
     (("model",), "beta", ("model", "r"), "0", "model.r", "expected a number, got '0'"),
     (("model", "ops"), "Y", ("model", "ops", "H"), NH, "model.ops.H", NOT_HERMITIAN),
     (("replicate",), "path", ("replicate", "paths"), 10, "replicate.paths", "must be >= 1000"),
+    (("model",), "beta", ("model", "K"), NH, "model.K", NOT_HERMITIAN),
 ]
 
 

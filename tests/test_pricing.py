@@ -462,6 +462,19 @@ def test_each_z_of_a_price_job_is_checked_hermitian_once_per_boundary(monkeypatc
     assert [_checks_of(checked, z) for z in z_grid] == [2] * len(z_grid)
 
 
+def test_each_model_operator_is_checked_once_per_parse(monkeypatch):
+    # X and H Hermitian and S unitary, each once, as ModelOperators builds them
+    text = (ROOT / "configs" / "flow_2x2.json").read_text()
+    ops = parse_config(text).model.ops
+    checked = _hermitian_checks(monkeypatch)
+    unitary = []
+    defect = operators.unitary_defect
+    monkeypatch.setattr(operators, "unitary_defect", lambda m: unitary.append(m.tobytes()) or defect(m))
+    parse_config(text)
+    assert [_checks_of(checked, ops.X), _checks_of(checked, ops.H)] == [1, 1]
+    assert unitary == [ops.S.tobytes()]
+
+
 def test_terminal_payoff_conventions():
     """The spectral and expectation readings of max(X - K, 0) differ on
     states that mix signed spectral branches."""
