@@ -2,8 +2,8 @@
 
 One command per invocation; a JSON (or CSV) report on stdout, errors on
 stderr. Exit codes: 0 success, 2 configuration error, 3 a checked
-invariant failed, 4 numerical error (an eigensolver failed to converge,
-or an Ito power or e^z left float range).
+invariant failed, 4 numerical error (an eigensolver or its Jacobi sweeps
+failed to converge, or an Ito power or e^z left float range).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import __version__
 from .config import SCHEMA_VERSION, ConfigError, RunConfig, _json_pieces, apply_overrides, parse_config
 from .flows import default_steps, flow_coefficients, power_rule_deviation, semigroup_evolve
 from .operators import hermitian_defect
-from .pricing import classical_bs, moneyness, replication_simulation, stock_moneyness
+from .pricing import _moneyness, classical_bs, moneyness, replication_simulation, stock_moneyness
 from .sampling import random_model
 
 COMMANDS = (
@@ -123,7 +123,7 @@ def _grid(cfg: RunConfig) -> list:
     model = _need(cfg.model, "model", _NO_MODEL)
     t_grid = _need(cfg.t_grid, "t_grid", "a t_grid required for this command")
     z_grid = _need(cfg.z_grid, "z_grid", "a z_grid required for this command")
-    spectra = [moneyness(z, model.K, f"z_grid[{i}]") for i, z in enumerate(z_grid)]
+    spectra = [_moneyness(z, model.K, f"z_grid[{i}]") for i, z in enumerate(z_grid)]
     return [(t, i, m) for t in t_grid for i, m in enumerate(spectra)]
 
 
@@ -176,7 +176,7 @@ def _cmd_terminal_check(cfg: RunConfig):
     violations = []
     for i, z in enumerate(z_grid):
         name = f"z_grid[{i}]"
-        m = moneyness(z, model.K, name)
+        m = _moneyness(z, model.K, name)
         rep, payoff = m.terminal(t_small, model.r, min_gap, base, name)
         deviation, tol = rep.residual_norm, rep.tolerance
         expectation_payoff = None

@@ -17,6 +17,9 @@ UNITARY_RTOL = 1e-12
 # times max(1, max|x|), and a diagonal entry of W in X's eigenbasis above it.
 SYLVESTER_GAP_RTOL = 1e-10
 SYLVESTER_DIAG_TOL = 1e-10
+# joint_decompose turns each pair whose entry of V*KV is above this times
+# ||K||_F, and counts a turn by a sine within it as none.
+JOINT_RTOL = 1e-14
 
 _SQRT1_2 = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -143,6 +146,53 @@ def _decompose(a: np.ndarray, name: str) -> SpectralDecomposition:
     phase = np.where(mod > 0, lead / np.where(mod > 0, mod, 1.0), 1.0)
     vecs = vecs / phase[np.newaxis, :]
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
+
+
+def joint_decompose(z: np.ndarray, k: np.ndarray, name: str):
+    """(dec, kd): an eigendecomposition of the checked Hermitian z whose basis V also
+    diagonalizes the k that commutes with z, V*kV = diag(kd). Each pair that eigh left
+    mixed, |(V*kV)_pq| > JOINT_RTOL ||k||_F, is turned by _pair_rotation, sweep by sweep
+    until one turns none; the sweep cap is an eigensolver failure (Bunse-Gerstner,
+    Byers and Mehrmann, SIAM J. Matrix Anal. Appl. 14, 1993)."""
+    dec = _decompose(z, name)
+    k_s, scale = power_of_two_scaled(k)
+    v, norm = dec.eigenvectors, frobenius(k_s)
+    joint = v.conj().T @ k_s @ v
+    flags = np.abs(np.triu(joint, 1)) > JOINT_RTOL * norm
+    if not flags.any():
+        return dec, joint.diagonal().real / scale
+    both = np.stack((np.diag(dec.eigenvalues), joint))  # z and k in the basis v
+    for _ in range(32):
+        turned = False
+        for pq in np.argwhere(flags):
+            blocks = both[:, pq][:, :, pq]
+            g = _pair_rotation(blocks[0], blocks[1] / norm)
+            both[:, :, pq] = both[:, :, pq] @ g
+            both[:, pq] = g.conj().T @ both[:, pq]
+            v[:, pq] = v[:, pq] @ g
+            turned |= abs(g[1, 0]) > JOINT_RTOL
+        if not turned:
+            break
+        flags = np.abs(np.triu(both[1], 1)) > JOINT_RTOL * norm
+    else:
+        raise np.linalg.LinAlgError(f"{name}: the joint eigenbasis with K did not converge")
+    lam, kd = both.diagonal(axis1=1, axis2=2).real
+    order = np.argsort(lam, kind="stable")
+    return SpectralDecomposition(lam[order], v[:, order]), kd[order] / scale
+
+
+def _pair_rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 2x2 unitary G that leaves the least off-diagonal in G*AG and G*BG, A and B
+    Hermitian (Cardoso and Souloumiac, SIAM J. Matrix Anal. Appl. 17, 1996): for each
+    as m I + r.(sx, sy, sz), G turns to sz the unit u in the span of the r that
+    maximizes the sum of (r.u)^2."""
+    r = np.array([[m[0, 1].real, -m[0, 1].imag, 0.5 * (m[0, 0] - m[1, 1]).real] for m in (a, b)])
+    gram = r @ r.T
+    phi = 0.5 * math.atan2(2.0 * gram[0, 1], gram[0, 0] - gram[1, 1])
+    u = np.array([math.cos(phi), math.sin(phi)]) @ r
+    u *= math.copysign(1.0, u[2]) / np.linalg.norm(u)
+    g = np.array([[1.0 + u[2], -complex(u[0], -u[1])], [complex(u[0], u[1]), 1.0 + u[2]]])
+    return g / math.sqrt(2.0 + 2.0 * u[2])
 
 
 def finite_exp(lam, name: str) -> np.ndarray:

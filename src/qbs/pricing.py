@@ -4,11 +4,10 @@ The closed form prices a European call on a positive stock observable
 against a commuting strike operator K. Every priced operator is K F(z),
 a scalar function F of the log-moneyness z applied in the one
 eigendecomposition of z that a ``Moneyness`` holds, with unit volatility
-baked in by the model's structural assumption on X. Where that basis
-also diagonalizes K, checked, K F(z) is V diag(k F(lam)) V*, the joint
-spectrum of (z, K) (Bunse-Gerstner, Byers and Mehrmann, "Numerical
-methods for simultaneous diagonalization", SIAM J. Matrix Anal. Appl. 14,
-1993).
+baked in by the model's structural assumption on X. Jacobi rotations make
+that basis V diagonalize K too, so K F(z) is V diag(k F(lam)) V*, the joint
+spectrum of (z, K) (``operators.joint_decompose``; Bunse-Gerstner, Byers and
+Mehrmann, SIAM J. Matrix Anal. Appl. 14, 1993; Cardoso and Souloumiac, ibid. 17, 1996).
 """
 
 from __future__ import annotations
@@ -22,26 +21,19 @@ import numpy as np
 from .flows import ModelOperators, _freeze, expectation
 from .operators import (
     SpectralDecomposition,
-    _decompose,
     commutator,
     finite_exp,
     frobenius,
     hermitian_part,
+    joint_decompose,
     normal_cdf,
     normal_pdf,
-    operator_log,
     power_of_two_scaled,
     require_hermitian,
     spectrum_log,
 )
 
 COMMUTATION_RTOL = 1e-10
-# The off-diagonal of V*KV that a joint spectrum admits, relative to ||K||_F.
-# Dropping it moves a priced operator K F(z) by at most JOINT_RTOL ||K||_F
-# max|F| in Frobenius norm. Over the 250 eigenbases of z and of X in the
-# benchmark's d = 128 markets of seeds 1-50 it measured 1.2e-13 in the
-# median and 2.2e-11 at most; the 4 bases above this bound fall back.
-JOINT_RTOL = 1e-11
 # The central-difference step of the finite-difference checks, scaled by
 # max(1, |v|) at a point v (``_fd_step``).
 FD_STEP = 1e-4
@@ -212,50 +204,19 @@ def _central_second(up, mid, down, h: float):
     return (up - 2.0 * mid + down) / (h * h)
 
 
-def _joint_strike(dec: SpectralDecomposition, strike: np.ndarray):
-    """k = diag(V*KV) for V the eigenvectors of dec and K the strike, when
-    V*KV is diagonal to within JOINT_RTOL ||K||_F, both sides taken of the
-    power_of_two_scaled K; otherwise None. A repeated or nearly repeated
-    eigenvalue of dec leaves V free to mix its eigenspace, and a K that
-    splits it then fails the check."""
-    k_s, scale = power_of_two_scaled(strike)
-    v = dec.eigenvectors
-    joint = v.conj().T @ k_s @ v
-    diag = joint.diagonal().real
-    defect = frobenius(joint - np.diag(diag))
-    if not defect <= JOINT_RTOL * frobenius(k_s):
-        return None
-    return diag / scale
-
-
 class Moneyness(NamedTuple):
     """A log-moneyness z checked against a strike K and decomposed once:
-    Hermitian, sized like K and commuting with it, so every priced
-    operator at z is K F(z), a scalar function F applied in this one
-    decomposition dec. k is diag(V*KV) in its eigenbasis V when the check
-    of ``_joint_strike`` passed, else None. Every pricing entry point builds
-    one with ``moneyness`` (a given z) or ``stock_moneyness`` (the z of a
-    stock X)."""
+    Hermitian, sized like K and commuting with it, so every priced operator
+    at z is K F(z), a scalar function F applied in this one decomposition
+    dec, whose basis V has V*KV = diag(k). Every pricing entry point builds
+    one with ``moneyness`` (a given z) or ``stock_moneyness`` (a stock X's z)."""
 
-    K: np.ndarray
     dec: SpectralDecomposition
-    k: np.ndarray | None
+    k: np.ndarray
 
     def priced(self, f) -> np.ndarray:
-        """K F(z) for z = V diag(lam) V* and f = F(lam): hermitian_part(V diag(k f) V*)
-        in the joint spectrum, else hermitian_part(K V diag(f) V*)."""
-        if self.k is None:
-            return hermitian_part(self.K @ self.dec.apply(f))
+        """K F(z) for z = V diag(lam) V* and f = F(lam): hermitian_part(V diag(k f) V*)."""
         return hermitian_part(self.dec.apply(self.k * f))
-
-    def _extremes(self, f, priced: np.ndarray):
-        """(smallest, largest) eigenvalue of priced = self.priced(f): those
-        of k f in the joint spectrum, else of eigvalsh(priced)."""
-        if self.k is None:
-            eigs = np.linalg.eigvalsh(priced)
-            return float(eigs[0]), float(eigs[-1])
-        kf = self.k * f
-        return float(kf.min()), float(kf.max())
 
     def price(self, t: float, r: float, state=None) -> PriceQuote:
         """price(t, z, model) for a model of rate r."""
@@ -264,8 +225,8 @@ class Moneyness(NamedTuple):
     def price_extremes(self, t: float, r: float, state=None):
         """(price(t, r, state), the smallest and the largest eigenvalue of its omega)."""
         (w,) = _call_scalars(t, self.dec.eigenvalues, r, "w")
-        quote = self._quote(w, state)
-        return (quote, *self._extremes(w, quote.omega))
+        kw = self.k * w  # the eigenvalues of omega = priced(w)
+        return self._quote(w, state), float(kw.min()), float(kw.max())
 
     def _quote(self, w, state) -> PriceQuote:
         omega = self.priced(w)
@@ -305,7 +266,7 @@ class Moneyness(NamedTuple):
             )
         positive, payoff = self._spectral_payoff()
         dev = _hermitian_norm(self.price(t_small, r).omega - payoff)
-        tolerance = rel_tol * max(1.0, *map(abs, self._extremes(positive, payoff)))
+        tolerance = rel_tol * max(1.0, float(np.abs(self.k * positive).max()))
         return _report(dev, tolerance), payoff
 
     def hedge(self, t: float, j_x, model: MarketModel, convention: str = "direct"):
@@ -328,37 +289,25 @@ class Moneyness(NamedTuple):
         return HedgePosition(a=a, b=b, value=a_jx + model.beta0 * grow * b), omega
 
 
-def _decomposed(z: np.ndarray, strike: np.ndarray, name: str) -> Moneyness:
-    """The Moneyness of a Hermitian z against strike, in one eigendecomposition of z."""
-    dec = _decompose(z, name)
-    return Moneyness(strike, dec, _joint_strike(dec, strike))
-
-
 def moneyness(z, k: np.ndarray, name: str = "z") -> Moneyness:
-    """z checked against the checked strike k, then decomposed; errors call z name."""
-    zh = require_hermitian(z, name)
-    _require_commuting(zh, k, name, "K")  # the commutator rejects unlike shapes
-    return _decomposed(zh, k, name)
+    """z checked Hermitian, then ``_moneyness``."""
+    return _moneyness(require_hermitian(z, name), k, name)
+
+
+def _moneyness(z: np.ndarray, k: np.ndarray, name: str) -> Moneyness:
+    """A Hermitian z checked against the checked strike k, then decomposed jointly with it."""
+    _require_commuting(z, k, name, "K")  # the commutator rejects unlike shapes
+    return Moneyness(*joint_decompose(z, k, name))
 
 
 def stock_moneyness(x_op, k_op) -> Moneyness:
-    """The z with K e^z = X, for commuting positive X and K, checked by that identity.
-
-    One eigendecomposition of X gives the basis V of z as well; when V*KV
-    passes the joint check, z = V diag(log x - log k) V*. Otherwise z is
-    log X - log K, decomposed on its own."""
-    x, k = require_hermitian(x_op, "X"), require_hermitian(k_op, "K")
-    _require_commuting(x, k, "X", "K")  # the commutator rejects unlike shapes
-    dec_x = _decompose(x, "X")
-    log_x = spectrum_log(dec_x.eigenvalues, "X")
-    k_x = _joint_strike(dec_x, k)
-    if k_x is None:
-        m = _decomposed(dec_x.apply(log_x) - operator_log(k, "K"), k, "z")
-    else:
-        lam = log_x - spectrum_log(k_x, "K")
-        order = np.argsort(lam, kind="stable")
-        dec = SpectralDecomposition(lam[order], dec_x.eigenvectors[:, order])
-        m = Moneyness(k, dec, k_x[order])
+    """The z with K e^z = X, for commuting positive X and K, checked by that
+    identity: V diag(log x - log k) V* in the joint decomposition (x, k) of (X, K)."""
+    x = require_hermitian(x_op, "X")
+    dec_x, k_x = _moneyness(x, require_hermitian(k_op, "K"), "X")
+    lam = spectrum_log(dec_x.eigenvalues, "X") - spectrum_log(k_x, "K")
+    order = np.argsort(lam, kind="stable")
+    m = Moneyness(SpectralDecomposition(lam[order], dec_x.eigenvectors[:, order]), k_x[order])
     err = frobenius(m.priced(finite_exp(m.dec.eigenvalues, "z")) - x)
     if not err <= 1e-10 * max(1.0, frobenius(x)):
         raise ValueError(f"K exp(z) fails to reproduce X, error {err:.6e}")

@@ -2,7 +2,9 @@
 import contextlib
 import gc
 import importlib.util
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,9 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 import qbs.cli
+from qbs import operators
 from qbs.config import ConfigError, apply_overrides, parse_config, serialize_config
+from qbs.operators import hermitian_part
+from qbs.sampling import random_state, random_unitary
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -529,6 +536,117 @@ def test_overflowing_moneyness_is_a_numerical_error(tmp_path):
     proc = run_cli(["price"], scalar_config(z_grid=[[[[800.0, 0.0]]]]), tmp_path)
     assert proc.returncode == 4
     assert "overflow" in proc.stderr
+
+
+def _matrix_doc(m) -> list:
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
+
+
+def _in_basis(u, d) -> list:
+    """The config text of U diag(d) U*."""
+    return _matrix_doc(hermitian_part((u * d) @ u.conj().T))
+
+
+def _market_doc(u, k, lam, zs, **sections) -> dict:
+    """A config document in the basis U: K = U diag(k) U*, the stock
+    X = K e^z for z = U diag(lam) U*, flat flows, and z_grid U diag(zs[i]) U*."""
+    zero = _matrix_doc(np.zeros((len(k), len(k))))
+    ops = {"X": _in_basis(u, k * np.exp(lam)), "H": zero, "L": zero, "S": _matrix_doc(np.eye(len(k)))}
+    model = {"ops": ops, "K": _in_basis(u, k), "r": 0.03, "T": 1.0}
+    z_grid = [_in_basis(u, z) for z in zs]
+    return {"schema_version": 1, "model": model, "t_grid": [0.5], "z_grid": z_grid, **sections}
+
+
+def test_a_joint_basis_that_does_not_converge_is_a_numerical_error(tmp_path, monkeypatch, capsys):
+    # z has two eigenvalues 1e-9 apart that K splits; a pair rotation that
+    # never settles them runs the sweeps to their cap
+    u = random_unitary(np.random.default_rng(17), 3)
+    lam, k = np.array([0.2, 0.2 + 1e-9, -0.4]), np.array([0.8, 1.6, 1.1])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_market_doc(u, k, lam, [lam])))
+    assert qbs.cli.main(["price", "--config", str(path), "--omit-timing"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(operators, "_pair_rotation", lambda a, b: np.array([[0.8, -0.6], [0.6, 0.8]]))
+    assert qbs.cli.main(["price", "--config", str(path), "--omit-timing"]) == 4
+    assert capsys.readouterr() == (
+        "",
+        "numerical error: z_grid[0]: the joint eigenbasis with K did not converge\n",
+    )
+
+
+@st.composite
+def generated_markets(draw):
+    """(doc, u, k, lam, stock_lam): a _market_doc in a drawn basis U at d = 1-6.
+    z's eigenvalues lam take repeated levels, and one pair may sit 1e-9
+    apart; K is scalar or not; r may be 0; a state and a hedge.stock are each
+    optional. stock_lam is the z of the hedged stock, K e^z = stock."""
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = random_unitary(rng, dim)
+    levels = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=dim))
+    lam = np.array(draw(st.lists(st.sampled_from(levels), min_size=dim, max_size=dim))) / 20.0
+    if dim > 1 and draw(st.booleans()):
+        lam[1] = lam[0] + 1e-9
+    k = np.array(draw(st.lists(st.integers(10, 40), min_size=dim, max_size=dim))) / 20.0
+    if draw(st.booleans()):
+        k[:] = k[0]  # a scalar strike
+    hedge = {"times": [0.5], "convention": draw(st.sampled_from(["direct", "classical"]))}
+    doc = _market_doc(u, k, lam, [lam], t_grid=[draw(st.integers(1, 20)) / 10.0], hedge=hedge)
+    doc["model"]["r"] = draw(st.sampled_from([0.0, 0.05]))
+    if draw(st.booleans()):
+        doc["state"] = [[float(v.real), float(v.imag)] for v in random_state(rng, dim)]
+    stock_lam = lam
+    if draw(st.booleans()):
+        stock_lam = np.array(draw(st.lists(st.integers(-20, 20), min_size=dim, max_size=dim))) / 20.0
+        hedge["stock"] = _in_basis(u, k * np.exp(stock_lam))
+    return doc, u, k, lam, stock_lam
+
+
+def _call_in_basis(u, k, lam, r, t):
+    """U diag(c) U*, c_i the call on k_i e^lam_i struck at k_i, by quadrature."""
+    c = [oracles.classical_call_quadrature(ki * math.exp(li), ki, r, 1.0, t) for ki, li in zip(k, lam)]
+    return (u * np.array(c)) @ u.conj().T
+
+
+def _main_output(command, path):
+    """(exit code, stdout, stderr) of main in process, without timing."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = qbs.cli.main([command, "--config", path, "--omit-timing"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def generated_config(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("generated") / "cfg.json")
+
+
+@settings(max_examples=30, deadline=None)
+@given(generated_markets())
+def test_generated_markets_price_as_the_scalar_call(generated_config, market):
+    # every pricing command on the drawn document exits 0 and writes the
+    # same bytes twice; each omega is the quadrature call in U, between 0
+    # and K e^z in the operator order, and the hedge value the stock's call
+    doc, u, k, lam, stock_lam = market
+    Path(generated_config).write_text(json.dumps(doc))
+    r, t = doc["model"]["r"], doc["t_grid"][0]
+    forward = (u * (k * np.exp(lam))) @ u.conj().T
+    slack = 1e-12 * max(1.0, float(np.linalg.norm(forward)))
+    close = lambda got, want: np.linalg.norm(got - want) <= 1e-11 * max(1.0, float(np.linalg.norm(want)))
+    commands = ["price", "residual", "hedge"] + ["terminal-check"] * (float(np.min(np.abs(lam))) > 0.11)
+    for command in commands:
+        code, out, err = _main_output(command, generated_config)
+        assert (code, err) == (0, "")
+        assert _main_output(command, generated_config) == (code, out, err)
+        rows = json.loads(out)["results"]
+        matrix = lambda key: np.array(rows[0][key]) @ np.array([1.0, 1j])
+        if command == "price":
+            omega = matrix("omega")
+            assert close(omega, _call_in_basis(u, k, lam, r, t))
+            assert np.linalg.eigvalsh(omega)[0] >= -slack
+            assert np.linalg.eigvalsh(forward - omega)[0] >= -slack
+        if command == "hedge":
+            assert close(matrix("value"), _call_in_basis(u, k, stock_lam, r, doc["model"]["T"] - 0.5))
 
 
 def test_nan_commutation_defect_is_a_config_error(tmp_path, capsys):

@@ -36,7 +36,7 @@ from qbs.sampling import (
     random_state,
     random_unitary,
 )
-from test_cli import ROOT
+from test_cli import ROOT, _perfbench_workloads
 
 # quadrature-oracle constants reused across the module
 ATM_UNIT_PRICE = 0.38292492254802646  # strike 1, rate 0, maturity 1, at the money
@@ -453,13 +453,13 @@ def test_each_input_is_checked_hermitian_once(monkeypatch):
 
 
 def test_each_z_of_a_price_job_is_checked_hermitian_once_per_boundary(monkeypatch, capsys):
-    # once as parse_config reads the z_grid entry, once as moneyness takes it
+    # once, as parse_config reads the z_grid entry; the job's Moneyness takes it as checked
     path = ROOT / "configs" / "flow_2x2.json"
     z_grid = parse_config(path.read_text()).z_grid
     checked = _hermitian_checks(monkeypatch)
     assert qbs.cli.main(["price", "--config", str(path), "--omit-timing"]) == 0
     capsys.readouterr()
-    assert [_checks_of(checked, z) for z in z_grid] == [2] * len(z_grid)
+    assert [_checks_of(checked, z) for z in z_grid] == [1] * len(z_grid)
 
 
 def test_each_model_operator_is_checked_once_per_parse(monkeypatch):
@@ -721,9 +721,7 @@ def _scalar_call_oracle(u, lam, k, r, t):
 def test_price_is_scalar_call_in_the_eigenbasis(market, t_tenths):
     u, lam, k, z, model = market
     t = t_tenths / 10.0
-    # K splits the repeated eigenvalue of z: the joint check fails, and
-    # K V diag(f) V* prices
-    assert moneyness(z, model.K).k is None
+    # K splits the repeated eigenvalue of z, which eigh leaves free to mix
     omega = price(t, z, model).omega
     want = _scalar_call_oracle(u, lam, k, model.r, t)
     assert np.max(np.abs(omega - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
@@ -738,39 +736,94 @@ def _pricing_outputs(z, model, t, h, convention):
     return ops, residual_eq8(t, z, model).residual_norm
 
 
+def _strike_product_outputs(z, model, t, h, convention):
+    """_pricing_outputs formed here as hermitian_part(K V diag(f) V*), for V
+    the eigenvectors of one eigh of z, which is also the z of the stock X."""
+    lam, v = np.linalg.eigh(z)
+    x, r, beta0 = model.ops.X, model.r, model.beta0
+    spectral = lambda f: (v * f) @ v.conj().T
+    product = lambda f: hermitian_part(model.K @ spectral(f))
+    w, w10, w01, w02 = map(product, pricing._call_scalars(t, lam, r))
+    hw, hw01 = pricing._call_scalars(model.T - h, lam, r, "w w01")
+    a = product(hw01) if convention == "direct" else hermitian_part(spectral(hw01 * np.exp(-lam)))
+    a_x = hermitian_part(a @ x)
+    b = hermitian_part((product(hw) - a_x) * (math.exp(-r * h) / beta0))
+    residual = w10 - 0.5 * w02 - (r - 0.5) * w01 + r * w
+    ops = [w, w10, w01, w02, a, b, a_x + beta0 * math.exp(r * h) * b]
+    return ops, float(np.max(np.abs(np.linalg.eigvalsh(residual))))
+
+
 @settings(max_examples=40, deadline=None)
 @given(distinct_markets(), st.integers(1, 40), st.integers(1, 9), st.sampled_from(["direct", "classical"]))
 def test_joint_spectrum_prices_as_the_strike_product(market, t_tenths, h_tenths, convention):
-    # the joint route, V diag(k f) V*, against K V diag(f) V*
+    # the joint route, V diag(k f) V*, against K V diag(f) V* formed here
     _, _, _, z, model = market
     t, h = t_tenths / 10.0, model.T * h_tenths / 10.0
-    assert moneyness(z, model.K).k is not None
-    assert pricing.stock_moneyness(model.ops.X, model.K).k is not None
     joint, joint_norm = _pricing_outputs(z, model, t, h, convention)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pricing, "_joint_strike", lambda dec, strike: None)
-        assert moneyness(z, model.K).k is None
-        product, product_norm = _pricing_outputs(z, model, t, h, convention)
+    product, product_norm = _strike_product_outputs(z, model, t, h, convention)
     for got, want in zip(joint, product):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
     assert abs(joint_norm - product_norm) <= 1e-12 * max(1.0, float(np.max(np.abs(joint[0]))))
 
 
-def test_near_repeated_eigenvalue_takes_the_checked_fallback():
-    # two eigenvalues of z 1e-9 apart, split by K: eigh may mix their
-    # eigenvectors, so diag(V*KV) alone would misprice; the check sends the
-    # price through K V diag(f) V*
+def test_near_repeated_eigenvalue_is_rotated_onto_the_strike_basis():
+    # two eigenvalues of z 1e-9 apart, split by K: eigh mixes their
+    # eigenvectors, so diag(V*KV) alone would misprice; a Jacobi rotation
+    # of the pair makes V*KV diagonal
     u = random_unitary(np.random.default_rng(17), 3)
     lam, k = np.array([0.2, 0.2 + 1e-9, -0.4]), np.array([0.8, 1.6, 1.1])
     build = lambda d: hermitian_part((u * d) @ u.conj().T)
     ops = ModelOperators(X=build(k * np.exp(lam)), H=np.zeros((3, 3)), L=np.zeros((3, 3)), S=np.eye(3))
     model = MarketModel(ops=ops, K=build(k), r=0.03, T=1.0)
     z = build(lam)
-    assert moneyness(z, model.K).k is None
+    v = np.linalg.eigh(z)[1]
+    off = lambda m: np.abs(m - np.diag(np.diag(m))).max()
+    assert off(v.conj().T @ model.K @ v) > operators.JOINT_RTOL * np.linalg.norm(model.K)
+    m = moneyness(z, model.K)
+    v = m.dec.eigenvectors
+    assert off(v.conj().T @ model.K @ v) <= 1e-14 * np.linalg.norm(model.K)
+    assert np.max(np.abs(m.k - k[np.argsort(lam)])) <= 1e-14
     for t in (0.1, 0.7, 2.0):
         want = _scalar_call_oracle(u, lam, k, model.r, t)
         omega = price(t, z, model).omega
         assert np.max(np.abs(omega - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("seed", range(11, 21))
+def test_the_joint_basis_is_the_market_basis_at_d128(seed):
+    # the benchmark's d = 128 market, built in a basis U: omega of each z at
+    # t = 1/2, and of the stock's z, within 1e-13 of U diag(k w) U*
+    workloads = _perfbench_workloads()
+    market = workloads.make_market(seed, 128)
+    strike = market.matrix(market.k)
+    cases = [(moneyness(market.matrix(z), strike), z) for z in market.z]
+    cases.append((stock_moneyness(market.matrix(market.x), strike), np.log(market.x) - np.log(market.k)))
+    for m, lam in cases:
+        want = _scalar_call_oracle(market.u, lam, market.k, market.r, 0.5)
+        omega = m.price(0.5, market.r).omega
+        assert np.linalg.norm(omega - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_nearly_commuting_z_is_priced_within_its_commutator(seed):
+    # z = U diag(lam) U* + e H, a pair of lam 1e-9 apart, with [z, K] / (||z|| ||K||)
+    # from 1e-13 to 5e-11: admitted, and priced within 4 ||[K, F(z)]|| of
+    # hermitian_part(K F(z)), F(z) formed here from one eigh of z
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, 6)
+    lam = np.array([0.2, 0.2 + 1e-9, -0.4, 0.7, -0.9, 0.5])
+    strike = hermitian_part((u * np.array([0.8, 1.6, 1.1, 0.9, 1.3, 1.9])) @ u.conj().T)
+    h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    z = hermitian_part((u * lam) @ u.conj().T) + 10.0 ** (-13 + 2.5 * seed / 7) * (h + h.conj().T)
+    defect = np.linalg.norm(z @ strike - strike @ z) / (np.linalg.norm(z) * np.linalg.norm(strike))
+    assert 1e-13 <= defect <= 5e-11
+    m = moneyness(z, strike)
+    mu, v = np.linalg.eigh(z)
+    for t in (0.1, 0.7, 2.0):
+        (w,) = pricing._call_scalars(t, mu, 0.03, "w")
+        f = (v * w) @ v.conj().T
+        gap = np.linalg.norm(m.price(t, 0.03).omega - hermitian_part(strike @ f))
+        assert gap <= 4.0 * np.linalg.norm(strike @ f - f @ strike)
 
 
 @settings(max_examples=40, deadline=None)
