@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 One command per invocation; a JSON (or CSV) report on stdout, errors on
-stderr. Exit codes: 0 success, 2 configuration error, 3 a checked
-invariant failed, 4 numerical error (an eigensolver or its Jacobi sweeps
-failed to converge, or an Ito power or e^z left float range).
+stderr. Exit codes: 0 success, 1 stdout closed before the report was
+written, 2 configuration error, 3 a checked invariant failed, 4 numerical
+error (an eigensolver or its Jacobi sweeps failed to converge, or an Ito
+power or e^z left float range).
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,43 +23,15 @@ from . import __version__
 from .config import SCHEMA_VERSION, ConfigError, RunConfig, _json_pieces, apply_overrides, parse_config
 from .flows import default_steps, flow_coefficients, power_rule_deviation, semigroup_evolve
 from .operators import hermitian_defect
-from .pricing import _moneyness, classical_bs, moneyness, replication_simulation, stock_moneyness
+from .pricing import _moneyness, classical_bs, hermitian_stock_moneyness, moneyness, replication_simulation
 from .sampling import random_model
-
-COMMANDS = (
-    "coeffs",
-    "ito-check",
-    "price",
-    "residual",
-    "terminal-check",
-    "hedge",
-    "classical",
-    "lindblad",
-    "replicate",
-)
 
 # matrix entries per (models, d, d) stack in ito-check
 _STACK_ENTRIES = 1 << 14
 
-# the fewest characters in one write of a streamed report, but for its
-# last: a report shorter than this goes out in one write (see _emit)
-_EMIT_CHUNK = 1 << 20
-
 # the errors of a command run without a config entry that several commands need
 _NO_MODEL = "a model section required for this command"
 _NO_SEED = "a seed is required for stochastic commands"
-
-
-class RunReport(NamedTuple):
-    """One command's output. Result rows hold scalars and complex ndarrays;
-    render_json writes each ndarray as nested [re, im] pairs."""
-
-    command: str
-    seed: int | None
-    tolerances: dict
-    results: list
-    invariant_violations: list
-    wall_time_s: float | None
 
 
 def _need(value, path: str, message: str):
@@ -209,7 +182,7 @@ def _cmd_hedge(cfg: RunConfig):
     results = []
     violations = []
     try:
-        m = stock_moneyness(stock, model.K)
+        m = hermitian_stock_moneyness(stock, model.K)
     except np.linalg.LinAlgError:
         raise
     except ValueError as exc:  # its checks against K call the stock X
@@ -305,16 +278,7 @@ def _cmd_lindblad(cfg: RunConfig):
 def _cmd_replicate(cfg: RunConfig):
     sec = _need(cfg.replicate, "replicate", "a replicate section required for this command")
     seed = _need(cfg.seed, "seed", _NO_SEED)
-    stats = replication_simulation(
-        sec["x0"],
-        sec["strike"],
-        sec["r"],
-        sec["T"],
-        sec["steps"],
-        sec["paths"],
-        seed,
-        sigma=sec["sigma"],
-    )
+    stats = replication_simulation(seed=seed, **sec)
     result = {
         "x0": sec["x0"],
         "strike": sec["strike"],
@@ -342,62 +306,53 @@ _DISPATCH = {
     "lindblad": _cmd_lindblad,
     "replicate": _cmd_replicate,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
-def run(cfg: RunConfig, command: str, timing: bool = True) -> RunReport:
-    """Execute one command against a validated configuration."""
+def run(cfg: RunConfig, command: str, timing: bool = True) -> dict:
+    """Execute one command against a validated configuration and return its
+    report document. Result rows hold scalars and complex ndarrays, which
+    render_json writes as nested [re, im] pairs."""
     if command not in _DISPATCH:
         raise ConfigError("command", f"unknown command {command!r}")
     started = time.perf_counter()
     results, violations = _DISPATCH[command](cfg)
     elapsed = time.perf_counter() - started
-    return RunReport(
-        command=command,
-        seed=cfg.seed,
-        tolerances=dict(sorted(cfg.tolerances.items())),
-        results=results,
-        invariant_violations=violations,
-        wall_time_s=elapsed if timing else None,
-    )
-
-
-def render_json(report: RunReport, out=None) -> str | None:
-    """The report as json.dumps(doc, indent=2) would write it, matrices as
-    nested [re, im] pairs. Given a text stream out, the report is written
-    to it as it renders (see _emit) instead of returned."""
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
-        "command": report.command,
-        "seed": report.seed,
-        "tolerances": report.tolerances,
-        "results": report.results,
-        "invariant_violations": report.invariant_violations,
-        "wall_time_s": report.wall_time_s,
+        "command": command,
+        "seed": cfg.seed,
+        "tolerances": dict(sorted(cfg.tolerances.items())),
+        "results": results,
+        "invariant_violations": violations,
+        "wall_time_s": elapsed if timing else None,
     }
-    if out is None:
-        return "".join(_json_pieces(doc))
-    _emit(_json_pieces(doc), out)
-    return None
 
 
-def render_csv(report: RunReport) -> str:
-    """Scalar columns of each result row; matrices stay in the JSON form."""
+def render_json(report: dict, out) -> None:
+    """Write the report to the text stream out as json.dumps(report, indent=2)
+    writes it, plus a newline, with each ndarray as nested [re, im] pairs.
+    The pieces go out as they render: of a d = 128 report (up to 24 MB) no
+    more is held at once than one matrix text and its encoded copy."""
+    out.writelines(_json_pieces(report))
+
+
+def render_csv(report: dict, out) -> None:
+    """Write the scalar columns of each result row to the text stream out;
+    matrices stay in the JSON form."""
     import csv
-    import io
 
     scalar_keys = []
-    for row in report.results:
+    for row in report["results"]:
         for key, val in row.items():
             if isinstance(val, (int, float, str, bool)) or val is None:
                 if key not in scalar_keys:
                     scalar_keys.append(key)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(scalar_keys)
-    for row in report.results:
+    for row in report["results"]:
         writer.writerow([row.get(k, "") for k in scalar_keys])
-    return buf.getvalue()
 
 
 def _parse_tol_overrides(pairs) -> dict:
@@ -411,23 +366,6 @@ def _parse_tol_overrides(pairs) -> dict:
         except ValueError:
             raise ConfigError("--tol", f"bad value in {pair!r}") from None
     return out
-
-
-def _emit(pieces, out) -> None:
-    """Write the str pieces of a text to out as they come, joined into one
-    write each time the pieces in hand reach _EMIT_CHUNK characters, and
-    the rest in one last write. A d = 128 report is up to 24 MB; written
-    this way, no more of it is alive at once than one matrix text and the
-    pieces gathered before it, never the whole text or its encoded copy."""
-    run, size = [], 0
-    for piece in pieces:
-        run.append(piece)
-        size += len(piece)
-        if size >= _EMIT_CHUNK:
-            out.write("".join(run))
-            run, size = [], 0
-    if run:
-        out.write("".join(run))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -473,14 +411,23 @@ def main(argv=None) -> int:
     that the imports left back to the OS, and last, on every exit path,
     freezes the heap: the report is written by then, and the interpreter's
     shutdown collections have nothing left to walk or free. Streams are
-    still flushed and atexit handlers still run."""
-    if argv is None:
-        _release_free_heap()
-    try:
+    still flushed and atexit handlers still run. A stdout that its reader
+    closed is exit 1, with one line on stderr."""
+    if argv is not None:
         return _main(argv)
+    _release_free_heap()
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at shutdown
+        return code
+    except BrokenPipeError as exc:
+        # what stdout still buffers goes to devnull at shutdown, so that the
+        # interpreter prints no "Exception ignored" and keeps the exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     finally:
-        if argv is None:
-            gc.freeze()
+        gc.freeze()
 
 
 def _main(argv) -> int:
@@ -501,11 +448,9 @@ def _main(argv) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.csv or cfg.output == "csv":
-        sys.stdout.write(render_csv(report))
-    else:
-        render_json(report, sys.stdout)
-    return 3 if report.invariant_violations else 0
+    render = render_csv if args.csv or cfg.output == "csv" else render_json
+    render(report, sys.stdout)
+    return 3 if report["invariant_violations"] else 0
 
 
 if __name__ == "__main__":

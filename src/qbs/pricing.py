@@ -301,10 +301,17 @@ def _moneyness(z: np.ndarray, k: np.ndarray, name: str) -> Moneyness:
 
 
 def stock_moneyness(x_op, k_op) -> Moneyness:
-    """The z with K e^z = X, for commuting positive X and K, checked by that
-    identity: V diag(log x - log k) V* in the joint decomposition (x, k) of (X, K)."""
-    x = require_hermitian(x_op, "X")
-    dec_x, k_x = _moneyness(x, require_hermitian(k_op, "K"), "X")
+    """X and K checked Hermitian, then ``hermitian_stock_moneyness``."""
+    return hermitian_stock_moneyness(require_hermitian(x_op, "X"), require_hermitian(k_op, "K"))
+
+
+def hermitian_stock_moneyness(x: np.ndarray, k: np.ndarray) -> Moneyness:
+    """The z with K e^z = X, for commuting positive X and K already checked
+    Hermitian, checked by that identity: V diag(log x - log k) V* in the
+    joint decomposition (x, k) of (X, K). Public, unlike ``_moneyness``:
+    perfbench/traced_job.py wraps public functions only, and this is where
+    a traced ``hedge`` job spends its time in this module."""
+    dec_x, k_x = _moneyness(x, k, "X")
     lam = spectrum_log(dec_x.eigenvalues, "X") - spectrum_log(k_x, "K")
     order = np.argsort(lam, kind="stable")
     m = Moneyness(SpectralDecomposition(lam[order], dec_x.eigenvectors[:, order]), k_x[order])
@@ -458,7 +465,7 @@ def terminal_limit_check(z_t, model: MarketModel, t_small: float = 1e-8, min_gap
 def reasonable_price(model: MarketModel, state=None) -> PriceQuote:
     """Initial wealth of the replicating strategy: the price at maturity
     horizon T and z0 = log-moneyness of today's stock against the strike."""
-    return stock_moneyness(model.ops.X, model.K).price(model.T, model.r, state)
+    return hermitian_stock_moneyness(model.ops.X, model.K).price(model.T, model.r, state)
 
 
 def hedge_portfolio(
@@ -475,7 +482,7 @@ def hedge_portfolio(
     value identity a j_x + b beta_t = w holds by construction.
     """
     jx = require_hermitian(j_x, "j_x")
-    return stock_moneyness(jx, model.K).hedge(t, jx, model, convention)[0]
+    return hermitian_stock_moneyness(jx, model.K).hedge(t, jx, model, convention)[0]
 
 
 def classical_bs(x: float, strike: float, r: float, sigma: float, t: float):

@@ -20,7 +20,7 @@ import qbs.cli
 from qbs import operators
 from qbs.config import ConfigError, apply_overrides, parse_config, serialize_config
 from qbs.operators import hermitian_part
-from qbs.sampling import random_state, random_unitary
+from qbs.sampling import random_complex, random_hermitian, random_state, random_unitary
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -413,6 +413,21 @@ def test_a_large_job_peaks_at_its_config_parse(command, market_d64):
     assert job_peak <= parse_peak + len(text) + 2**20, (job_peak, parse_peak, len(text))
 
 
+def test_a_closed_stdout_is_exit_1_without_a_traceback(market_d64):
+    # the price report at d = 64 (6 MB) fills the pipe long before it is
+    # written; the reader takes a few bytes and closes it
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from qbs.cli import main; sys.exit(main())",
+         "price", "--config", market_d64, "--omit-timing"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1, err
+    assert err.startswith("output error: ") and err.count("\n") == 1, err
+
+
 def test_missing_config_file(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "qbs.cli", "price", "--config", str(tmp_path / "absent.json")],
@@ -576,7 +591,8 @@ def test_a_joint_basis_that_does_not_converge_is_a_numerical_error(tmp_path, mon
 
 @st.composite
 def generated_markets(draw):
-    """(doc, u, k, lam, stock_lam): a _market_doc in a drawn basis U at d = 1-6.
+    """(doc, u, k, lam, stock_lam): a _market_doc in a drawn basis U at d = 1-6,
+    with drawn flows H, L and S and a lindblad section that evolves x0 = I.
     z's eigenvalues lam take repeated levels, and one pair may sit 1e-9
     apart; K is scalar or not; r may be 0; a state and a hedge.stock are each
     optional. stock_lam is the z of the hedged stock, K e^z = stock."""
@@ -591,8 +607,11 @@ def generated_markets(draw):
     if draw(st.booleans()):
         k[:] = k[0]  # a scalar strike
     hedge = {"times": [0.5], "convention": draw(st.sampled_from(["direct", "classical"]))}
-    doc = _market_doc(u, k, lam, [lam], t_grid=[draw(st.integers(1, 20)) / 10.0], hedge=hedge)
+    lindblad = {"t": [0.5, 1.0], "x0": _matrix_doc(np.eye(dim))}
+    doc = _market_doc(u, k, lam, [lam], t_grid=[draw(st.integers(1, 20)) / 10.0], hedge=hedge, lindblad=lindblad)
     doc["model"]["r"] = draw(st.sampled_from([0.0, 0.05]))
+    flows = {"H": random_hermitian(rng, dim), "L": random_complex(rng, dim, 0.5), "S": random_unitary(rng, dim)}
+    doc["model"]["ops"].update((name, _matrix_doc(m)) for name, m in flows.items())
     if draw(st.booleans()):
         doc["state"] = [[float(v.real), float(v.imag)] for v in random_state(rng, dim)]
     stock_lam = lam
@@ -624,20 +643,23 @@ def generated_config(tmp_path_factory):
 @settings(max_examples=30, deadline=None)
 @given(generated_markets())
 def test_generated_markets_price_as_the_scalar_call(generated_config, market):
-    # every pricing command on the drawn document exits 0 and writes the
-    # same bytes twice; each omega is the quadrature call in U, between 0
-    # and K e^z in the operator order, and the hedge value the stock's call
+    # every command on the drawn document exits 0 and writes the same bytes
+    # twice, as json.dumps(indent=2) writes them; each omega is the
+    # quadrature call in U, between 0 and K e^z in the operator order, the
+    # hedge value the stock's call, and lindblad keeps I at I (theta(I) = 0)
     doc, u, k, lam, stock_lam = market
     Path(generated_config).write_text(json.dumps(doc))
     r, t = doc["model"]["r"], doc["t_grid"][0]
     forward = (u * (k * np.exp(lam))) @ u.conj().T
     slack = 1e-12 * max(1.0, float(np.linalg.norm(forward)))
     close = lambda got, want: np.linalg.norm(got - want) <= 1e-11 * max(1.0, float(np.linalg.norm(want)))
-    commands = ["price", "residual", "hedge"] + ["terminal-check"] * (float(np.min(np.abs(lam))) > 0.11)
+    commands = ["coeffs", "price", "residual", "hedge", "lindblad"]
+    commands += ["terminal-check"] * (float(np.min(np.abs(lam))) > 0.11)
     for command in commands:
         code, out, err = _main_output(command, generated_config)
         assert (code, err) == (0, "")
         assert _main_output(command, generated_config) == (code, out, err)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
         rows = json.loads(out)["results"]
         matrix = lambda key: np.array(rows[0][key]) @ np.array([1.0, 1j])
         if command == "price":
@@ -647,6 +669,10 @@ def test_generated_markets_price_as_the_scalar_call(generated_config, market):
             assert np.linalg.eigvalsh(forward - omega)[0] >= -slack
         if command == "hedge":
             assert close(matrix("value"), _call_in_basis(u, k, stock_lam, r, doc["model"]["T"] - 0.5))
+        if command == "lindblad":
+            for row in rows:
+                x_t = np.array(row["x_t"]) @ np.array([1.0, 1j])
+                assert np.linalg.norm(x_t - np.eye(len(k))) <= 1e-12, row["t"]
 
 
 def test_nan_commutation_defect_is_a_config_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Matrix I/O: config parsing errors, report rendering, golden reports."""
 import gc
+import io
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qbs.cli
-from qbs.cli import RunReport, render_json
+from qbs.cli import render_json
 from qbs.config import DEFAULT_TOLERANCES, ConfigError, matrix_from_json, pair_array, parse_config
 from qbs.pricing import log_moneyness
 from qbs.sampling import random_commuting_positive_pair, random_complex, random_hermitian, random_unitary
@@ -406,53 +407,24 @@ def _as_lists(value):
     st.none() | numbers,
 )
 def test_render_json_matches_json_dumps(results, violations, seed, wall):
-    report = RunReport(
-        command="price",
-        seed=seed,
-        tolerances={"hedge_value": 1e-10, "terminal": 1e-6},
-        results=results,
-        invariant_violations=violations,
-        wall_time_s=wall,
-    )
-    doc = {
+    report = {
         "schema_version": 1,
         "version": qbs.__version__,
         "command": "price",
         "seed": seed,
-        "tolerances": report.tolerances,
-        "results": _as_lists(results),
+        "tolerances": {"hedge_value": 1e-10, "terminal": 1e-6},
+        "results": results,
         "invariant_violations": violations,
         "wall_time_s": wall,
     }
-    assert render_json(report) == json.dumps(doc, indent=2) + "\n"
-    assert _streams_as_rendered(report)
+    assert _rendered(report) == json.dumps(_as_lists(report), indent=2) + "\n"
 
 
-class _Stdout(list):
-    """A text stream that keeps each write."""
-
-    write = list.append
-
-
-def _streams_as_rendered(report) -> bool:
-    """What render_json(report, out) writes, as main writes a report to
-    stdout through _emit, joins to render_json(report): at the shipped
-    _EMIT_CHUNK and at chunks of 1 and 100 characters. Every write but the
-    last holds at least a chunk, and a shorter report is one write."""
-    text = render_json(report)
-    shipped = qbs.cli._EMIT_CHUNK
-    try:
-        for chunk in (1, 100, shipped):
-            qbs.cli._EMIT_CHUNK = chunk
-            out = _Stdout()
-            assert render_json(report, out) is None
-            if "".join(out) != text or any(len(w) < chunk for w in out[:-1]):
-                return False
-            if len(text) < chunk and len(out) != 1:
-                return False
-    finally:
-        qbs.cli._EMIT_CHUNK = shipped
-    return True
+def _rendered(report) -> str:
+    """What render_json writes of report to a text stream."""
+    out = io.StringIO()
+    render_json(report, out)
+    return out.getvalue()
 
 
 SIGN = np.uint64(1 << 63)
@@ -483,18 +455,17 @@ def _hermitian_pairs(palette, dim: int, seed: int, perturbations) -> np.ndarray:
 
 def _renders_like_json_dumps(pairs) -> bool:
     matrix = pairs.view(np.complex128)[..., 0]
-    report = RunReport("price", None, {}, [{"omega": matrix}], [], None)
-    doc = {
+    report = {
         "schema_version": 1,
         "version": qbs.__version__,
         "command": "price",
         "seed": None,
         "tolerances": {},
-        "results": [{"omega": _nested(matrix)}],
+        "results": [{"omega": matrix}],
         "invariant_violations": [],
         "wall_time_s": None,
     }
-    return render_json(report) == json.dumps(doc, indent=2) + "\n" and _streams_as_rendered(report)
+    return _rendered(report) == json.dumps(_as_lists(report), indent=2) + "\n"
 
 
 @settings(max_examples=200, deadline=None)

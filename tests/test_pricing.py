@@ -1,4 +1,5 @@
 """Operator call prices, generator residuals, hedging, Monte Carlo replication."""
+import json
 import math
 import tracemalloc
 
@@ -36,7 +37,7 @@ from qbs.sampling import (
     random_state,
     random_unitary,
 )
-from test_cli import ROOT, _perfbench_workloads
+from test_cli import ROOT, _flow_2x2_with, _perfbench_workloads
 
 # quadrature-oracle constants reused across the module
 ATM_UNIT_PRICE = 0.38292492254802646  # strike 1, rate 0, maturity 1, at the money
@@ -460,6 +461,22 @@ def test_each_z_of_a_price_job_is_checked_hermitian_once_per_boundary(monkeypatc
     assert qbs.cli.main(["price", "--config", str(path), "--omit-timing"]) == 0
     capsys.readouterr()
     assert [_checks_of(checked, z) for z in z_grid] == [1] * len(z_grid)
+
+
+@pytest.mark.parametrize("stock", ["hedge.stock", "model.ops.X"])
+def test_a_hedge_job_checks_its_stock_and_k_hermitian_once(stock, tmp_path, monkeypatch, capsys):
+    # once each, as parse_config reads them; the job's stock moneyness takes both as checked
+    hedge = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())["hedge"]
+    if stock == "model.ops.X":
+        hedge["stock"] = None
+    path = _flow_2x2_with(tmp_path, hedge=hedge)
+    with open(path) as f:
+        cfg = parse_config(f.read())
+    held = cfg.hedge["stock"] if stock == "hedge.stock" else cfg.model.ops.X
+    checked = _hermitian_checks(monkeypatch)
+    assert qbs.cli.main(["hedge", "--config", path, "--omit-timing"]) == 0
+    capsys.readouterr()
+    assert [_checks_of(checked, held), _checks_of(checked, cfg.model.K)] == [1, 1]
 
 
 def test_each_model_operator_is_checked_once_per_parse(monkeypatch):
