@@ -334,7 +334,7 @@ def render_json(report: dict, out) -> None:
     """Write the report to the text stream out as json.dumps(report, indent=2)
     writes it, plus a newline, with each ndarray as nested [re, im] pairs.
     The pieces go out as they render: of a d = 128 report (up to 24 MB) no
-    more is held at once than one matrix text and its encoded copy."""
+    more is held at once than one matrix row's text and its encoded copy."""
     out.writelines(_json_pieces(report))
 
 
@@ -433,8 +433,8 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")  # as RFC 8259 requires of JSON
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -15,6 +15,7 @@ import copy
 import gc
 import json
 import math
+import re
 from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter
@@ -131,11 +132,11 @@ def _mirrored_texts(pairs: np.ndarray) -> list:
     return texts.ravel().tolist()
 
 
-def _pairs_text(pairs: np.ndarray, level: int) -> str:
-    """json.dumps(pairs.tolist(), indent=2) as it reads at nesting level,
-    for a non-empty float array: the numbers come from one float.__repr__
-    pass, over one triangle for a square matrix, and the text between them
-    from one separator per nesting depth."""
+def _pairs_text(pairs: np.ndarray, level: int):
+    """Yield json.dumps(pairs.tolist(), indent=2) as it reads at nesting
+    level, for a non-empty float array, one piece per row: the numbers come
+    from one float.__repr__ pass, over one triangle for a square matrix, and
+    the text between them from one separator per nesting depth."""
     depth = pairs.ndim
     flat = pairs.ravel()
     if depth == 3 and len(pairs) == pairs.shape[1]:
@@ -162,17 +163,20 @@ def _pairs_text(pairs: np.ndarray, level: int) -> str:
     out = [""] * (2 * n)
     out[0::2] = texts
     out[1::2] = seps
-    return "[" + opening(depth - 1) + "".join(out)
+    out[0] = "[" + opening(depth - 1) + out[0]
+    row = len(out) // len(pairs)
+    for start in range(0, len(out), row):
+        yield "".join(out[start : start + row])
 
 
 def _write(value, level: int):
     """Yield json.dumps(value, indent=2) as it reads at nesting level, in
-    pieces, with each ndarray one piece: the nested [re, im] pairs of
-    pair_array. Object keys must be strings."""
+    pieces, with each ndarray one piece per row: the nested [re, im] pairs
+    of pair_array. Object keys must be strings."""
     if isinstance(value, np.ndarray):
         pairs = pair_array(value)
         if pairs.size:
-            yield _pairs_text(pairs, level)
+            yield from _pairs_text(pairs, level)
         else:
             yield from _write(pairs.tolist(), level)
     elif isinstance(value, dict) and value:
@@ -196,11 +200,6 @@ def _json_pieces(value):
     ndarray written as nested [re, im] pairs; keys keep their order."""
     yield from _write(value, 0)
     yield "\n"
-
-
-def _json_text(value) -> str:
-    """The joined _json_pieces of value."""
-    return "".join(_json_pieces(value))
 
 
 def _pair_values(cells: list):
@@ -234,14 +233,26 @@ def _malformed(path: str) -> ConfigError:
     return ConfigError(path, "expected an array of [re, im] pairs")
 
 
-def matrix_from_json(obj, path: str) -> np.ndarray:
-    rows = _as_list(obj, path)
-    _expect(len(rows) > 0, path, "empty matrix")
+def _matrix_values(rows: list):
+    """The complex array of d rows of d [re, im] pairs of finite numbers,
+    checked and converted in whole-list passes; None for anything else."""
     dim = len(rows)
     if all(map(isinstance, rows, repeat(list))) and set(map(len, rows)) == {dim}:
         vals = _pair_values(list(chain.from_iterable(rows)))
         if vals is not None:
             return vals.view(np.complex128).reshape(dim, dim)
+    return None
+
+
+def matrix_from_json(obj, path: str) -> np.ndarray:
+    if isinstance(obj, np.ndarray):  # read as its array when it was scanned
+        return obj
+    rows = _as_list(obj, path)
+    _expect(len(rows) > 0, path, "empty matrix")
+    matrix = _matrix_values(rows)
+    if matrix is not None:
+        return matrix
+    dim = len(rows)
     for i, row in enumerate(rows):
         row = _as_list(row, f"{path}[{i}]")
         _expect(len(row) == dim, f"{path}[{i}]", f"expected {dim} entries, got {len(row)}")
@@ -326,6 +337,8 @@ def _built(cls, table: dict) -> Callable:
     def build(fields: dict, path: str):
         try:
             return cls(**fields)
+        except np.linalg.LinAlgError:  # a numerical error, exit 4
+            raise
         except ValueError as exc:
             name, sep, message = str(exc).partition(": ")
             if sep and name in table:
@@ -485,12 +498,11 @@ class RunConfig:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document.
 
-    The cyclic garbage collector is paused meanwhile. json.loads builds one
-    list per [re, im] pair, tens of thousands for a large market, and each
-    would count towards a collection that walks the whole tree; the tree
-    holds no cycle, so reference counting frees all of it. A parse that
-    succeeds frees it before the collector runs again, and every exit path
-    restores the collector's state."""
+    A parse holds its arrays and the JSON tree of the matrix being scanned,
+    0.78 times the text at d = 128. The cyclic garbage collector is paused
+    meanwhile: that tree holds one list per [re, im] pair, each of which
+    would count towards a collection, and no cycle, so reference counting
+    frees it. Every exit path restores the collector's state."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -500,13 +512,44 @@ def parse_config(text: str) -> RunConfig:
             gc.enable()
 
 
+# an array nested at least three deep, "[" ws "[" ws "[", as a matrix is
+_THREE_DEEP = re.compile(r"\[[ \t\n\r]*\[[ \t\n\r]*\[").match
+
+
+def _scanned(text: str):
+    """json.loads(text), with each square matrix of finite [re, im] pairs
+    made its array as it closes. Objects and arrays three deep go through
+    the stdlib's JSONObject and JSONArray, all else through its C scanner."""
+    decoder = json.JSONDecoder()
+    scan_value = decoder.scan_once
+
+    def scan_once(s: str, idx: int):
+        if s.startswith("{", idx):
+            return json.decoder.JSONObject((s, idx + 1), decoder.strict, scan_once, None, None)
+        if _THREE_DEEP(s, idx):
+            items, end = json.decoder.JSONArray((s, idx + 1), scan_once)
+            matrix = _matrix_values(items)
+            return (items if matrix is None else matrix), end
+        return scan_value(s, idx)
+
+    decoder.scan_once = scan_once
+    return decoder.decode(text)
+
+
 def _parse(text: str) -> RunConfig:
-    """parse_config, with the JSON tree consumed as the table walk reads it."""
+    """parse_config. A fault is reported as in json.loads' tree, where no
+    matrix is an array yet: the text is read and walked again that way."""
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
-        raise ConfigError("", f"invalid JSON: {exc}") from None
-    cfg = RunConfig(**_read(TABLE, doc, ""))
+        fields = _read(TABLE, _scanned(text), "")
+    except np.linalg.LinAlgError:
+        raise
+    except (ValueError, RecursionError):  # RecursionError: arrays nested past the stack
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also an integer past int's digit limit
+            raise ConfigError("", f"invalid JSON: {exc}") from None
+        fields = _read(TABLE, doc, "")
+    cfg = RunConfig(**fields)
     if cfg.model is not None:
         dim = cfg.model.dim
         # the state, then every operator that a command applies to the model
@@ -548,4 +591,5 @@ def serialize_config(cfg: RunConfig) -> str:
     state, classical, replicate) or an empty list (t_grid, z_grid, which
     parse as non-empty)."""
     entries = {name: getattr(cfg, name) for name in TABLE}
-    return _json_text(_doc({k: v for k, v in entries.items() if v is not None and not (isinstance(v, list) and not v)}))
+    kept = {k: v for k, v in entries.items() if v is not None and not (isinstance(v, list) and not v)}
+    return "".join(_json_pieces(_doc(kept)))

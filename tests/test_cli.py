@@ -391,9 +391,10 @@ def market_d64(tmp_path_factory):
 @pytest.mark.parametrize("command", ["price", "hedge"])
 def test_a_large_job_peaks_at_its_config_parse(command, market_d64):
     # under tracemalloc, a whole job at d = 64 allocates at most what
-    # parse_config does, plus the config text that main reads and 1 MB: its
-    # report (6 MB for price) is written as it renders, the text is dropped
-    # once parsed, and the JSON tree is freed as the table walk reads it
+    # parse_config does, plus the config text that main reads and 1 MB: the
+    # parse holds one matrix's JSON tree at a time, the text is dropped once
+    # parsed, and the report (6 MB for price) is written as it renders, one
+    # matrix row's text at a time
     text = Path(market_d64).read_text()
     argv = [command, "--config", market_d64, "--omit-timing"]
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -411,6 +412,26 @@ def test_a_large_job_peaks_at_its_config_parse(command, market_d64):
             tracemalloc.stop()
     assert code == 0
     assert job_peak <= parse_peak + len(text) + 2**20, (job_peak, parse_peak, len(text))
+
+
+def _parse_peak(text: str) -> int:
+    """The traced peak of parse_config(text), in bytes above its start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        parse_config(text)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_config_peaks_below_its_text(market_d64):
+    # each matrix becomes its array as soon as it is scanned, so a parse
+    # never holds the JSON tree of a whole market, 3.3 times its text
+    text = Path(market_d64).read_text()
+    parse_config(text)  # first-call work outside the trace
+    peak = _parse_peak(text)
+    assert peak <= len(text), (peak, len(text))
 
 
 def test_a_closed_stdout_is_exit_1_without_a_traceback(market_d64):
@@ -547,6 +568,29 @@ def test_eigensolver_failure_is_a_numerical_error(tmp_path, monkeypatch, capsys)
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_an_eigensolver_failure_at_parse_is_a_numerical_error(monkeypatch, capsys):
+    # the model checks X and K positive definite by their spectra at parse
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert qbs.cli.main(["price", "--config", str(ROOT / "configs" / "flow_2x2.json")]) == 4
+    assert capsys.readouterr() == ("", "numerical error: Eigenvalues did not converge\n")
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(json.dumps(scalar_config()).encode() + b" \xff")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qbs.cli", "price", "--config", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: 'utf-8' codec can't decode byte 0xff"), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_overflowing_moneyness_is_a_numerical_error(tmp_path):
     proc = run_cli(["price"], scalar_config(z_grid=[[[[800.0, 0.0]]]]), tmp_path)
     assert proc.returncode == 4
@@ -627,11 +671,11 @@ def _call_in_basis(u, k, lam, r, t):
     return (u * np.array(c)) @ u.conj().T
 
 
-def _main_output(command, path):
+def _main_output(command, path, *flags):
     """(exit code, stdout, stderr) of main in process, without timing."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = qbs.cli.main([command, "--config", path, "--omit-timing"])
+        code = qbs.cli.main([command, "--config", path, "--omit-timing", *flags])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -673,6 +717,37 @@ def test_generated_markets_price_as_the_scalar_call(generated_config, market):
             for row in rows:
                 x_t = np.array(row["x_t"]) @ np.array([1.0, 1j])
                 assert np.linalg.norm(x_t - np.eye(len(k))) <= 1e-12, row["t"]
+
+
+# each checking command, the tolerance it is judged by, and the end of the
+# violation line of a row: the row's t and z_index
+TIGHT_CHECKS = [
+    ("residual", "residual_eq8", lambda row: f" at t={row['t']}, z_index={row['z_index']}"),
+    ("terminal-check", "terminal", lambda row: f" at z_index={row['z_index']}"),
+    ("hedge", "hedge_value", lambda row: f" at t={row['t']}"),
+]
+
+
+@settings(max_examples=15, deadline=None)
+@given(generated_markets(), st.sampled_from([1e-300, 1e-17, 1e-15]))
+def test_generated_markets_fail_a_tolerance_below_roundoff(generated_config, market, tol):
+    # two t and two z (lam and -lam) per drawn market: a command exits 3
+    # exactly when some row fails, with one violation line per failed row
+    doc, u, k, lam, _ = market
+    doc["t_grid"].append(doc["t_grid"][0] / 2)
+    doc["z_grid"].append(_in_basis(u, -lam))
+    doc["hedge"]["times"].append(0.25)
+    Path(generated_config).write_text(json.dumps(doc))
+    checks = TIGHT_CHECKS if float(np.min(np.abs(lam))) > 0.11 else TIGHT_CHECKS[::2]
+    for command, name, where in checks:
+        code, out, err = _main_output(command, generated_config, "--tol", f"{name}={tol!r}")
+        report = json.loads(out)
+        failed = [row for row in report["results"] if not row["passed"]]
+        assert (code, err) == (3 if failed else 0, "")
+        assert report["tolerances"][name] == tol
+        violations = report["invariant_violations"]
+        assert len(violations) == len(failed)
+        assert all(line.endswith(where(row)) for line, row in zip(violations, failed))
 
 
 def test_nan_commutation_defect_is_a_config_error(tmp_path, capsys):

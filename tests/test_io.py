@@ -14,7 +14,7 @@ from qbs.cli import render_json
 from qbs.config import DEFAULT_TOLERANCES, ConfigError, matrix_from_json, pair_array, parse_config
 from qbs.pricing import log_moneyness
 from qbs.sampling import random_commuting_positive_pair, random_complex, random_hermitian, random_unitary
-from test_cli import full_config
+from test_cli import _parse_peak, full_config
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -303,6 +303,89 @@ def test_schema_fault_reports_exact_error(where, value, path, message):
         parse_config(json.dumps(doc))
     assert info.value.path == path
     assert str(info.value) == (f"{path}: {message}" if path else message)
+
+
+I2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]  # a 2 x 2 matrix, the identity
+I2_TEXT = "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]"
+
+# a matrix where the table expects something else: the error names what
+# json.loads read there, a tree of lists, never an array
+MISPLACED_MATRIX = [
+    ((), "", "expected an object, got list"),
+    (("schema_version",), "schema_version", f"expected an integer, got {I2_TEXT}"),
+    (("output",), "output", f"unknown output format {I2_TEXT}"),
+    (("seed",), "seed", f"expected an integer, got {I2_TEXT}"),
+    (("tolerances",), "tolerances", "expected an object, got list"),
+    (("tolerances", "terminal"), "tolerances.terminal", f"expected a number, got {I2_TEXT}"),
+    (("model",), "model", "expected an object, got list"),
+    (("model", "r"), "model.r", f"expected a number, got {I2_TEXT}"),
+    (("state",), "state[0]", "expected a number, got [1, 0]"),
+    (("t_grid",), "t_grid[0]", "expected a number, got [[1, 0], [0, 0]]"),
+    (("z_grid",), "z_grid[0][0][0]", "expected an array, got int"),
+    (("terminal",), "terminal", "expected an object, got list"),
+    (("hedge", "convention"), "hedge.convention", f"unknown convention {I2_TEXT}"),
+    (("hedge", "times"), "hedge.times[0]", "expected a number, got [[1, 0], [0, 0]]"),
+    (("lindblad", "steps"), "lindblad.steps", f"expected an integer, got {I2_TEXT}"),
+]
+
+
+@pytest.mark.parametrize("where,path,message", MISPLACED_MATRIX, ids=[c[1] or "document" for c in MISPLACED_MATRIX])
+def test_a_misplaced_matrix_reports_its_json_text(where, path, message):
+    doc = I2 if where == () else full_config()
+    if where == ("tolerances", "terminal"):
+        doc["tolerances"] = {}
+    if where:
+        _mutate(doc, where, I2)
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc))
+    assert info.value.path == path
+    assert str(info.value) == (f"{path}: {message}" if path else message)
+
+
+def test_arrays_nested_deep_read_as_json_loads_reads_them():
+    # json.loads reads 700 nested arrays; the scan of a matrix runs out of
+    # Python stack before that, and the error is still the table's
+    grid = "[" * 700 + "1" + "]" * 700
+    with pytest.raises(ConfigError) as info:
+        parse_config('{"schema_version": 1, "t_grid": ' + grid + "}")
+    assert str(info.value) == f"t_grid[0]: expected a number, got {json.loads(grid)[0]!r}"
+
+
+def test_arrays_nested_past_the_stack_are_invalid_json():
+    grid = "[" * 5000 + "1" + "]" * 5000
+    with pytest.raises(ConfigError, match="^invalid JSON: maximum recursion depth exceeded"):
+        parse_config('{"schema_version": 1, "t_grid": ' + grid + "}")
+
+
+def _spaced(text: str) -> str:
+    """text with a tab and a CRLF after every "[": JSON whitespace between
+    the brackets that open a matrix and its rows."""
+    return text.replace("[", "[\t\r\n")
+
+
+# the same document written four ways
+LAYOUTS = {
+    "default": json.dumps,
+    "indent": lambda doc: json.dumps(doc, indent=2),
+    "compact": lambda doc: json.dumps(doc, separators=(",", ":")),
+    "spaced": lambda doc: _spaced(json.dumps(doc)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_a_document_parses_alike_in_every_layout(layout):
+    doc = full_config()
+    want = parse_config(json.dumps(doc))
+    assert parse_config(LAYOUTS[layout](doc)) == want
+
+
+def test_a_parse_holds_as_much_in_every_layout():
+    # the matrices of a d = 32 market cost the same to read however the
+    # brackets are spaced
+    doc = json.loads(_market_text(32))
+    parse_config(json.dumps(doc))  # first-call work outside the trace
+    peaks = {layout: _parse_peak(write(doc)) for layout, write in LAYOUTS.items()}
+    assert max(peaks.values()) <= 1.25 * min(peaks.values()), peaks
 
 
 # a bad known field with a mistyped key ahead of it in its object, at each
