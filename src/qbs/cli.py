@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import math
 import os
 import sys
 import time
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import SCHEMA_VERSION, ConfigError, RunConfig, _json_pieces, apply_overrides, parse_config
+from .config import SCHEMA_VERSION, ConfigError, RunConfig, apply_overrides, pair_array, parse_config
 from .flows import default_steps, flow_coefficients, power_rule_deviation, semigroup_evolve
 from .operators import hermitian_defect
 from .pricing import _moneyness, classical_bs, hermitian_stock_moneyness, moneyness, replication_simulation
@@ -328,6 +331,114 @@ def run(cfg: RunConfig, command: str, timing: bool = True) -> dict:
         "invariant_violations": violations,
         "wall_time_s": elapsed if timing else None,
     }
+
+
+_INDENT = "  "
+
+# the factors that take an [re, im] pair to its conjugate
+_CONJUGATE = np.array([1.0, -1.0])
+
+_unsigned = itemgetter(slice(1, None))  # "-1.5" -> "1.5"
+
+
+def _mirrored_texts(pairs: np.ndarray) -> list:
+    """float.__repr__ of each number of a square (d, d, 2) pair array, in
+    row-major order, with one repr per number on and above the diagonal.
+    An entry below it that equals its mirror's conjugate takes the mirror's
+    texts, the imaginary one with its sign toggled. Equal doubles have
+    equal bits, and so equal texts, unless they are zeros (0.0 == -0.0);
+    NaNs equal nothing. So a zero, a NaN and any entry of a matrix that is
+    not Hermitian get their own repr. Non-finite numbers are left for the
+    caller to rewrite.
+
+    Every test here is a float64 comparison, as elsewhere in a report: a
+    uint64 XOR or an integer index mask would fault in numpy loop code that
+    no other step of a small job touches, about 0.15 MB of peak RSS."""
+    index = np.arange(len(pairs), dtype=np.float64)
+    below = (index < index[:, None])[..., None]
+    with np.errstate(invalid="ignore"):  # a signalling NaN; NaNs take no mirror
+        reuse = (pairs == pairs.transpose(1, 0, 2) * _CONJUGATE) & (pairs != 0.0) & below
+    texts = np.empty(pairs.shape, dtype=object)
+    own = ~reuse
+    texts[own] = list(map(float.__repr__, pairs[own].tolist()))
+    mirror = texts.transpose(1, 0, 2)
+    re = reuse[..., 0]
+    texts[..., 0][re] = mirror[..., 0][re]
+    neg = reuse[..., 1] & (pairs[..., 1] < 0.0)
+    pos = reuse[..., 1] & ~neg
+    texts[..., 1][neg] = np.add("-", mirror[..., 1][neg])
+    texts[..., 1][pos] = list(map(_unsigned, mirror[..., 1][pos]))
+    return texts.ravel().tolist()
+
+
+def _pairs_text(pairs: np.ndarray, level: int):
+    """Yield json.dumps(pairs.tolist(), indent=2) as it reads at nesting
+    level, for a non-empty float array, one piece per row: the numbers come
+    from one float.__repr__ pass, over one triangle for a square matrix, and
+    the text between them from one separator per nesting depth."""
+    depth = pairs.ndim
+    flat = pairs.ravel()
+    if depth == 3 and len(pairs) == pairs.shape[1]:
+        texts = _mirrored_texts(pairs)
+    else:
+        texts = list(map(float.__repr__, flat.tolist()))
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        texts[i] = json.dumps(flat[i].item())  # NaN, Infinity or -Infinity
+    pad = ["\n" + _INDENT * (level + k) for k in range(depth + 1)]
+
+    def closing(m: int) -> str:  # the m innermost lists end
+        return "".join(pad[depth - 1 - c] + "]" for c in range(m))
+
+    def opening(m: int) -> str:  # m lists begin, down to the first number
+        return "".join(pad[depth - m + c] + "[" for c in range(m)) + pad[depth]
+
+    n = len(texts)
+    seps = [f",{opening(0)}"] * n
+    period = 1
+    for m in range(1, depth):  # numbers that end m lists at once
+        period *= pairs.shape[depth - m]
+        seps[period - 1 :: period] = [f"{closing(m)},{opening(m)}"] * (n // period)
+    seps[-1] = closing(depth)
+    out = [""] * (2 * n)
+    out[0::2] = texts
+    out[1::2] = seps
+    out[0] = "[" + opening(depth - 1) + out[0]
+    row = len(out) // len(pairs)
+    for start in range(0, len(out), row):
+        yield "".join(out[start : start + row])
+
+
+def _write(value, level: int):
+    """Yield json.dumps(value, indent=2) as it reads at nesting level, in
+    pieces, with each ndarray one piece per row: the nested [re, im] pairs
+    of pair_array. Object keys must be strings."""
+    if isinstance(value, np.ndarray):
+        pairs = pair_array(value)
+        if pairs.size:
+            yield from _pairs_text(pairs, level)
+        else:
+            yield from _write(pairs.tolist(), level)
+    elif isinstance(value, dict) and value:
+        pad = "\n" + _INDENT * (level + 1)
+        for sep, (key, item) in zip(chain("{", repeat(",")), value.items()):
+            yield f"{sep}{pad}{json.dumps(key)}: "
+            yield from _write(item, level + 1)
+        yield "\n" + _INDENT * level + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        pad = "\n" + _INDENT * (level + 1)
+        for sep, item in zip(chain("[", repeat(",")), value):
+            yield sep + pad
+            yield from _write(item, level + 1)
+        yield "\n" + _INDENT * level + "]"
+    else:
+        yield json.dumps(value)
+
+
+def _json_pieces(value):
+    """The pieces of json.dumps(value, indent=2) plus a newline, each
+    ndarray written as nested [re, im] pairs; keys keep their order."""
+    yield from _write(value, 0)
+    yield "\n"
 
 
 def render_json(report: dict, out) -> None:

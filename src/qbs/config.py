@@ -5,8 +5,7 @@ parameters. Matrices travel as row-major nested arrays of [re, im]
 pairs. Each field is stated once, in the section table ``TABLE``: its
 reader, its default and its bound. Parsing walks the table, validates
 every structural invariant up front and reports the offending field
-path; serialization round-trips exactly because floats are emitted in
-shortest-repr form.
+path.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import math
 import re
 from functools import partial
 from itertools import chain, repeat
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,14 +38,6 @@ DEFAULT_TOLERANCES = {
     "hedge_value": 1e-10,
     "derivative_fd": 1e-6,
 }
-
-_INDENT = "  "
-
-# the factors that take an [re, im] pair to its conjugate
-_CONJUGATE = np.array([1.0, -1.0])
-
-_unsigned = itemgetter(slice(1, None))  # "-1.5" -> "1.5"
-
 
 class ConfigError(ValueError):
     """Invalid configuration; carries the dotted path of the bad field."""
@@ -100,106 +90,6 @@ def pair_array(m) -> np.ndarray:
     m.shape + (2,), row-major like its JSON form."""
     a = np.ascontiguousarray(m, dtype=np.complex128)
     return a.view(np.float64).reshape(a.shape + (2,))
-
-
-def _mirrored_texts(pairs: np.ndarray) -> list:
-    """float.__repr__ of each number of a square (d, d, 2) pair array, in
-    row-major order, with one repr per number on and above the diagonal.
-    An entry below it that equals its mirror's conjugate takes the mirror's
-    texts, the imaginary one with its sign toggled. Equal doubles have
-    equal bits, and so equal texts, unless they are zeros (0.0 == -0.0);
-    NaNs equal nothing. So a zero, a NaN and any entry of a matrix that is
-    not Hermitian get their own repr. Non-finite numbers are left for the
-    caller to rewrite.
-
-    Every test here is a float64 comparison, as elsewhere in a report: a
-    uint64 XOR or an integer index mask would fault in numpy loop code that
-    no other step of a small job touches, about 0.15 MB of peak RSS."""
-    index = np.arange(len(pairs), dtype=np.float64)
-    below = (index < index[:, None])[..., None]
-    with np.errstate(invalid="ignore"):  # a signalling NaN; NaNs take no mirror
-        reuse = (pairs == pairs.transpose(1, 0, 2) * _CONJUGATE) & (pairs != 0.0) & below
-    texts = np.empty(pairs.shape, dtype=object)
-    own = ~reuse
-    texts[own] = list(map(float.__repr__, pairs[own].tolist()))
-    mirror = texts.transpose(1, 0, 2)
-    re = reuse[..., 0]
-    texts[..., 0][re] = mirror[..., 0][re]
-    neg = reuse[..., 1] & (pairs[..., 1] < 0.0)
-    pos = reuse[..., 1] & ~neg
-    texts[..., 1][neg] = np.add("-", mirror[..., 1][neg])
-    texts[..., 1][pos] = list(map(_unsigned, mirror[..., 1][pos]))
-    return texts.ravel().tolist()
-
-
-def _pairs_text(pairs: np.ndarray, level: int):
-    """Yield json.dumps(pairs.tolist(), indent=2) as it reads at nesting
-    level, for a non-empty float array, one piece per row: the numbers come
-    from one float.__repr__ pass, over one triangle for a square matrix, and
-    the text between them from one separator per nesting depth."""
-    depth = pairs.ndim
-    flat = pairs.ravel()
-    if depth == 3 and len(pairs) == pairs.shape[1]:
-        texts = _mirrored_texts(pairs)
-    else:
-        texts = list(map(float.__repr__, flat.tolist()))
-    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
-        texts[i] = json.dumps(flat[i].item())  # NaN, Infinity or -Infinity
-    pad = ["\n" + _INDENT * (level + k) for k in range(depth + 1)]
-
-    def closing(m: int) -> str:  # the m innermost lists end
-        return "".join(pad[depth - 1 - c] + "]" for c in range(m))
-
-    def opening(m: int) -> str:  # m lists begin, down to the first number
-        return "".join(pad[depth - m + c] + "[" for c in range(m)) + pad[depth]
-
-    n = len(texts)
-    seps = [f",{opening(0)}"] * n
-    period = 1
-    for m in range(1, depth):  # numbers that end m lists at once
-        period *= pairs.shape[depth - m]
-        seps[period - 1 :: period] = [f"{closing(m)},{opening(m)}"] * (n // period)
-    seps[-1] = closing(depth)
-    out = [""] * (2 * n)
-    out[0::2] = texts
-    out[1::2] = seps
-    out[0] = "[" + opening(depth - 1) + out[0]
-    row = len(out) // len(pairs)
-    for start in range(0, len(out), row):
-        yield "".join(out[start : start + row])
-
-
-def _write(value, level: int):
-    """Yield json.dumps(value, indent=2) as it reads at nesting level, in
-    pieces, with each ndarray one piece per row: the nested [re, im] pairs
-    of pair_array. Object keys must be strings."""
-    if isinstance(value, np.ndarray):
-        pairs = pair_array(value)
-        if pairs.size:
-            yield from _pairs_text(pairs, level)
-        else:
-            yield from _write(pairs.tolist(), level)
-    elif isinstance(value, dict) and value:
-        pad = "\n" + _INDENT * (level + 1)
-        for sep, (key, item) in zip(chain("{", repeat(",")), value.items()):
-            yield f"{sep}{pad}{json.dumps(key)}: "
-            yield from _write(item, level + 1)
-        yield "\n" + _INDENT * level + "}"
-    elif isinstance(value, (list, tuple)) and value:
-        pad = "\n" + _INDENT * (level + 1)
-        for sep, item in zip(chain("[", repeat(",")), value):
-            yield sep + pad
-            yield from _write(item, level + 1)
-        yield "\n" + _INDENT * level + "]"
-    else:
-        yield json.dumps(value)
-
-
-def _json_pieces(value):
-    """The pieces of json.dumps(value, indent=2) plus a newline, each
-    ndarray written as nested [re, im] pairs; keys keep their order."""
-    yield from _write(value, 0)
-    yield "\n"
 
 
 def _pair_values(cells: list):
@@ -303,8 +193,8 @@ def _read(table: dict, obj, path: str, build: Callable | None = None):
     """The fields of the object at path, read by table in table order, as
     a dict, or given build, as the value build(fields, path); after that a
     key that table does not name is an error. Each field is taken out of
-    obj as it is read, so the JSON tree of a matrix is freed once its array
-    exists: obj must be a private tree, as _parse's is."""
+    obj as it is read, so the keys left are those that table does not
+    name: obj must be a private tree, as _parse's is."""
     doc = _as_dict(obj, path)
     prefix = f"{path}." if path else ""
     out = {}
@@ -466,33 +356,14 @@ TABLE = {
 }
 
 
-def _doc(value):
-    """The normalized document of a parsed value: dicts, and the named
-    tuples that the table builds, with keys in sorted order as
-    json.dumps(sort_keys=True) writes them; lists copied; arrays as they are."""
-    if hasattr(value, "_asdict"):
-        value = value._asdict()
-    if isinstance(value, dict):
-        return {key: _doc(value[key]) for key in sorted(value)}
-    if isinstance(value, list):
-        return [_doc(v) for v in value]
-    return value
-
-
 class RunConfig:
-    """Parsed, validated configuration: one attribute per entry of TABLE.
-
-    Two configs are equal when their normalized documents are equal.
-    """
+    """Parsed, validated configuration: one attribute per entry of TABLE."""
 
     __slots__ = tuple(TABLE)
 
     def __init__(self, **entries):
         for name in TABLE:
             setattr(self, name, entries[name])
-
-    def __eq__(self, other):
-        return isinstance(other, RunConfig) and serialize_config(self) == serialize_config(other)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -582,14 +453,3 @@ def apply_overrides(cfg: RunConfig, tolerances: dict, seed: int | None) -> None:
     cfg.tolerances = _read_tolerances(tolerances, "--tol", cfg.tolerances)
     if seed is not None:
         cfg.seed = _take(TABLE["seed"], seed, "--seed")
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Emit the normalized document, built from the fields as they are now,
-    as json.dumps(indent=2, sort_keys=True) writes it; parse(serialize(cfg))
-    == cfg. A top-level entry is absent when its field is None (seed, model,
-    state, classical, replicate) or an empty list (t_grid, z_grid, which
-    parse as non-empty)."""
-    entries = {name: getattr(cfg, name) for name in TABLE}
-    kept = {k: v for k, v in entries.items() if v is not None and not (isinstance(v, list) and not v)}
-    return "".join(_json_pieces(_doc(kept)))

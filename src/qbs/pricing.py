@@ -151,8 +151,9 @@ def _call_scalars(t: float, lam, r: float, names: str = "w w10 w01 w02") -> tupl
     if wanted != ["w"]:
         dens_g, dens_h = normal_pdf(g), normal_pdf(h)
     if "w10" in wanted:
-        g_t = -0.5 * lam / t**1.5 + 0.5 * (r + 0.5) / sqrt_t
-        h_t = -0.5 * lam / t**1.5 + 0.5 * (r - 0.5) / sqrt_t
+        lam_t = _over_t_power(-0.5 * lam, t)
+        g_t = lam_t + 0.5 * (r + 0.5) / sqrt_t
+        h_t = lam_t + 0.5 * (r - 0.5) / sqrt_t
         out["w10"] = ez * dens_g * g_t + r * disc * phi_h - disc * dens_h * h_t
     if "w01" in wanted:
         out["w01"] = ez * phi_g + (ez * dens_g - disc * dens_h) / sqrt_t
@@ -160,6 +161,21 @@ def _call_scalars(t: float, lam, r: float, names: str = "w w10 w01 w02") -> tupl
         ddens_g, ddens_h = -g * dens_g, -h * dens_h
         out["w02"] = ez * phi_g + 2.0 * (ez * dens_g) / sqrt_t + (ez * ddens_g - disc * ddens_h) / t
     return tuple(out[name] for name in wanted)
+
+
+def _over_t_power(a, t: float):
+    """a / t^1.5, elementwise. A t^1.5 or a quotient beyond float range
+    (t above about 3e205, or t so small that the quotient overflows) is a
+    numerical failure, raised as FloatingPointError, never returned."""
+    try:
+        power = t**1.5
+    except OverflowError:
+        raise FloatingPointError(f"t: t^1.5 overflows at {t!r}") from None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = a / power
+    if not np.isfinite(out).all():
+        raise FloatingPointError(f"t: z / t^1.5 overflows at {t!r}")
+    return out
 
 
 def _hermitian_norm(m) -> float:
