@@ -434,19 +434,13 @@ def _write(value, level: int):
         yield json.dumps(value)
 
 
-def _json_pieces(value):
-    """The pieces of json.dumps(value, indent=2) plus a newline, each
-    ndarray written as nested [re, im] pairs; keys keep their order."""
-    yield from _write(value, 0)
-    yield "\n"
-
-
 def render_json(report: dict, out) -> None:
     """Write the report to the text stream out as json.dumps(report, indent=2)
     writes it, plus a newline, with each ndarray as nested [re, im] pairs.
     The pieces go out as they render: of a d = 128 report (up to 24 MB) no
     more is held at once than one matrix row's text and its encoded copy."""
-    out.writelines(_json_pieces(report))
+    out.writelines(_write(report, 0))
+    out.write("\n")
 
 
 def render_csv(report: dict, out) -> None:
@@ -466,19 +460,6 @@ def render_csv(report: dict, out) -> None:
         writer.writerow([row.get(k, "") for k in scalar_keys])
 
 
-def _parse_tol_overrides(pairs) -> dict:
-    out = {}
-    for pair in pairs or ():
-        name, sep, value = pair.partition("=")
-        if not sep:
-            raise ConfigError("--tol", f"expected NAME=VALUE, got {pair!r}")
-        try:
-            out[name] = float(value)
-        except ValueError:
-            raise ConfigError("--tol", f"bad value in {pair!r}") from None
-    return out
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbs",
@@ -486,14 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a JSON configuration")
-    parser.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument(
-        "--tol",
-        action="append",
-        metavar="NAME=VALUE",
-        help="override a named tolerance (repeatable)",
-    )
     parser.add_argument(
         "--omit-timing",
         action="store_true",
@@ -551,7 +525,7 @@ def _main(argv) -> int:
     try:
         cfg = parse_config(text)
         del text  # MBs at d = 128 that nothing reads again
-        apply_overrides(cfg, _parse_tol_overrides(args.tol), args.seed)
+        apply_overrides(cfg, args.seed)
         report = run(cfg, args.command, timing=not args.omit_timing)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
@@ -559,7 +533,7 @@ def _main(argv) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    render = render_csv if args.csv or cfg.output == "csv" else render_json
+    render = render_csv if cfg.output == "csv" else render_json
     render(report, sys.stdout)
     return 3 if report["invariant_violations"] else 0
 

@@ -281,9 +281,9 @@ def _read_state(obj, path: str) -> np.ndarray:
 _TOLERANCE = Field(_as_number, bound=(lambda v: v > 0.0, "tolerance must be positive"))
 
 
-def _read_tolerances(obj, path: str, base: dict = DEFAULT_TOLERANCES) -> dict:
-    """base with the named tolerances of obj replaced; null replaces none."""
-    tols = dict(base)
+def _read_tolerances(obj, path: str) -> dict:
+    """DEFAULT_TOLERANCES with the named tolerances of obj replaced; null replaces none."""
+    tols = dict(DEFAULT_TOLERANCES)
     for name, val in ({} if obj is None else _as_dict(obj, path)).items():
         _expect(name in DEFAULT_TOLERANCES, f"{path}.{name}", "unknown tolerance name")
         tols[name] = _take(_TOLERANCE, val, f"{path}.{name}")
@@ -446,10 +446,8 @@ def _parse(text: str) -> RunConfig:
     return cfg
 
 
-def apply_overrides(cfg: RunConfig, tolerances: dict, seed: int | None) -> None:
-    """Set command-line overrides under the rules of the fields they replace:
-    each NAME -> value of tolerances as a tolerances entry at path --tol,
-    and seed, unless None, as the seed at path --seed."""
-    cfg.tolerances = _read_tolerances(tolerances, "--tol", cfg.tolerances)
+def apply_overrides(cfg: RunConfig, seed: int | None) -> None:
+    """Set the command-line seed, unless None, under the rules of the seed
+    field, at path --seed."""
     if seed is not None:
         cfg.seed = _take(TABLE["seed"], seed, "--seed")

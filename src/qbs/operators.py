@@ -175,10 +175,15 @@ def joint_decompose(z: np.ndarray, k: np.ndarray, name: str):
     else:
         raise np.linalg.LinAlgError(f"{name}: the joint eigenbasis with K did not converge")
     lam, kd = both.diagonal(axis1=1, axis2=2).real
-    # Python's stable sort, as np.argsort(kind="stable") orders: numpy's sort
-    # loops are code that no other step of a small job runs, 0.13 MB of peak RSS
-    order = sorted(range(len(lam)), key=lam.tolist().__getitem__)
+    order = _stable_order(lam)
     return SpectralDecomposition(lam[order], v[:, order]), kd[order] / scale
+
+
+def _stable_order(values: np.ndarray) -> list:
+    """The indices that sort values, ties in index order, as np.argsort(kind="stable")
+    orders them. Python's sort: numpy's sort loops are code that no other step of a
+    small job runs, 0.13 MB of peak RSS."""
+    return sorted(range(len(values)), key=values.tolist().__getitem__)
 
 
 def _pair_rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 from .flows import ModelOperators, _freeze, expectation
 from .operators import (
     SpectralDecomposition,
+    _stable_order,
     commutator,
     finite_exp,
     frobenius,
@@ -329,7 +330,7 @@ def hermitian_stock_moneyness(x: np.ndarray, k: np.ndarray) -> Moneyness:
     a traced ``hedge`` job spends its time in this module."""
     dec_x, k_x = _moneyness(x, k, "X")
     lam = spectrum_log(dec_x.eigenvalues, "X") - spectrum_log(k_x, "K")
-    order = np.argsort(lam, kind="stable")
+    order = _stable_order(lam)
     m = Moneyness(SpectralDecomposition(lam[order], dec_x.eigenvectors[:, order]), k_x[order])
     err = frobenius(m.priced(finite_exp(m.dec.eigenvalues, "z")) - x)
     if not err <= 1e-10 * max(1.0, frobenius(x)):

@@ -21,6 +21,7 @@ from qbs import operators
 from qbs.config import ConfigError, parse_config
 from qbs.operators import hermitian_part
 from qbs.sampling import random_complex, random_hermitian, random_state, random_unitary
+from test_flows import X0_SPECTRUM, positive_x0
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -87,6 +88,15 @@ def run_cli(args, config_doc, tmp_path, name="cfg.json"):
     )
 
 
+def _shipped_with(tmp_path, config, **sections):
+    """Path of configs/<config>.json with the given sections replaced."""
+    doc = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+    doc.update(sections)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_price_command_scalar(tmp_path):
     proc = run_cli(["price", "--omit-timing"], scalar_config(), tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -141,13 +151,16 @@ def test_the_program_freezes_its_heap_after_the_report():
     assert frozen > 0
 
 
+# a (config, tolerances) pair stands for the path of that shipped config
+# with those tolerances
 @pytest.mark.parametrize("args,exit_code", [
     (["coeffs", "--config", "configs/missing.json"], 2),
-    (["coeffs", "--config", "configs/flow_2x2.json", "--tol", "bogus=1"], 2),
-    (["residual", "--config", "configs/price_scalar.json", "--tol", "residual_eq8=1e-30"], 3),
+    (["coeffs", "--config", ("flow_2x2", {"bogus": 1.0})], 2),
+    (["residual", "--config", ("price_scalar", {"residual_eq8": 1e-30})], 3),
     (["coeffs", "--config", "configs/flow_2x2.json", "--bogus"], 2),
 ])
-def test_the_program_freezes_its_heap_on_every_exit_path(args, exit_code):
+def test_the_program_freezes_its_heap_on_every_exit_path(args, exit_code, tmp_path):
+    args = [_shipped_with(tmp_path, arg[0], tolerances=arg[1]) if isinstance(arg, tuple) else arg for arg in args]
     code, _, frozen = _run_as_program(*args)
     assert code == exit_code
     assert frozen > 0
@@ -192,43 +205,44 @@ def test_invalid_scattering_is_a_config_error(tmp_path):
 
 
 def test_violation_exit_code(tmp_path):
-    proc = run_cli(["residual", "--tol", "residual_eq8=1e-30"], scalar_config(), tmp_path)
+    proc = run_cli(["residual"], scalar_config(tolerances={"residual_eq8": 1e-30}), tmp_path)
     assert proc.returncode == 3
     doc = json.loads(proc.stdout)
     assert doc["invariant_violations"]
 
 
-def test_unknown_tolerance_name(tmp_path):
-    proc = run_cli(["price", "--tol", "bogus=1"], scalar_config(), tmp_path)
-    assert proc.returncode == 2
-    assert "bogus" in proc.stderr
-
-
-@pytest.mark.parametrize(
-    "flags,message",
-    [
-        (["--tol", "bogus=1"], "--tol.bogus: unknown tolerance name"),
-        (["--tol", "terminal=0"], "--tol.terminal: tolerance must be positive"),
-        (["--tol", "terminal=1e-3", "--tol", "hedge_value=nan"], "--tol.hedge_value: non-finite number nan"),
-        (["--tol", "terminal"], "--tol: expected NAME=VALUE, got 'terminal'"),
-        (["--seed", "-1"], "--seed: seed must be nonnegative"),
-    ],
-)
-def test_override_follows_the_config_rules(flags, message, tmp_path, capsys):
+def test_override_follows_the_config_rules(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(scalar_config()))
-    assert qbs.cli.main(["price", "--config", str(path), *flags]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert qbs.cli.main(["price", "--config", str(path), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: --seed: seed must be nonnegative\n"
 
 
 def test_overrides_replace_config_values(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(scalar_config(tolerances={"terminal": 1e-3})))
-    args = ["price", "--config", str(path), "--omit-timing", "--tol", "hedge_value=1e-5", "--seed", "0"]
-    assert qbs.cli.main(args) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["seed"] == 0
-    assert doc["tolerances"]["terminal"] == 1e-3 and doc["tolerances"]["hedge_value"] == 1e-5
+    path.write_text(json.dumps(scalar_config()))  # seed 7
+    assert qbs.cli.main(["price", "--config", str(path), "--omit-timing", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+
+@pytest.mark.parametrize("flags", [["--csv"], ["--tol", "terminal=1e-3"]])
+def test_a_config_field_has_no_flag(flags, capsys):
+    # the output format and the tolerances are set in the config alone
+    with pytest.raises(SystemExit) as exit_:
+        qbs.cli.main(["price", "--config", str(ROOT / "configs" / "flow_2x2.json"), *flags])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
+
+
+def test_help_lists_the_two_overrides(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        qbs.cli.main(["--help"])
+    assert exit_.value.code == 0
+    usage = capsys.readouterr().out
+    assert usage.startswith("usage: qbs [-h] --config CONFIG [--seed SEED] [--omit-timing]")
+    assert "--csv" not in usage and "--tol" not in usage
 
 
 def test_seed_required_for_stochastic_commands(tmp_path):
@@ -264,11 +278,7 @@ def test_ito_check_gate_catches_a_broken_ito_table(monkeypatch, capsys):
 
 def _flow_2x2_with(tmp_path, **sections):
     """Path of configs/flow_2x2.json with the given sections replaced."""
-    doc = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())
-    doc.update(sections)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+    return _shipped_with(tmp_path, "flow_2x2", **sections)
 
 
 @pytest.mark.parametrize("k_max", [400, 700])
@@ -283,17 +293,17 @@ def test_overflowing_ito_powers_are_a_numerical_error(k_max, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "lindblad,flags",
+    "lindblad,tolerances",
     [
-        ({"t": [1.0], "steps": 1}, []),
-        ({"t": [0.1, 1.0]}, ["--tol", "semigroup=1e-30"]),
+        ({"t": [1.0], "steps": 1}, {}),
+        ({"t": [0.1, 1.0]}, {"semigroup": 1e-30}),
     ],
 )
-def test_lindblad_step_doubling_gate(lindblad, flags, tmp_path, capsys):
+def test_lindblad_step_doubling_gate(lindblad, tolerances, tmp_path, capsys):
     # negative controls: one RK4 step over t = 1 is off by about 6e-5
     # relative, and no default step count reaches 1e-30
-    path = _flow_2x2_with(tmp_path, lindblad=lindblad)
-    assert qbs.cli.main(["lindblad", "--config", path, "--omit-timing", *flags]) == 3
+    path = _flow_2x2_with(tmp_path, lindblad=lindblad, tolerances=tolerances)
+    assert qbs.cli.main(["lindblad", "--config", path, "--omit-timing"]) == 3
     report = json.loads(capsys.readouterr().out)
     assert not any(row["passed"] for row in report["results"])
     assert len(report["invariant_violations"]) == len(lindblad["t"])
@@ -339,7 +349,7 @@ def test_hedge_time_outside_the_maturity_is_a_config_error(time, tmp_path, capsy
 
 
 def test_csv_output(tmp_path):
-    proc = run_cli(["classical", "--csv"], full_config(), tmp_path)
+    proc = run_cli(["classical"], {**full_config(), "output": "csv"}, tmp_path)
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
     assert lines[0].split(",")[:2] == ["x", "t"]
@@ -347,7 +357,7 @@ def test_csv_output(tmp_path):
     assert abs(float(row[5]) - 0.7170498285392044) <= 1e-12
 
 
-# the --csv reports of two shipped jobs, byte for byte
+# the CSV reports of two shipped jobs, byte for byte
 CSV_REPORTS = {
     ("price", "flow_2x2"): (
         "t,z_index,omega_min_eigenvalue,omega_max_eigenvalue,omega_expectation\n"
@@ -364,9 +374,9 @@ CSV_REPORTS = {
 
 
 @pytest.mark.parametrize("command,config", sorted(CSV_REPORTS))
-def test_csv_report_is_unchanged(command, config, capsys):
-    path = str(ROOT / "configs" / f"{config}.json")
-    assert qbs.cli.main([command, "--config", path, "--omit-timing", "--csv"]) == 0
+def test_csv_report_is_unchanged(command, config, tmp_path, capsys):
+    path = _shipped_with(tmp_path, config, output="csv")
+    assert qbs.cli.main([command, "--config", path, "--omit-timing"]) == 0
     assert capsys.readouterr() == (CSV_REPORTS[command, config], "")
 
 
@@ -645,11 +655,11 @@ def _call_in_basis(u, k, lam, r, t):
     return (u * np.array(c)) @ u.conj().T
 
 
-def _main_output(command, path, *flags):
+def _main_output(command, path):
     """(exit code, stdout, stderr) of main in process, without timing."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = qbs.cli.main([command, "--config", path, "--omit-timing", *flags])
+        code = qbs.cli.main([command, "--config", path, "--omit-timing"])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -693,6 +703,29 @@ def test_generated_markets_price_as_the_scalar_call(generated_config, market):
                 assert np.linalg.norm(x_t - np.eye(len(k))) <= 1e-12, row["t"]
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(X0_SPECTRUM, min_size=1, max_size=6), st.sampled_from([0.01, 0.5, 2.0]))
+def test_lindblad_keeps_a_positive_x0_positive_and_contracts_it(generated_config, seed, spectrum, t):
+    # the semigroup is unital and completely positive: X0 >= 0 gives
+    # X_t >= 0, and ||X_t||_2 <= ||X0||_2, each within the step-doubling
+    # tolerance that the command passes X_t by
+    rng = np.random.default_rng(seed)
+    dim = len(spectrum)
+    x0 = positive_x0(rng, spectrum)
+    flat = np.zeros(dim)
+    doc = _market_doc(np.eye(dim), np.ones(dim), flat, [flat], lindblad={"t": [t], "x0": _matrix_doc(x0)})
+    flows = {"H": random_hermitian(rng, dim), "L": random_complex(rng, dim, 0.8), "S": random_unitary(rng, dim)}
+    doc["model"]["ops"].update((name, _matrix_doc(m)) for name, m in flows.items())
+    Path(generated_config).write_text(json.dumps(doc))
+    code, out, err = _main_output("lindblad", generated_config)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    x_t = np.array(report["results"][0]["x_t"]) @ np.array([1.0, 1j])
+    slack = report["tolerances"]["semigroup"] * max(1.0, float(np.linalg.norm(x_t)))
+    assert np.linalg.eigvalsh(hermitian_part(x_t))[0] >= -slack
+    assert np.linalg.norm(x_t, 2) <= np.linalg.norm(x0, 2) + slack
+
+
 # each checking command, the tolerance it is judged by, and the end of the
 # violation line of a row: the row's t and z_index
 TIGHT_CHECKS = [
@@ -711,10 +744,10 @@ def test_generated_markets_fail_a_tolerance_below_roundoff(generated_config, mar
     doc["t_grid"].append(doc["t_grid"][0] / 2)
     doc["z_grid"].append(_in_basis(u, -lam))
     doc["hedge"]["times"].append(0.25)
-    Path(generated_config).write_text(json.dumps(doc))
     checks = TIGHT_CHECKS if float(np.min(np.abs(lam))) > 0.11 else TIGHT_CHECKS[::2]
     for command, name, where in checks:
-        code, out, err = _main_output(command, generated_config, "--tol", f"{name}={tol!r}")
+        Path(generated_config).write_text(json.dumps({**doc, "tolerances": {name: tol}}))
+        code, out, err = _main_output(command, generated_config)
         report = json.loads(out)
         failed = [row for row in report["results"] if not row["passed"]]
         assert (code, err) == (3 if failed else 0, "")

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import qbs.flows
 from qbs.flows import (
+    _coefficients,
     _power_pairs,
     BrownianReport,
     ModelOperators,
     QuantumStochasticDifferential,
     brownian_reduction_check,
+    default_steps,
     expectation,
     flow_coefficients,
     flow_differential,
@@ -21,8 +24,15 @@ from qbs.flows import (
     qsd_power_iterated,
     semigroup_evolve,
 )
-from qbs.operators import adjoint, commutator
-from qbs.sampling import random_hermitian, random_model, random_state, shift_model
+from qbs.operators import adjoint, commutator, hermitian_part
+from qbs.sampling import (
+    random_complex,
+    random_hermitian,
+    random_model,
+    random_state,
+    random_unitary,
+    shift_model,
+)
 
 Z2 = np.zeros((2, 2), dtype=complex)
 
@@ -118,6 +128,64 @@ def test_flow_coefficients_linear_in_x():
         (f2.alpha, f2.alpha_dagger, f2.lam, f2.theta),
     ):
         assert np.max(np.abs(got - (a * p + b * q))) <= 1e-12
+
+
+def _structure_defects(coefficients, x, y, m: ModelOperators) -> list:
+    """The defects of the Evans-Hudson structure equations at (X, Y), for
+    lambda, alpha_dagger, alpha and theta in turn: each of XY against
+    c(X)Y + Xc(Y) + (its Ito correction), over ||X|| ||Y|| (1 + ||H|| + ||L||)^2,
+    which bounds every product in them (over 1 where X or Y is 0)."""
+    alpha, alpha_dagger, lam, theta = coefficients(np.stack([x, y, x @ y]), m.H, m.L, m.S)
+    rhs = (
+        lam[0] @ y + x @ lam[1] + lam[0] @ lam[1],
+        alpha_dagger[0] @ y + x @ alpha_dagger[1] + lam[0] @ alpha_dagger[1],
+        alpha[0] @ y + x @ alpha[1] + alpha[0] @ lam[1],
+        theta[0] @ y + x @ theta[1] + alpha[0] @ alpha_dagger[1],
+    )
+    norm = lambda a: float(np.linalg.norm(a))
+    scale = norm(x) * norm(y) * (1.0 + norm(m.H) + norm(m.L)) ** 2 or 1.0
+    return [norm(c[2] - want) / scale for c, want in zip((lam, alpha_dagger, alpha, theta), rhs)]
+
+
+@st.composite
+def _flow_models(draw):
+    """(model, X, Y) at d = 1-6: a drawn model, one with S = I (the Brownian
+    case), or the cyclic shift of shift_model (the Poisson case) with drawn H
+    and L; X and Y are drawn complex matrices, X also the model's X."""
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["drawn", "brownian", "shift"]))
+    if kind == "shift":
+        m = shift_model(dim)._replace(H=random_hermitian(rng, dim), L=random_complex(rng, dim, 0.8))
+    else:
+        m = random_model(rng, dim, brownian=kind == "brownian")
+    x = m.X if draw(st.booleans()) else random_complex(rng, dim)
+    return m, x, random_complex(rng, dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flow_models())
+def test_flow_coefficients_meet_the_structure_equations(drawn):
+    # j_t(X) = U_t* X U_t is a *-homomorphism, so the Ito product rule on
+    # j_t(XY) gives each coefficient of XY from those of X and Y
+    m, x, y = drawn
+    assert max(_structure_defects(_coefficients, x, y, m)) <= 1e-13
+
+
+def test_structure_equations_catch_a_mutant_alpha():
+    # negative control: alpha = S [L*, X] for [L*, X] S breaks the alpha
+    # equation and, through alpha(X) alpha_dagger(Y), the theta one
+    def mutant(x, h, l, s):
+        alpha, alpha_dagger, lam, theta = _coefficients(x, h, l, s)
+        ld = adjoint(l)
+        return s @ (ld @ x - x @ ld), alpha_dagger, lam, theta
+
+    rng = np.random.default_rng(46)
+    m = random_model(rng, 3)
+    x, y = random_complex(rng, 3), random_complex(rng, 3)
+    lam, alpha_dagger, alpha, theta = _structure_defects(mutant, x, y, m)
+    assert max(lam, alpha_dagger) <= 1e-13
+    assert min(alpha, theta) >= 1e-3
 
 
 def test_flow_differential_slots():
@@ -415,8 +483,6 @@ def test_semigroup_frozen_expectation():
 
 def test_semigroup_above_the_dense_bound_matches_superoperator_oracle():
     # the first dimension past flows._DENSE_MAX_DIM runs the RK4 loop
-    import qbs.flows
-
     dim = qbs.flows._DENSE_MAX_DIM + 1
     rng = np.random.default_rng(42)
     m = random_model(rng, dim)
@@ -426,11 +492,37 @@ def test_semigroup_above_the_dense_bound_matches_superoperator_oracle():
     assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, float(np.abs(want).max()))
 
 
+# eigenvalues of a drawn X0 >= 0: exact zeros, and ties at the top
+X0_SPECTRUM = st.sampled_from([0.0, 1e-3, 1.0, 4.0])
+# the first dimension that semigroup_evolve runs as the RK4 loop
+LOOP_DIM = qbs.flows._DENSE_MAX_DIM + 1
+
+
+def positive_x0(rng, spectrum) -> np.ndarray:
+    """U diag(spectrum) U*, U drawn from rng."""
+    u = random_unitary(rng, len(spectrum))
+    return hermitian_part((u * np.array(spectrum)) @ u.conj().T)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(X0_SPECTRUM, min_size=LOOP_DIM, max_size=LOOP_DIM), st.sampled_from([0.01, 0.5]))
+def test_semigroup_on_the_rk4_loop_keeps_x0_positive_and_contracts_it(seed, spectrum, t):
+    # e^{t theta} is unital and completely positive: X0 >= 0 gives X_t >= 0,
+    # and ||X_t||_2 <= ||X0||_2, each within the step-doubling tolerance of
+    # the lindblad command (1e-8)
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, LOOP_DIM)
+    x0 = positive_x0(rng, spectrum)
+    x_t = semigroup_evolve(x0, m, t)
+    slack = 1e-8 * max(1.0, float(np.linalg.norm(x_t)))
+    assert np.linalg.norm(x_t - semigroup_evolve(x0, m, t, steps=2 * default_steps(t))) <= slack
+    assert np.linalg.eigvalsh(hermitian_part(x_t))[0] >= -slack
+    assert np.linalg.norm(x_t, 2) <= np.linalg.norm(x0, 2) + slack
+
+
 def test_semigroup_dense_propagator_is_the_rk4_loop(monkeypatch):
     # at the bound, the powered one-step superoperator gives what the
     # step-by-step loop gives, to roundoff
-    import qbs.flows
-
     dim = qbs.flows._DENSE_MAX_DIM
     rng = np.random.default_rng(44)
     m = random_model(rng, dim)

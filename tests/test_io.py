@@ -199,6 +199,7 @@ SCHEMA_FAULTS = [
     (("tolerances",), [], "tolerances", "expected an object, got list"),
     (("tolerances",), {"terminal": 0}, "tolerances.terminal", "tolerance must be positive"),
     (("tolerances",), {"terminal": "1"}, "tolerances.terminal", "expected a number, got '1'"),
+    (("tolerances",), {"hedge_value": math.nan}, "tolerances.hedge_value", "non-finite number nan"),
     (("tolerances",), {"bogus": 1.0}, "tolerances.bogus", "unknown tolerance name"),
     (("model",), None, "model", "expected an object, got NoneType"),
     (("model", "ops"), DELETE, "model.ops", "missing"),

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 import qbs.cli
 from qbs.operators import (
+    _stable_order,
     adjoint,
     as_matrix,
     commutator,
@@ -27,6 +29,13 @@ from test_cli import full_config
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+
+@given(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 2.0, 1e-300, 3.0]), max_size=12))
+def test_stable_order_is_numpys_stable_argsort(values):
+    # ties, -0.0 and 0.0 among them, keep their index order
+    values = np.array(values, dtype=np.float64)
+    assert _stable_order(values) == np.argsort(values, kind="stable").tolist()
 
 
 def test_as_matrix_rejects_bad_shapes():

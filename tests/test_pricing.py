@@ -479,6 +479,21 @@ def test_a_hedge_job_checks_its_stock_and_k_hermitian_once(stock, tmp_path, monk
     assert [_checks_of(checked, held), _checks_of(checked, cfg.model.K)] == [1, 1]
 
 
+@pytest.mark.parametrize("command", ["price", "hedge"])
+def test_a_small_job_calls_no_numpy_sort(command, monkeypatch, capsys):
+    # the joint eigenbases order their spectra with Python's stable sort:
+    # numpy's sort loops would fault about 0.13 MB of code into a d = 2 job
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy sort")
+
+    for name in ("argsort", "sort"):
+        monkeypatch.setattr(np, name, refuse)
+    path = ROOT / "configs" / "flow_2x2.json"
+    assert qbs.cli.main([command, "--config", str(path), "--omit-timing"]) == 0
+    golden = ROOT / "tests" / "golden" / f"{command}.flow_2x2.json"
+    assert capsys.readouterr() == (golden.read_text(), "")
+
+
 def test_each_model_operator_is_checked_once_per_parse(monkeypatch):
     # X and H Hermitian and S unitary, each once, as ModelOperators builds them
     text = (ROOT / "configs" / "flow_2x2.json").read_text()
