@@ -199,7 +199,6 @@ SCHEMA_FAULTS = [
     (("tolerances",), [], "tolerances", "expected an object, got list"),
     (("tolerances",), {"terminal": 0}, "tolerances.terminal", "tolerance must be positive"),
     (("tolerances",), {"terminal": "1"}, "tolerances.terminal", "expected a number, got '1'"),
-    (("tolerances",), {"hedge_value": math.nan}, "tolerances.hedge_value", "non-finite number nan"),
     (("tolerances",), {"bogus": 1.0}, "tolerances.bogus", "unknown tolerance name"),
     (("model",), None, "model", "expected an object, got NoneType"),
     (("model", "ops"), DELETE, "model.ops", "missing"),
@@ -292,6 +291,8 @@ SCHEMA_FAULTS = [
     (("model", "K"), NH, "model.K", NOT_HERMITIAN),
     (("model", "K"), [[[-1, 0], [0, 0]], [[0, 0], [2, 0]]], "model.K",
      "not positive definite, smallest eigenvalue -1.0"),
+    # a non-finite tolerance
+    (("tolerances",), {"hedge_value": math.nan}, "tolerances.hedge_value", "non-finite number nan"),
 ]
 
 
