@@ -27,7 +27,7 @@ from .config import SCHEMA_VERSION, ConfigError, RunConfig, apply_overrides, pai
 from .flows import default_steps, flow_coefficients, power_rule_deviation, semigroup_evolve
 from .operators import hermitian_defect
 from .pricing import _moneyness, classical_bs, hermitian_stock_moneyness, moneyness, replication_simulation
-from .sampling import random_model
+from .sampling import random_model_stacks
 
 # matrix entries per (models, d, d) stack in ito-check
 _STACK_ENTRIES = 1 << 14
@@ -71,12 +71,11 @@ def _cmd_ito_check(cfg: RunConfig):
     violations = []
     for dim in cfg.ito_check["dims"]:
         worst = 0.0
-        # models are drawn one at a time, in trial order, and checked a
-        # bounded stack at a time
+        # models are drawn and checked a bounded stack at a time, in trial
+        # order, as one random_model call per trial would draw them
         per_stack = max(1, _STACK_ENTRIES // (dim * dim))
         for start in range(0, trials, per_stack):
-            models = [random_model(rng, dim) for _ in range(min(per_stack, trials - start))]
-            stacks = [np.stack([getattr(m, name) for m in models]) for name in "XHLS"]
+            stacks = random_model_stacks(rng, min(per_stack, trials - start), dim)
             deviation = power_rule_deviation(*stacks, cfg.ito_check["k_max"])
             worst = max(worst, float(deviation.max()))
         passed = worst <= tol
@@ -121,11 +120,12 @@ def _cmd_price(cfg: RunConfig):
 
 
 def _cmd_residual(cfg: RunConfig):
-    tol = cfg.tolerances["residual_eq8"]
+    tol, fd_tol = cfg.tolerances["residual_eq8"], cfg.tolerances["derivative_fd"]
     results = []
     violations = []
     for t, i, m in _grid(cfg):
         rep = m.residual(t, cfg.model.r, tol)
+        gap = m.derivative_gap(t, cfg.model.r)
         results.append(
             {
                 "t": t,
@@ -139,6 +139,8 @@ def _cmd_residual(cfg: RunConfig):
             violations.append(
                 f"residual {rep.residual_norm:.6e} exceeds {tol:.6e} at t={t}, z_index={i}"
             )
+        if not gap <= fd_tol:
+            violations.append(f"derivative gap {gap:.6e} exceeds {fd_tol:.6e} at t={t}, z_index={i}")
     return results, violations
 
 

@@ -93,22 +93,29 @@ def pair_array(m) -> np.ndarray:
 
 
 def _pair_values(cells: list):
-    """The (n, 2) float array of n cells that are each an [re, im] pair of
-    finite numbers, checked and converted in whole-list passes; None when
-    some cell is not, and the caller's per-cell walk then names it."""
-    if not all(map(isinstance, cells, repeat(list))) or set(map(len, cells)) != {2}:
+    """The complex vector of n cells that are each an [re, im] pair of
+    numbers, checked and converted in whole-list passes; None when some
+    cell is not, and the caller's per-cell walk then names it. Finiteness
+    is the caller's check, made once per vector or matrix."""
+    try:
+        if set(map(len, cells)) != {2}:
+            return None
+    except TypeError:  # a cell that is a number, a bool or null
         return None
-    leaves = list(chain.from_iterable(cells))
+    leaves = list(chain.from_iterable(cells))  # a string or object cell yields strings
     kinds = set(map(type, leaves))
-    if not all(issubclass(k, (int, float)) and not issubclass(k, bool) for k in kinds):
+    if bool in kinds or not all(map(issubclass, kinds, repeat((int, float)))):
         return None
     try:
         vals = np.array(leaves, dtype=np.float64)
     except OverflowError:  # an integer literal beyond float range
         return None
-    if not np.isfinite(vals).all():
-        return None
-    return vals.reshape(-1, 2)
+    return vals.view(np.complex128)
+
+
+def _finite(values):
+    """values, unless None or holding a non-finite entry: then None."""
+    return values if values is not None and np.isfinite(values).all() else None
 
 
 def _check_pair(obj, path: str) -> None:
@@ -124,19 +131,22 @@ def _malformed(path: str) -> ConfigError:
 
 
 def _matrix_values(rows: list):
-    """The complex array of d rows of d [re, im] pairs of finite numbers,
-    checked and converted in whole-list passes; None for anything else."""
+    """The complex array of d rows of d finite [re, im] pairs, each row a
+    list of pairs or the vector that _scanned made of one; None for
+    anything else."""
     dim = len(rows)
+    if set(map(type, rows)) == {np.ndarray} and {row.shape for row in rows} == {(dim,)}:
+        return _finite(np.array(rows))
     if all(map(isinstance, rows, repeat(list))) and set(map(len, rows)) == {dim}:
-        vals = _pair_values(list(chain.from_iterable(rows)))
+        vals = _finite(_pair_values(list(chain.from_iterable(rows))))
         if vals is not None:
-            return vals.view(np.complex128).reshape(dim, dim)
+            return vals.reshape(dim, dim)
     return None
 
 
 def matrix_from_json(obj, path: str) -> np.ndarray:
-    if isinstance(obj, np.ndarray):  # read as its array when it was scanned
-        return obj
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.shape[0] == obj.shape[1]:
+        return obj  # read as its array when it was scanned
     rows = _as_list(obj, path)
     _expect(len(rows) > 0, path, "empty matrix")
     matrix = _matrix_values(rows)
@@ -152,11 +162,13 @@ def matrix_from_json(obj, path: str) -> np.ndarray:
 
 
 def vector_from_json(obj, path: str) -> np.ndarray:
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and np.isfinite(obj).all():
+        return obj  # read as its array when it was scanned
     entries = _as_list(obj, path)
     _expect(len(entries) > 0, path, "empty vector")
-    vals = _pair_values(entries)
+    vals = _finite(_pair_values(entries))
     if vals is not None:
-        return vals.view(np.complex128).reshape(-1)
+        return vals
     for i, pair in enumerate(entries):
         _check_pair(pair, f"{path}[{i}]")
     raise _malformed(path)
@@ -369,11 +381,12 @@ class RunConfig:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document.
 
-    A parse holds its arrays and the JSON tree of the matrix being scanned,
-    0.78 times the text at d = 128. The cyclic garbage collector is paused
-    meanwhile: that tree holds one list per [re, im] pair, each of which
-    would count towards a collection, and no cycle, so reference counting
-    frees it. Every exit path restores the collector's state."""
+    A parse holds its arrays and the JSON tree of the matrix row being
+    scanned, 0.51 times the text at d = 128 under tracemalloc. The cyclic
+    garbage collector is paused meanwhile: a JSON tree holds one list per
+    [re, im] pair, each of which would count towards a collection, and no
+    cycle, so reference counting frees it. Every exit path restores the
+    collector's state."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -383,14 +396,18 @@ def parse_config(text: str) -> RunConfig:
             gc.enable()
 
 
-# an array nested at least three deep, "[" ws "[" ws "[", as a matrix is
+# an array nested at least two deep, "[" ws "[", as a matrix row is, and
+# at least three deep, as a matrix is
+_TWO_DEEP = re.compile(r"\[[ \t\n\r]*\[").match
 _THREE_DEEP = re.compile(r"\[[ \t\n\r]*\[[ \t\n\r]*\[").match
 
 
 def _scanned(text: str):
-    """json.loads(text), with each square matrix of finite [re, im] pairs
-    made its array as it closes. Objects and arrays three deep go through
-    the stdlib's JSONObject and JSONArray, all else through its C scanner."""
+    """json.loads(text), with each row of [re, im] pairs made its complex
+    vector as it closes, and each square matrix of finite such rows its
+    array. Objects and arrays three deep go through the stdlib's JSONObject
+    and JSONArray, all else through its C scanner, so a parse holds the
+    JSON tree of one row at a time."""
     decoder = json.JSONDecoder()
     scan_value = decoder.scan_once
 
@@ -401,7 +418,11 @@ def _scanned(text: str):
             items, end = json.decoder.JSONArray((s, idx + 1), scan_once)
             matrix = _matrix_values(items)
             return (items if matrix is None else matrix), end
-        return scan_value(s, idx)
+        value, end = scan_value(s, idx)
+        if _TWO_DEEP(s, idx):
+            row = _pair_values(value)
+            return (value if row is None else row), end
+        return value, end
 
     decoder.scan_once = scan_once
     return decoder.decode(text)

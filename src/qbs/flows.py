@@ -211,7 +211,8 @@ def power_rule_deviation(x, h, l, s, k_max: int) -> np.ndarray:
     ||closed - iterated||_F / max(1, ||closed||_F) of the flow
     differential's Ito powers over the slots and k = 2..k_max.
 
-    The stacks are taken as validated (rows of ``ModelOperators``). Powers
+    The stacks are taken as validated (rows of ``ModelOperators``, as
+    ``sampling.random_model_stacks`` draws them). Powers
     beyond float range are a numerical failure, raised as FloatingPointError:
     a power with a non-finite entry, for the first model that has one, at
     its first such slot in the order of the per-model functions (by k,

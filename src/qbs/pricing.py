@@ -255,6 +255,20 @@ class Moneyness(NamedTuple):
         scalars = _call_scalars(t, self.dec.eigenvalues, r)
         return _report(_hermitian_norm(_eq8(r, *map(self.priced, scalars))), tolerance)
 
+    def derivative_gap(self, t: float, r: float) -> float:
+        """The larger 2-norm gap of the analytic z-partials K w01(z) and
+        K w02(z) from the central differences of the price over z +- hI,
+        h the ``_fd_step`` of ||z||_2, at rate r. z +- hI has z's
+        eigenvectors, so each gap is K f(z) for a scalar f taken at the
+        shifted eigenvalues, and its 2-norm is max |k f|."""
+        lam = self.dec.eigenvalues
+        h = _fd_step(float(np.abs(lam).max()))
+        w, w01, w02 = _call_scalars(t, lam, r, "w w01 w02")
+        (up,), (down,) = _call_scalars(t, lam + h, r, "w"), _call_scalars(t, lam - h, r, "w")
+        gap01 = np.abs(w01 - _central_first(up, down, h))
+        gap02 = np.abs(w02 - _central_second(up, w, down, h))
+        return float(np.max(self.k * np.maximum(gap01, gap02)))
+
     def payoff(self, convention: str = "spectral", state=None):
         """terminal_payoff(z, K, convention, state)."""
         if convention not in ("spectral", "expectation"):

@@ -8,9 +8,22 @@ from .flows import ModelOperators
 from .pricing import MarketModel
 
 
+def _hermitian(a, scale: float = 1.0) -> np.ndarray:
+    """scale (A + A*)/2 of each matrix A of a (any leading axes)."""
+    return scale * 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def _haar_unitary(a) -> np.ndarray:
+    """The Haar-distributed unitary of each matrix A of a (any leading
+    axes) whose entries are standard normal re + i im: QR of A / sqrt(2)
+    with the standard phase correction."""
+    q, r = np.linalg.qr(a / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def random_hermitian(rng, dim: int, scale: float = 1.0) -> np.ndarray:
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * 0.5 * (a + a.conj().T)
+    return _hermitian(random_complex(rng, dim), scale)
 
 
 def random_complex(rng, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -19,10 +32,7 @@ def random_complex(rng, dim: int, scale: float = 1.0) -> np.ndarray:
 
 def random_unitary(rng, dim: int) -> np.ndarray:
     """Haar-distributed unitary via QR with the standard phase correction."""
-    a = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(a)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return _haar_unitary(random_complex(rng, dim))
 
 
 def random_positive_definite(rng, dim: int, eig_low: float = 0.25, eig_high: float = 4.0) -> np.ndarray:
@@ -46,6 +56,17 @@ def random_model(rng, dim: int, brownian: bool = False, coupling: float = 0.8) -
         L=random_complex(rng, dim, scale=coupling),
         S=s,
     )
+
+
+def random_model_stacks(rng, count: int, dim: int, coupling: float = 0.8) -> tuple:
+    """The (count, dim, dim) stacks (X, H, L, S) of count models of
+    random_model(rng, dim, coupling=coupling), drawn in one call of rng:
+    equal, entry for entry, to count calls of random_model, which leave
+    rng where this call does."""
+    normals = rng.standard_normal((count, 8, dim, dim))
+    # per model, in random_model's order: S, X, H, L, each re then im
+    s, x, h, l = np.moveaxis(normals[:, 0::2] + 1j * normals[:, 1::2], 1, 0)
+    return _hermitian(x), _hermitian(h), coupling * l, _haar_unitary(s)
 
 
 def random_zero_diag_unitary(rng, dim: int) -> np.ndarray:

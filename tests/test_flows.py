@@ -29,6 +29,7 @@ from qbs.sampling import (
     random_complex,
     random_hermitian,
     random_model,
+    random_model_stacks,
     random_state,
     random_unitary,
     shift_model,
@@ -316,6 +317,20 @@ def test_stacked_power_rule_pass_is_the_per_model_one(seed, dim, k_max, n):
                 worst[i] = max(worst[i], float(np.linalg.norm(c - it)) / scale)
     assert k == k_max
     assert power_rule_deviation(*stacks, k_max).tobytes() == worst.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stacked_model_draws_are_the_per_model_ones(dim):
+    # ito-check draws a stack of models in one call: bit for bit the models
+    # of one random_model call per trial, and the stream left where those
+    # calls leave it
+    rng = np.random.default_rng(7)
+    models = [random_model(rng, dim) for _ in range(100)]
+    stacked_rng = np.random.default_rng(7)
+    stacks = random_model_stacks(stacked_rng, 100, dim)
+    for name, stack in zip("XHLS", stacks):
+        assert stack.tobytes() == np.stack([getattr(m, name) for m in models]).tobytes(), name
+    assert stacked_rng.standard_normal() == rng.standard_normal()
 
 
 def test_stacked_power_rule_pass_fails_as_the_per_model_one_on_overflow():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import qbs.cli
 from qbs.cli import render_json
-from qbs.config import DEFAULT_TOLERANCES, ConfigError, RunConfig, matrix_from_json, pair_array, parse_config
+from qbs.config import DEFAULT_TOLERANCES, ConfigError, RunConfig, _scanned, matrix_from_json, pair_array, parse_config
 from qbs.pricing import log_moneyness
 from qbs.sampling import random_commuting_positive_pair, random_complex, random_hermitian, random_unitary
 from test_cli import _parse_peak, full_config
@@ -55,6 +55,11 @@ MALFORMED = [
     ([(STATE + (1,), [0.0, "i"])], "state[1]", "expected a number, got 'i'"),
     ([(STATE + (1,), [0.0, math.inf])], "state[1]", "non-finite number inf"),
     ([(STATE + (1,), [HUGE, 0.0])], "state[1]", f"non-finite number {HUGE!r}"),
+    # rows that each scan as a vector: a ragged row, a lone row where a
+    # matrix goes, and a 1 x 1 matrix that reads as one but is the wrong size
+    ([(H + (1,), [[0.0, 0.0]] * 3)], "model.ops.H[1]", "expected 2 entries, got 3"),
+    ([(H, [[1.0, 0.0], [0.0, 0.0]])], "model.ops.H[0][0]", "expected an array, got float"),
+    ([(H, [[[1.0, 0.0]]])], "model.ops", "operator dims differ: [(1, 1), (2, 2)]"),
 ]
 
 
@@ -137,6 +142,14 @@ def test_matrix_from_json_matches_cell_by_cell(rows):
     got = matrix_from_json(rows, "m")
     want = np.array([[complex(float(re), float(im)) for re, im in row] for row in rows])
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_documents())
+def test_a_matrix_scanned_a_row_at_a_time_reads_as_it_does_whole(rows):
+    got = _scanned(json.dumps({"m": rows}))["m"]
+    assert isinstance(got, np.ndarray)
+    assert got.tobytes() == matrix_from_json(rows, "m").tobytes()
 
 
 def test_well_formed_matrix_values_are_exact():
