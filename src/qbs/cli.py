@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -103,11 +104,20 @@ def _grid(cfg: RunConfig) -> list:
 
 
 def _cmd_price(cfg: RunConfig):
-    results = []
+    # every check runs before the report's first byte; an omega is assembled
+    # as its row is read and dropped once it is written, except one with an
+    # eigenvalue beyond 2^1020, which may leave float range and so is
+    # assembled here with the checks (see price_extremes)
+    points = []
     for t, i, m in _grid(cfg):
-        quote, low, high = m.price_extremes(t, cfg.model.r, cfg.state)
-        results.append(
-            {
+        w, low, high = m.price_extremes(t, cfg.model.r)
+        quote = None if max(-low, high) <= 2.0**1020 else m._quote(w, cfg.state)
+        points.append((t, i, m, w, low, high, quote))
+
+    def rows():
+        for t, i, m, w, low, high, quote in points:
+            quote = quote or m._quote(w, cfg.state)
+            yield {
                 "t": t,
                 "z_index": i,
                 "omega": quote.omega,
@@ -115,8 +125,8 @@ def _cmd_price(cfg: RunConfig):
                 "omega_max_eigenvalue": high,
                 "omega_expectation": quote.omega_expectation,
             }
-        )
-    return results, []
+
+    return rows(), []
 
 
 def _cmd_residual(cfg: RunConfig):
@@ -317,13 +327,15 @@ COMMANDS = tuple(_DISPATCH)
 def run(cfg: RunConfig, command: str, timing: bool = True) -> dict:
     """Execute one command against a validated configuration and return its
     report document. Result rows hold scalars and complex ndarrays, which
-    render_json writes as nested [re, im] pairs."""
+    render_json writes as nested [re, im] pairs. The results of price are
+    a one-shot iterator of rows, priced as they are read; with timing on,
+    each row's pricing is added to wall_time_s as it is."""
     if command not in _DISPATCH:
         raise ConfigError("command", f"unknown command {command!r}")
     started = time.perf_counter()
     results, violations = _DISPATCH[command](cfg)
     elapsed = time.perf_counter() - started
-    return {
+    report = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
         "command": command,
@@ -333,6 +345,20 @@ def run(cfg: RunConfig, command: str, timing: bool = True) -> dict:
         "invariant_violations": violations,
         "wall_time_s": elapsed if timing else None,
     }
+    if timing and not isinstance(results, list):
+        report["results"] = _timed(results, report)
+    return report
+
+
+def _timed(rows, report: dict):
+    """Yield each of rows, adding the time it takes to get to report["wall_time_s"]."""
+    while True:
+        started = time.perf_counter()
+        row = next(rows, None)
+        report["wall_time_s"] += time.perf_counter() - started
+        if row is None:
+            return
+        yield row
 
 
 _INDENT = "  "
@@ -413,7 +439,8 @@ def _pairs_text(pairs: np.ndarray, level: int):
 def _write(value, level: int):
     """Yield json.dumps(value, indent=2) as it reads at nesting level, in
     pieces, with each ndarray one piece per row: the nested [re, im] pairs
-    of pair_array. Object keys must be strings."""
+    of pair_array, and each iterator as its list, read once. Object keys
+    must be strings."""
     if isinstance(value, np.ndarray):
         pairs = pair_array(value)
         if pairs.size:
@@ -426,39 +453,39 @@ def _write(value, level: int):
             yield f"{sep}{pad}{json.dumps(key)}: "
             yield from _write(item, level + 1)
         yield "\n" + _INDENT * level + "}"
-    elif isinstance(value, (list, tuple)) and value:
+    elif isinstance(value, (list, tuple, Iterator)):
         pad = "\n" + _INDENT * (level + 1)
-        for sep, item in zip(chain("[", repeat(",")), value):
+        sep = "["
+        for item in value:
             yield sep + pad
             yield from _write(item, level + 1)
-        yield "\n" + _INDENT * level + "]"
+            sep = ","
+        yield "[]" if sep == "[" else "\n" + _INDENT * level + "]"
     else:
         yield json.dumps(value)
 
 
 def render_json(report: dict, out) -> None:
     """Write the report to the text stream out as json.dumps(report, indent=2)
-    writes it, plus a newline, with each ndarray as nested [re, im] pairs.
-    The pieces go out as they render: of a d = 128 report (up to 24 MB) no
-    more is held at once than one matrix row's text and its encoded copy."""
+    writes it, plus a newline, with each ndarray as nested [re, im] pairs
+    and price's iterator of rows as its list. The pieces go out as they
+    render: of a d = 128 report (up to 24 MB) no more is held at once than
+    two omegas, one matrix row's text and its encoded copy."""
     out.writelines(_write(report, 0))
     out.write("\n")
 
 
 def render_csv(report: dict, out) -> None:
     """Write the scalar columns of each result row to the text stream out;
-    matrices stay in the JSON form."""
+    matrices stay in the JSON form. The rows are read once."""
     import csv
 
-    scalar_keys = []
-    for row in report["results"]:
-        for key, val in row.items():
-            if isinstance(val, (int, float, str, bool)) or val is None:
-                if key not in scalar_keys:
-                    scalar_keys.append(key)
+    scalar = (int, float, str, type(None))  # bool is an int
+    rows = [{key: val for key, val in row.items() if isinstance(val, scalar)} for row in report["results"]]
+    scalar_keys = list(dict.fromkeys(key for row in rows for key in row))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(scalar_keys)
-    for row in report["results"]:
+    for row in rows:
         writer.writerow([row.get(k, "") for k in scalar_keys])
 
 

@@ -239,11 +239,15 @@ class Moneyness(NamedTuple):
         """price(t, z, model) for a model of rate r."""
         return self._quote(*_call_scalars(t, self.dec.eigenvalues, r, "w"), state)
 
-    def price_extremes(self, t: float, r: float, state=None):
-        """(price(t, r, state), the smallest and the largest eigenvalue of its omega)."""
+    def price_extremes(self, t: float, r: float):
+        """(w, the smallest and the largest eigenvalue of omega = priced(w)):
+        every check of price(t, r, state) but one. That price is
+        _quote(w, state), whose state expectation rejects an omega beyond
+        float range; with both eigenvalues within +-2^1020 none is, since no
+        sum in its assembly exceeds 4 times the largest eigenvalue modulus."""
         (w,) = _call_scalars(t, self.dec.eigenvalues, r, "w")
         kw = self.k * w  # the eigenvalues of omega = priced(w)
-        return self._quote(w, state), float(kw.min()), float(kw.max())
+        return w, float(kw.min()), float(kw.max())
 
     def _quote(self, w, state) -> PriceQuote:
         omega = self.priced(w)

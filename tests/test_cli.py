@@ -8,7 +8,9 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -480,6 +482,84 @@ def test_a_closed_stdout_is_exit_1_without_a_traceback(market_d64):
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1, err
     assert err.startswith("output error: ") and err.count("\n") == 1, err
+
+
+def test_price_holds_at_most_two_omegas_as_it_writes(market_d64, monkeypatch):
+    # each omega is assembled as its row is written, and dropped once the
+    # next row's is: the row being written and the one being priced
+    alive = [0, 0]  # omegas alive now, most alive at once
+    quote = qbs.pricing.Moneyness._quote
+
+    def dropped():
+        alive[0] -= 1
+
+    def counted(self, w, state):
+        priced = quote(self, w, state)
+        weakref.finalize(priced.omega, dropped)
+        alive[0] += 1
+        alive[1] = max(alive)
+        return priced
+
+    monkeypatch.setattr(qbs.pricing.Moneyness, "_quote", counted)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert qbs.cli.main(["price", "--config", market_d64, "--omit-timing"]) == 0
+    assert alive == [0, 2]
+
+
+def test_a_later_grid_point_that_overflows_writes_no_report(tmp_path, capsys):
+    # every check of every row runs before the report's first byte
+    path = _shipped_with(tmp_path, "price_scalar", z_grid=[[[[0.1, 0.0]]], [[[800.0, 0.0]]]])
+    assert qbs.cli.main(["price", "--config", path, "--omit-timing"]) == 4
+    assert capsys.readouterr() == ("", "numerical error: z: exp overflows at 800.0\n")
+
+
+def test_an_omega_beyond_float_range_fails_before_the_report(tmp_path):
+    # the second omega's eigenvalue, 1e300 e^700 w, overflows, and the
+    # state's expectation rejects it: that row is priced with the checks
+    model = json.loads((ROOT / "configs" / "price_scalar.json").read_text())["model"]
+    model["K"] = [[[1e300, 0.0]]]
+    doc = {**scalar_config(z_grid=[[[[0.1, 0.0]]], [[[700.0, 0.0]]]]), "model": model, "state": [[1.0, 0.0]]}
+    proc = run_cli(["price", "--omit-timing"], doc, tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("config error: M: non-finite entries\n"), proc.stderr
+
+
+class _SlowSink(io.StringIO):
+    """A text stream that takes delay seconds over each write, and counts them."""
+
+    def __init__(self, delay: float):
+        super().__init__()
+        self.delay = delay
+        self.writes = 0
+
+    def write(self, text):
+        time.sleep(self.delay)
+        self.writes += 1
+        return super().write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def test_price_wall_time_counts_each_rows_pricing_and_none_of_the_writing(monkeypatch):
+    # price's rows are priced as they are written, so its wall time is the
+    # sum of the pricing done before the first byte and of each row's
+    delay = 0.02
+    quote = qbs.pricing.Moneyness._quote
+    monkeypatch.setattr(
+        qbs.pricing.Moneyness, "_quote", lambda self, w, state: time.sleep(delay) or quote(self, w, state)
+    )
+    argv = ["price", "--config", str(ROOT / "configs" / "flow_2x2.json")]
+    sinks = [_SlowSink(delay), _SlowSink(delay)]
+    for sink, extra in zip(sinks, ([], ["--omit-timing"])):
+        with contextlib.redirect_stdout(sink):
+            assert qbs.cli.main(argv + extra) == 0
+    timed, untimed = (sink.getvalue() for sink in sinks)
+    head, sep, tail = timed.rpartition('"wall_time_s": ')
+    assert head + sep + "null\n}\n" == untimed
+    wall = float(tail.removesuffix("\n}\n"))
+    assert math.isfinite(wall) and delay <= wall < sinks[0].writes * delay, (wall, sinks[0].writes)
 
 
 def test_missing_config_file(tmp_path):

@@ -538,6 +538,14 @@ def test_render_json_matches_json_dumps(results, violations, seed, wall):
     assert _rendered(report) == json.dumps(_as_lists(report), indent=2) + "\n"
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rows, max_size=4))
+def test_render_json_writes_an_iterator_as_its_list(results):
+    report = {"results": results, "empty": [], "wall_time_s": None}
+    lazy = {**report, "results": iter(results), "empty": iter(())}
+    assert _rendered(lazy) == _rendered(report) == json.dumps(_as_lists(report), indent=2) + "\n"
+
+
 def _rendered(report) -> str:
     """What render_json writes of report to a text stream."""
     out = io.StringIO()
