@@ -3,8 +3,8 @@
 One command per invocation; a JSON (or CSV) report on stdout, errors on
 stderr. Exit codes: 0 success, 1 stdout closed before the report was
 written, 2 configuration error, 3 a checked invariant failed, 4 numerical
-error (an eigensolver or its Jacobi sweeps failed to converge, or an Ito
-power or e^z left float range).
+error (an eigensolver or its Jacobi sweeps failed to converge, an Ito power,
+e^z or a lindblad X_t left float range, or a priced operator could overflow).
 """
 
 from __future__ import annotations
@@ -105,18 +105,12 @@ def _grid(cfg: RunConfig) -> list:
 
 def _cmd_price(cfg: RunConfig):
     # every check runs before the report's first byte; an omega is assembled
-    # as its row is read and dropped once it is written, except one with an
-    # eigenvalue beyond 2^1020, which may leave float range and so is
-    # assembled here with the checks (see price_extremes)
-    points = []
-    for t, i, m in _grid(cfg):
-        w, low, high = m.price_extremes(t, cfg.model.r)
-        quote = None if max(-low, high) <= 2.0**1020 else m._quote(w, cfg.state)
-        points.append((t, i, m, w, low, high, quote))
+    # as its row is read and dropped once it is written
+    points = [(t, i, m, *m.price_extremes(t, cfg.model.r)) for t, i, m in _grid(cfg)]
 
     def rows():
-        for t, i, m, w, low, high, quote in points:
-            quote = quote or m._quote(w, cfg.state)
+        for t, i, m, w, low, high in points:
+            quote = m._quote(w, cfg.state)
             yield {
                 "t": t,
                 "z_index": i,

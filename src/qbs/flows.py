@@ -383,7 +383,8 @@ def semigroup_evolve(x0, m: ModelOperators, t: float, steps: int | None = None) 
     ``steps`` steps are applied at once as a power of the one-step
     superoperator (``_rk4_increment``); above it they run one at a time.
     Hermiticity is preserved by the scheme up to roundoff; the output is
-    returned unsymmetrized so that drift, if any, stays visible.
+    returned unsymmetrized so that drift, if any, stays visible. An X_t
+    beyond float range is a numerical failure, raised as FloatingPointError.
     """
     x = require_hermitian(x0, "X0")
     if x.shape[0] != m.dim:
@@ -399,17 +400,21 @@ def semigroup_evolve(x0, m: ModelOperators, t: float, steps: int | None = None) 
     h = m.H
     l = m.L
     ld = adjoint(l)
-    ldl = ld @ l
     dt = t / steps
-    if m.dim <= _DENSE_MAX_DIM:
-        return x + (_rk4_increment(h, l, ld, ldl, dt, steps) @ x.reshape(-1)).reshape(x.shape)
-
-    for _ in range(steps):
-        k1 = _theta(x, h, l, ld, ldl)
-        k2 = _theta(x + 0.5 * dt * k1, h, l, ld, ldl)
-        k3 = _theta(x + 0.5 * dt * k2, h, l, ld, ldl)
-        k4 = _theta(x + dt * k3, h, l, ld, ldl)
-        x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    # overflow is detected below and raised once, not warned about per product
+    with np.errstate(over="ignore", invalid="ignore"):
+        ldl = ld @ l
+        if m.dim <= _DENSE_MAX_DIM:
+            x = x + (_rk4_increment(h, l, ld, ldl, dt, steps) @ x.reshape(-1)).reshape(x.shape)
+        else:
+            for _ in range(steps):
+                k1 = _theta(x, h, l, ld, ldl)
+                k2 = _theta(x + 0.5 * dt * k1, h, l, ld, ldl)
+                k3 = _theta(x + 0.5 * dt * k2, h, l, ld, ldl)
+                k4 = _theta(x + dt * k3, h, l, ld, ldl)
+                x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    if not np.isfinite(x).all():
+        raise FloatingPointError("X_t: non-finite entries")
     return x
 
 

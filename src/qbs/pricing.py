@@ -231,22 +231,28 @@ class Moneyness(NamedTuple):
     dec: SpectralDecomposition
     k: np.ndarray
 
+    def spectrum(self, f) -> np.ndarray:
+        """k f, the eigenvalues of K F(z) for f = F(lam), checked within +-2^1020 (else FloatingPointError):
+        there no sum in assembling K F(z), nor a state's expectation of it, exceeds 4 times the largest."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            kf = self.k * f
+        peak = float(max(-kf.min(), kf.max()))
+        if not peak <= 2.0**1020:
+            raise FloatingPointError(f"K F(z) can overflow: eigenvalue modulus {peak!r} exceeds 2^1020")
+        return kf
+
     def priced(self, f) -> np.ndarray:
-        """K F(z) for z = V diag(lam) V* and f = F(lam): hermitian_part(V diag(k f) V*)."""
-        return hermitian_part(self.dec.apply(self.k * f))
+        """K F(z) for z = V diag(lam) V* and f = F(lam): hermitian_part(V diag(spectrum(f)) V*)."""
+        return hermitian_part(self.dec.apply(self.spectrum(f)))
 
     def price(self, t: float, r: float, state=None) -> PriceQuote:
         """price(t, z, model) for a model of rate r."""
-        return self._quote(*_call_scalars(t, self.dec.eigenvalues, r, "w"), state)
+        return self._quote(self.price_extremes(t, r)[0], state)
 
     def price_extremes(self, t: float, r: float):
-        """(w, the smallest and the largest eigenvalue of omega = priced(w)):
-        every check of price(t, r, state) but one. That price is
-        _quote(w, state), whose state expectation rejects an omega beyond
-        float range; with both eigenvalues within +-2^1020 none is, since no
-        sum in its assembly exceeds 4 times the largest eigenvalue modulus."""
+        """(w, the smallest and the largest eigenvalue of omega = priced(w)): every check of price(t, r)."""
         (w,) = _call_scalars(t, self.dec.eigenvalues, r, "w")
-        kw = self.k * w  # the eigenvalues of omega = priced(w)
+        kw = self.spectrum(w)
         return w, float(kw.min()), float(kw.max())
 
     def _quote(self, w, state) -> PriceQuote:

@@ -1,5 +1,6 @@
 """Command line driver: config validation, output formats, exit codes."""
 import contextlib
+import functools
 import gc
 import importlib.util
 import io
@@ -514,14 +515,56 @@ def test_a_later_grid_point_that_overflows_writes_no_report(tmp_path, capsys):
 
 
 def test_an_omega_beyond_float_range_fails_before_the_report(tmp_path):
-    # the second omega's eigenvalue, 1e300 e^700 w, overflows, and the
-    # state's expectation rejects it: that row is priced with the checks
+    # the second omega's eigenvalue, 1e300 e^700 w, overflows: a numerical
+    # error of the checks that run before the report's first byte
     model = json.loads((ROOT / "configs" / "price_scalar.json").read_text())["model"]
     model["K"] = [[[1e300, 0.0]]]
     doc = {**scalar_config(z_grid=[[[[0.1, 0.0]]], [[[700.0, 0.0]]]]), "model": model, "state": [[1.0, 0.0]]}
     proc = run_cli(["price", "--omit-timing"], doc, tmp_path)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.endswith("config error: M: non-finite entries\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("numerical error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def _scalar(value) -> list:
+    return [[[value, 0.0]]]
+
+
+_BIG_MARKET = {"model.K": _scalar(1e300), "model.ops.X": _scalar(1e300), "z_grid": [_scalar(0.1), _scalar(700.0)]}
+_BIG_FLOWS = {"model.ops.H": _scalar(1e300), "model.ops.L": _scalar(1e200), "lindblad.t": [1.0]}
+_STATE = {"state": [[1.0, 0.0]]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command,config,changes",
+    [
+        ("price", "price_scalar", _BIG_MARKET),
+        ("price", "price_scalar", {**_BIG_MARKET, **_STATE}),
+        ("terminal-check", "price_scalar", {**_BIG_MARKET, **_STATE}),
+        ("residual", "price_scalar", _BIG_MARKET),
+        ("terminal-check", "price_scalar", _BIG_MARKET),
+        ("hedge", "price_scalar", {"model.ops.X": _scalar(1.7e308), "model.K": _scalar(1e300), "hedge.times": [0.5]}),
+        ("lindblad", "price_scalar", _BIG_FLOWS),
+        ("lindblad", "flow_2x2", {"model.ops.H": [[[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e300, 0.0]]], "lindblad.t": [1.0]}),
+        ("coeffs", "price_scalar", _BIG_FLOWS),
+    ],
+    ids=["price", "price-state", "terminal-check-state", "residual", "terminal-check", "hedge", "lindblad-d1",
+         "lindblad-d2", "coeffs"],
+)
+def test_an_operator_beyond_float_range_is_a_numerical_error(command, config, changes, tmp_path, capsys):
+    # a priced operator with an eigenvalue past the bound of
+    # Moneyness.spectrum, or a flow that leaves float range, under each
+    # command that assembles it: exit 4, one line and no numpy warning
+    doc = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+    for dotted, value in changes.items():  # "model.ops.H" sets doc["model"]["ops"]["H"]
+        *parents, leaf = dotted.split(".")
+        functools.reduce(dict.__getitem__, parents, doc)[leaf] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert qbs.cli.main([command, "--config", str(path), "--omit-timing"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: ") and captured.err.count("\n") == 1, captured.err
 
 
 class _SlowSink(io.StringIO):

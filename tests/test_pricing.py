@@ -161,11 +161,12 @@ def test_price_expectation_field():
 
 
 def test_overflowing_exponent_is_rejected():
-    """e^z overflows at z = 800: an error, never an inf or nan price."""
-    model = _scalar_model()
-    for fn in (price, price_derivatives):
+    """e^z overflows at z = 800, and K e^z at z = 700 for K = 1e300: an
+    error, never an inf or nan price."""
+    model, big = _scalar_model(), _scalar_model(K=1e300)
+    for fn, z, m in ((price, 800.0, model), (price_derivatives, 800.0, model), (price, 700.0, big)):
         with pytest.raises(FloatingPointError, match="overflow"):
-            fn(1.0, 800.0 * np.eye(1), model)
+            fn(1.0, z * np.eye(1), m)
 
 
 def test_price_computes_no_partials():
