@@ -19,12 +19,11 @@ import time
 from collections.abc import Iterator
 from itertools import chain, repeat
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import SCHEMA_VERSION, ConfigError, RunConfig, apply_overrides, pair_array, parse_config
+from .config import SCHEMA_VERSION, ConfigError, RunConfig, apply_overrides, pair_array, read_config
 from .flows import default_steps, flow_coefficients, power_rule_deviation, semigroup_evolve
 from .operators import hermitian_defect
 from .pricing import _moneyness, classical_bs, hermitian_stock_moneyness, moneyness, replication_simulation
@@ -188,7 +187,6 @@ def _cmd_hedge(cfg: RunConfig):
         stock, path = model.ops.X, "model.ops.X"
     convention = cfg.hedge["convention"]
     tol = cfg.tolerances["hedge_value"]
-    results = []
     violations = []
     try:
         m = hermitian_stock_moneyness(stock, model.K)
@@ -196,24 +194,27 @@ def _cmd_hedge(cfg: RunConfig):
         raise
     except ValueError as exc:  # its checks against K call the stock X
         raise ConfigError(path, str(exc)) from None
-    for t in times:
-        pos, omega = m.hedge(t, stock, model, convention)
+    # every check runs before the report's first byte; a row's matrices are
+    # assembled as it is read, and nothing here holds them once it is
+    spectra = [(t, m.hedge_spectra(t, model, convention)) for t in times]
+
+    def row(t: float, spectrum) -> dict:
+        pos, omega = m._position(*spectrum, stock, model)
         defect = float(np.linalg.norm(pos.value - omega))
         passed = defect <= tol * max(1.0, float(np.linalg.norm(omega)))
-        results.append(
-            {
-                "t": t,
-                "convention": convention,
-                "a": pos.a,
-                "b": pos.b,
-                "value": pos.value,
-                "reconstruction_error": defect,
-                "passed": passed,
-            }
-        )
         if not passed:
             violations.append(f"hedge value mismatch {defect:.6e} at t={t}")
-    return results, violations
+        return {
+            "t": t,
+            "convention": convention,
+            "a": pos.a,
+            "b": pos.b,
+            "value": pos.value,
+            "reconstruction_error": defect,
+            "passed": passed,
+        }
+
+    return (row(t, spectrum) for t, spectrum in spectra), violations
 
 
 def _cmd_classical(cfg: RunConfig):
@@ -321,9 +322,10 @@ COMMANDS = tuple(_DISPATCH)
 def run(cfg: RunConfig, command: str, timing: bool = True) -> dict:
     """Execute one command against a validated configuration and return its
     report document. Result rows hold scalars and complex ndarrays, which
-    render_json writes as nested [re, im] pairs. The results of price are
-    a one-shot iterator of rows, priced as they are read; with timing on,
-    each row's pricing is added to wall_time_s as it is."""
+    render_json writes as nested [re, im] pairs. The results of price and
+    hedge are a one-shot iterator of rows, built as they are read, and
+    hedge's invariant violations are listed as its rows are; with timing
+    on, each row's building is added to wall_time_s as it is."""
     if command not in _DISPATCH:
         raise ConfigError("command", f"unknown command {command!r}")
     started = time.perf_counter()
@@ -345,14 +347,16 @@ def run(cfg: RunConfig, command: str, timing: bool = True) -> dict:
 
 
 def _timed(rows, report: dict):
-    """Yield each of rows, adding the time it takes to get to report["wall_time_s"]."""
-    while True:
+    """Each of rows, adding the time it takes to get to report["wall_time_s"];
+    a row is not held once it is read."""
+
+    def timed_next():
         started = time.perf_counter()
         row = next(rows, None)
         report["wall_time_s"] += time.perf_counter() - started
-        if row is None:
-            return
-        yield row
+        return row
+
+    return iter(timed_next, None)
 
 
 _INDENT = "  "
@@ -363,49 +367,66 @@ _CONJUGATE = np.array([1.0, -1.0])
 _unsigned = itemgetter(slice(1, None))  # "-1.5" -> "1.5"
 
 
-def _mirrored_texts(pairs: np.ndarray) -> list:
-    """float.__repr__ of each number of a square (d, d, 2) pair array, in
-    row-major order, with one repr per number on and above the diagonal.
-    An entry below it that equals its mirror's conjugate takes the mirror's
-    texts, the imaginary one with its sign toggled. Equal doubles have
-    equal bits, and so equal texts, unless they are zeros (0.0 == -0.0);
-    NaNs equal nothing. So a zero, a NaN and any entry of a matrix that is
-    not Hermitian get their own repr. Non-finite numbers are left for the
-    caller to rewrite.
+# the rows of an array whose number texts are made at once
+_BLOCK_ROWS = 16
+
+
+def _row_texts(pairs: np.ndarray):
+    """Yield the texts of the numbers of each row (item of the first axis)
+    of a non-empty float array, a list per row, made _BLOCK_ROWS rows at a
+    time: float.__repr__ of each, json.dumps of a non-finite one. Of a
+    square (d, d, 2) pair array only the numbers on and above the diagonal
+    get a repr: an entry below it that equals its mirror's conjugate takes
+    the mirror's texts, kept until then, the imaginary one with its sign
+    toggled. Equal doubles have equal bits, and so equal texts, unless
+    they are zeros (0.0 == -0.0); NaNs equal nothing. So a zero, a NaN and
+    any entry of a matrix that is not Hermitian get their own repr.
 
     Every test here is a float64 comparison, as elsewhere in a report: a
     uint64 XOR or an integer index mask would fault in numpy loop code that
     no other step of a small job touches, about 0.15 MB of peak RSS."""
-    index = np.arange(len(pairs), dtype=np.float64)
-    below = (index < index[:, None])[..., None]
-    with np.errstate(invalid="ignore"):  # a signalling NaN; NaNs take no mirror
-        reuse = (pairs == pairs.transpose(1, 0, 2) * _CONJUGATE) & (pairs != 0.0) & below
-    texts = np.empty(pairs.shape, dtype=object)
-    own = ~reuse
-    texts[own] = list(map(float.__repr__, pairs[own].tolist()))
-    mirror = texts.transpose(1, 0, 2)
-    re = reuse[..., 0]
-    texts[..., 0][re] = mirror[..., 0][re]
-    neg = reuse[..., 1] & (pairs[..., 1] < 0.0)
-    pos = reuse[..., 1] & ~neg
-    texts[..., 1][neg] = np.add("-", mirror[..., 1][neg])
-    texts[..., 1][pos] = list(map(_unsigned, mirror[..., 1][pos]))
-    return texts.ravel().tolist()
+    dim = len(pairs)
+    square = pairs.ndim == 3 and pairs.shape[1] == dim
+    if square:
+        index = np.arange(dim, dtype=np.float64)
+        texts = np.empty(pairs.shape, dtype=object)  # those of the block and those not yet mirrored
+        mirror = texts.transpose(1, 0, 2)
+    for start in range(0, dim, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block = pairs[rows]
+        flat = block.ravel()
+        if square:
+            below = (index < index[rows, None])[..., None]
+            with np.errstate(invalid="ignore"):  # a signalling NaN; NaNs take no mirror
+                reuse = (block == pairs[:, rows].transpose(1, 0, 2) * _CONJUGATE) & (block != 0.0) & below
+            made = texts[rows]
+            own = ~reuse
+            made[own] = list(map(float.__repr__, block[own].tolist()))
+            re = reuse[..., 0]
+            neg = reuse[..., 1] & (block[..., 1] < 0.0)
+            pos = reuse[..., 1] & ~neg
+            made[..., 0][re] = mirror[rows, :, 0][re]
+            made[..., 1][neg] = np.add("-", mirror[rows, :, 1][neg])
+            made[..., 1][pos] = list(map(_unsigned, mirror[rows, :, 1][pos]))
+            out = made.ravel().tolist()
+            made[:, :start] = None  # these rows' mirrored texts, and the texts
+            mirror[rows] = None  # in their columns, which they mirror, are done
+        else:
+            out = list(map(float.__repr__, flat.tolist()))
+        for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+            out[i] = json.dumps(flat[i].item())
+        width = len(out) // len(block)
+        for first in range(0, len(out), width):
+            yield out[first : first + width]
+        del out  # before the next block's texts are made
 
 
 def _pairs_text(pairs: np.ndarray, level: int):
     """Yield json.dumps(pairs.tolist(), indent=2) as it reads at nesting
     level, for a non-empty float array, one piece per row: the numbers come
-    from one float.__repr__ pass, over one triangle for a square matrix, and
-    the text between them from one separator per nesting depth."""
+    from _row_texts, and the text between them from one separator per
+    nesting depth."""
     depth = pairs.ndim
-    flat = pairs.ravel()
-    if depth == 3 and len(pairs) == pairs.shape[1]:
-        texts = _mirrored_texts(pairs)
-    else:
-        texts = list(map(float.__repr__, flat.tolist()))
-    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
-        texts[i] = json.dumps(flat[i].item())  # NaN, Infinity or -Infinity
     pad = ["\n" + _INDENT * (level + k) for k in range(depth + 1)]
 
     def closing(m: int) -> str:  # the m innermost lists end
@@ -414,20 +435,22 @@ def _pairs_text(pairs: np.ndarray, level: int):
     def opening(m: int) -> str:  # m lists begin, down to the first number
         return "".join(pad[depth - m + c] + "[" for c in range(m)) + pad[depth]
 
-    n = len(texts)
-    seps = [f",{opening(0)}"] * n
+    width = pairs[0].size  # the numbers of a row
+    seps = [f",{opening(0)}"] * width
     period = 1
     for m in range(1, depth):  # numbers that end m lists at once
         period *= pairs.shape[depth - m]
-        seps[period - 1 :: period] = [f"{closing(m)},{opening(m)}"] * (n // period)
-    seps[-1] = closing(depth)
-    out = [""] * (2 * n)
-    out[0::2] = texts
+        seps[period - 1 :: period] = [f"{closing(m)},{opening(m)}"] * (width // period)
+    out = [""] * (2 * width)
     out[1::2] = seps
-    out[0] = "[" + opening(depth - 1) + out[0]
-    row = len(out) // len(pairs)
-    for start in range(0, len(out), row):
-        yield "".join(out[start : start + row])
+    last = len(pairs) - 1
+    for i, texts in enumerate(_row_texts(pairs)):
+        out[0::2] = texts
+        if i == 0:
+            out[0] = "[" + opening(depth - 1) + out[0]
+        if i == last:
+            out[-1] = closing(depth)
+        yield "".join(out)
 
 
 def _write(value, level: int):
@@ -454,6 +477,7 @@ def _write(value, level: int):
             yield sep + pad
             yield from _write(item, level + 1)
             sep = ","
+            del item  # an iterator's item is dropped before the next is read
         yield "[]" if sep == "[" else "\n" + _INDENT * level + "]"
     else:
         yield json.dumps(value)
@@ -541,19 +565,13 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text(encoding="utf-8")  # as RFC 8259 requires of JSON
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cfg = parse_config(text)
-        del text  # MBs at d = 128 that nothing reads again
+        cfg = read_config(args.config)
         apply_overrides(cfg, args.seed)
         report = run(cfg, args.command, timing=not args.omit_timing)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # OSError: the config could not be read
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     render = render_csv if cfg.output == "csv" else render_json

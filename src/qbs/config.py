@@ -16,7 +16,7 @@ import json
 import math
 import re
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -132,7 +132,7 @@ def _malformed(path: str) -> ConfigError:
 
 def _matrix_values(rows: list):
     """The complex array of d rows of d finite [re, im] pairs, each row a
-    list of pairs or the vector that _scanned made of one; None for
+    list of pairs or the vector that _scan made of one; None for
     anything else."""
     dim = len(rows)
     if set(map(type, rows)) == {np.ndarray} and {row.shape for row in rows} == {(dim,)}:
@@ -378,64 +378,165 @@ class RunConfig:
             setattr(self, name, entries[name])
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a configuration document.
+# the characters of text that read_config reads at a time
+_CHUNK = 1 << 16
 
-    A parse holds its arrays and the JSON tree of the matrix row being
-    scanned, 0.51 times the text at d = 128 under tracemalloc. The cyclic
-    garbage collector is paused meanwhile: a JSON tree holds one list per
-    [re, im] pair, each of which would count towards a collection, and no
-    cycle, so reference counting frees it. Every exit path restores the
-    collector's state."""
+
+def parse_config(doc) -> RunConfig:
+    """Parse and validate a configuration document: its text, or a text
+    file open on it, which is read _CHUNK characters at a time."""
+    if isinstance(doc, str):
+        return _parse(iter((doc,)), lambda: doc)
+
+    def whole() -> str:
+        doc.seek(0)
+        return doc.read()
+
+    return _parse(iter(partial(doc.read, _CHUNK), ""), whole)
+
+
+def read_config(path) -> RunConfig:
+    """parse_config of the UTF-8 file at path. A fault, a byte that is not
+    UTF-8 included, is reported as in the file's whole text, read again."""
+    with open(path, encoding="utf-8") as file:  # as RFC 8259 requires of JSON
+        return parse_config(file if file.seekable() else file.read())  # a pipe is read once
+
+
+_WHITESPACE = re.compile(r"[ \t\n\r]*").match
+# one to three arrays that open at once; three, "[" ws "[" ws "[", open a matrix
+_OPENING = re.compile(r"(?:\[[ \t\n\r]*){1,3}").match
+_NUMBER_CHARS = "0123456789.eE+-"  # those that may continue a number
+
+
+def _scan(chunks):
+    """json.loads of the text that chunks yields, with each row of [re, im]
+    pairs made its complex vector as it closes, and each square matrix of
+    finite such rows its array. Objects and arrays that open three deep
+    are walked here, all else goes to the stdlib's C scanner. A value is
+    taken once it ends inside the window, the unread text, or the text
+    ends; until then the window grows. Invalid JSON raises ValueError."""
+    scan_value = json.JSONDecoder().scan_once
+    text, pos, ended = "", 0, False
+
+    def grow() -> None:  # by a chunk, or by as many as the unread text holds
+        nonlocal text, pos, ended
+        tail = text[pos:]
+        chunk = "".join(islice(chunks, 1 + len(tail) // _CHUNK))
+        ended = not chunk
+        text, pos = tail + chunk, 0
+
+    def peek() -> str:  # the character at pos past whitespace, "" at the end
+        nonlocal pos
+        char = text[pos : pos + 1]
+        if char not in " \t\n\r":  # "" is in every string
+            return char
+        while True:
+            pos = _WHITESPACE(text, pos).end()
+            if pos < len(text) or ended:
+                return text[pos : pos + 1]
+            grow()
+
+    def scanned():
+        nonlocal pos
+        if len(text) - pos < _CHUNK // 2 and not ended:  # so that a row seldom ends past the window
+            grow()
+        while True:
+            try:
+                value, end = scan_value(text, pos)
+            except (StopIteration, ValueError):  # StopIteration: no value at pos
+                if ended:
+                    raise ValueError("invalid JSON") from None
+            else:
+                if ended or text[end : end + 1] not in _NUMBER_CHARS:
+                    pos = end
+                    return value
+            grow()
+
+    def value():
+        nonlocal pos
+        char = peek()
+        if char == "{":
+            pos += 1
+            return members()
+        if char != "[":
+            return scanned()
+        while (end := _OPENING(text, pos).end()) == len(text) and not ended:
+            grow()
+        depth = text.count("[", pos, end)
+        if depth == 3:
+            pos += 1
+            return items()
+        found = scanned()
+        row = _pair_values(found) if depth == 2 else None
+        return found if row is None else row
+
+    def members() -> dict:
+        nonlocal pos
+        doc = {}
+        char = peek()
+        if char == "}":
+            pos += 1
+            return doc
+        while char == '"':
+            key = scanned()
+            if peek() != ":":
+                break
+            pos += 1
+            doc[key] = value()
+            char = peek()
+            pos += 1
+            if char == "}":
+                return doc
+            if char != ",":
+                break
+            char = peek()
+        raise ValueError("invalid JSON")
+
+    def items():
+        nonlocal pos
+        found = []
+        while True:
+            found.append(value())
+            char = peek()
+            pos += 1
+            if char == "]":
+                matrix = _matrix_values(found)
+                return found if matrix is None else matrix
+            if char != ",":
+                raise ValueError("invalid JSON")
+
+    doc = value()
+    if peek():
+        raise ValueError("invalid JSON")
+    return doc
+
+
+def _parse(chunks, whole: Callable) -> RunConfig:
+    """The config of the text that chunks yields; whole() reads it again
+    on a fault. A parse holds its arrays, its window and one matrix row's
+    JSON tree (0.51 times the text at d = 128 under tracemalloc). The
+    cyclic garbage collector is paused meanwhile: a JSON tree holds one
+    list per [re, im] pair, each of which would count towards a
+    collection, and no cycle, so reference counting frees it. Every exit
+    path restores the collector's state."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _parse(text)
+        return _validated(chunks, whole)
     finally:
         if enabled:
             gc.enable()
 
 
-# an array nested at least two deep, "[" ws "[", as a matrix row is, and
-# at least three deep, as a matrix is
-_TWO_DEEP = re.compile(r"\[[ \t\n\r]*\[").match
-_THREE_DEEP = re.compile(r"\[[ \t\n\r]*\[[ \t\n\r]*\[").match
-
-
-def _scanned(text: str):
-    """json.loads(text), with each row of [re, im] pairs made its complex
-    vector as it closes, and each square matrix of finite such rows its
-    array. Objects and arrays three deep go through the stdlib's JSONObject
-    and JSONArray, all else through its C scanner, so a parse holds the
-    JSON tree of one row at a time."""
-    decoder = json.JSONDecoder()
-    scan_value = decoder.scan_once
-
-    def scan_once(s: str, idx: int):
-        if s.startswith("{", idx):
-            return json.decoder.JSONObject((s, idx + 1), decoder.strict, scan_once, None, None)
-        if _THREE_DEEP(s, idx):
-            items, end = json.decoder.JSONArray((s, idx + 1), scan_once)
-            matrix = _matrix_values(items)
-            return (items if matrix is None else matrix), end
-        value, end = scan_value(s, idx)
-        if _TWO_DEEP(s, idx):
-            row = _pair_values(value)
-            return (value if row is None else row), end
-        return value, end
-
-    decoder.scan_once = scan_once
-    return decoder.decode(text)
-
-
-def _parse(text: str) -> RunConfig:
-    """parse_config. A fault is reported as in json.loads' tree, where no
-    matrix is an array yet: the text is read and walked again that way."""
+def _validated(chunks, whole: Callable) -> RunConfig:
+    """_parse. A fault is reported as in json.loads' tree, where no
+    matrix is an array yet: the text is read again and walked that way."""
     try:
-        fields = _read(TABLE, _scanned(text), "")
+        fields = _read(TABLE, _scan(chunks), "")
     except np.linalg.LinAlgError:
         raise
     except (ValueError, RecursionError):  # RecursionError: arrays nested past the stack
+        text = whole()  # a read or decode error is raised as it is
         try:
             doc = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also an integer past int's digit limit

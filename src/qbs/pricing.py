@@ -313,18 +313,24 @@ class Moneyness(NamedTuple):
     def hedge(self, t: float, j_x, model: MarketModel, convention: str = "direct"):
         """(hedge_portfolio(t, j_x, model, convention), the price omega that
         its value reproduces), for z the log-moneyness of j_x against K."""
+        return self._position(*self.hedge_spectra(t, model, convention), j_x, model)
+
+    def hedge_spectra(self, t: float, model: MarketModel, convention: str = "direct"):
+        """(the eigenvalues of omega, those of a, (e^{rt}, e^{-rt})): every check of hedge(t, ...)."""
         if not 0.0 < t < model.T:
             raise ValueError(f"t={t!r} outside (0, {model.T})")
         if convention not in ("direct", "classical"):
             raise ValueError(f"unknown hedge convention {convention!r}")
         lam = self.dec.eigenvalues
         w, w01 = _call_scalars(model.T - t, lam, model.r, "w w01")
-        grow, disc = _rate_factors(model.r, t)
-        omega = self.priced(w)
-        if convention == "direct":
-            a = self.priced(w01)
-        else:
-            a = hermitian_part(self.dec.apply(w01 * finite_exp(-lam, "z")))
+        rates = _rate_factors(model.r, t)
+        kw = self.spectrum(w)
+        return kw, self.spectrum(w01) if convention == "direct" else w01 * finite_exp(-lam, "z"), rates
+
+    def _position(self, kw, ka, rates, j_x, model: MarketModel):
+        grow, disc = rates
+        omega = hermitian_part(self.dec.apply(kw))
+        a = hermitian_part(self.dec.apply(ka))
         a_jx = hermitian_part(a @ j_x)
         b = hermitian_part((omega - a_jx) * (disc / model.beta0))
         return HedgePosition(a=a, b=b, value=a_jx + model.beta0 * grow * b), omega

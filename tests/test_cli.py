@@ -173,12 +173,12 @@ def test_the_program_hands_the_free_heap_back_before_the_job():
     probe = (
         "import sys, qbs.cli as cli; calls = []; "
         "cli._release_free_heap = lambda f=cli._release_free_heap: calls.append('release') or f(); "
-        "cli.parse_config = lambda text, f=cli.parse_config: calls.append('parse') or f(text); "
+        "cli.read_config = lambda path, f=cli.read_config: calls.append('read') or f(path); "
         "code = cli.main(); print(*calls, file=sys.stderr); sys.exit(code)"
     )
     proc = subprocess.run([sys.executable, "-c", probe, "coeffs", "--config", "configs/flow_2x2.json"],
                           capture_output=True, text=True, cwd=ROOT)
-    assert (proc.returncode, proc.stderr) == (0, "release parse\n")
+    assert (proc.returncode, proc.stderr) == (0, "release read\n")
 
 
 def test_main_in_process_leaves_the_process_as_it_was(tmp_path, monkeypatch, capsys):
@@ -425,14 +425,14 @@ def market_d64(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["price", "hedge"])
-def test_a_large_job_peaks_at_its_config_read(command, market_d64):
-    # under tracemalloc, a whole job at d = 64 allocates at most what main
-    # holds as it reads the config, the file's bytes and its text, plus
-    # 64 KiB: the parse holds the text, the arrays and one matrix row's
-    # JSON tree (test_parse_config_peaks_below_its_text), the text is
-    # dropped once parsed, and the report (6 MB for price) is written as it
-    # renders, one matrix row's text at a time
+@pytest.mark.parametrize("command", ["price", "hedge", "residual", "terminal-check"])
+def test_a_large_job_peaks_below_its_config_text(command, market_d64):
+    # under tracemalloc, a whole job at d = 64 allocates less than its
+    # config's text: main reads the config a chunk at a time, so the parse
+    # holds the arrays, a window of the text and one matrix row's JSON
+    # tree, and the report (6 MB for price) is written as it renders, a
+    # block of matrix rows' texts at a time. A job that held the text, as
+    # one read whole does, would peak at twice it (the file's bytes too)
     text = Path(market_d64).read_text()
     argv = [command, "--config", market_d64, "--omit-timing"]
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -445,7 +445,7 @@ def test_a_large_job_peaks_at_its_config_read(command, market_d64):
         finally:
             tracemalloc.stop()
     assert code == 0
-    assert job_peak <= 2 * len(text) + 2**16, (job_peak, len(text))
+    assert job_peak < len(text), (job_peak, len(text))
 
 
 def _parse_peak(text: str) -> int:
@@ -505,6 +505,39 @@ def test_price_holds_at_most_two_omegas_as_it_writes(market_d64, monkeypatch):
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         assert qbs.cli.main(["price", "--config", market_d64, "--omit-timing"]) == 0
     assert alive == [0, 2]
+
+
+@pytest.mark.parametrize("timing", [[], ["--omit-timing"]])
+def test_hedge_holds_one_rows_matrices_as_it_writes(timing, market_d64, monkeypatch):
+    # a row's a, b, value and omega are assembled as it is read, and
+    # dropped before the next row's are
+    alive = [0, 0]  # matrices alive now, most alive at once
+    position = qbs.pricing.Moneyness._position
+
+    def dropped():
+        alive[0] -= 1
+
+    def counted(self, *args):
+        pos, omega = position(self, *args)
+        for matrix in (pos.a, pos.b, pos.value, omega):
+            weakref.finalize(matrix, dropped)
+        alive[0] += 4
+        alive[1] = max(alive)
+        return pos, omega
+
+    monkeypatch.setattr(qbs.pricing.Moneyness, "_position", counted)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert qbs.cli.main(["hedge", "--config", market_d64, *timing]) == 0
+    assert alive == [0, 4]
+
+
+def test_a_later_hedge_time_that_overflows_writes_no_report(tmp_path, capsys):
+    # e^{rt} passes float range at the second time only; every check of
+    # every time runs before the report's first byte
+    model = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())["model"]
+    path = _shipped_with(tmp_path, "flow_2x2", model={**model, "r": 1000.0}, hedge={"times": [0.5, 0.75]})
+    assert qbs.cli.main(["hedge", "--config", path, "--omit-timing"]) == 4
+    assert capsys.readouterr() == ("", "numerical error: r t: exp overflows at 750.0\n")
 
 
 def test_a_later_grid_point_that_overflows_writes_no_report(tmp_path, capsys):

@@ -3,6 +3,8 @@ import gc
 import io
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qbs.cli
+import qbs.config
 from qbs.cli import render_json
-from qbs.config import DEFAULT_TOLERANCES, ConfigError, RunConfig, _scanned, matrix_from_json, pair_array, parse_config
+from qbs.config import (
+    DEFAULT_TOLERANCES, ConfigError, RunConfig, _scan, matrix_from_json, pair_array, parse_config, read_config,
+)
 from qbs.pricing import log_moneyness
 from qbs.sampling import random_commuting_positive_pair, random_complex, random_hermitian, random_unitary
-from test_cli import _parse_peak, full_config
+from test_cli import _main_output, _parse_peak, _perfbench_workloads, full_config
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -147,7 +152,7 @@ def test_matrix_from_json_matches_cell_by_cell(rows):
 @settings(max_examples=100, deadline=None)
 @given(matrix_documents())
 def test_a_matrix_scanned_a_row_at_a_time_reads_as_it_does_whole(rows):
-    got = _scanned(json.dumps({"m": rows}))["m"]
+    got = _scan(iter((json.dumps({"m": rows}),)))["m"]
     assert isinstance(got, np.ndarray)
     assert got.tobytes() == matrix_from_json(rows, "m").tobytes()
 
@@ -421,6 +426,76 @@ def test_a_parse_holds_as_much_in_every_layout():
     parse_config(json.dumps(doc))  # first-call work outside the trace
     peaks = {layout: _parse_peak(write(doc)) for layout, write in LAYOUTS.items()}
     assert max(peaks.values()) <= 1.25 * min(peaks.values()), peaks
+
+
+# --- a config read a chunk at a time ---------------------------------
+
+CHUNKS = [1, 2, 3, 7, 64]  # characters per read: every value of a config is split somewhere
+
+
+def _crlf(text: str) -> str:
+    return text.replace("\n", "\r\n")
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_a_config_read_in_chunks_parses_as_its_whole_text(chunk, tmp_path, monkeypatch):
+    workloads = _perfbench_workloads()
+    market = tmp_path / "market_d8.json"
+    market.write_text(json.dumps(workloads.market_document(workloads.make_market(1, 8))))
+    crlf = tmp_path / "crlf.json"
+    crlf.write_bytes(_crlf(json.dumps(full_config(), indent=2)).encode())
+    paths = [*sorted((ROOT / "configs").glob("*.json")), market, crlf]
+    wants = [_bits(parse_config(path.read_text(encoding="utf-8"))) for path in paths]
+    monkeypatch.setattr(qbs.config, "_CHUNK", chunk)
+    # a valid config is read once, a chunk at a time, never again whole
+    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("read whole"))
+    assert [_bits(read_config(path)) for path in paths] == wants
+
+
+def _with_r(value) -> bytes:
+    doc = full_config()
+    doc["model"]["r"] = value
+    return json.dumps(doc).encode()
+
+
+FULL_TEXT = json.dumps(full_config())
+
+# a faulty config file and the stderr line of its job, exit 2
+READ_FAULTS = [
+    (b"{not json", "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (FULL_TEXT.replace('"replicate": {', '"replicate" {').encode(),
+     "invalid JSON: Expecting ':' delimiter: line 1 column 763 (char 762)"),
+    (FULL_TEXT.encode() + b" {}", "invalid JSON: Extra data: line 1 column 842 (char 841)"),
+    (b"\xef\xbb\xbf" + FULL_TEXT.encode(),
+     "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (_crlf(json.dumps(full_config(), indent=2).replace('"paths": 1000\n', '"paths": 1000,\n')).encode(),
+     "invalid JSON: Expecting property name enclosed in double quotes: line 214 column 3 (char 2594)"),
+    (_with_r(-math.inf), "model.r: non-finite number -inf"),
+    (FULL_TEXT.replace('"r": 0.05', '"r": 5e400').encode(), "model.r: non-finite number inf"),
+    (FULL_TEXT.encode().replace(b'"direct"', b'"dir\xffect"'),
+     "'utf-8' codec can't decode byte 0xff in position 573: invalid start byte"),
+    (b'{"schema_version": 1, "t_grid": ' + b"[" * 5000 + b"1" + b"]" * 5000 + b"}",
+     "invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+]
+READ_FAULTS += [(json.dumps(_edited(edits)).encode(), f"{path}: {message}") for edits, path, message in MALFORMED]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("data,message", READ_FAULTS, ids=range(len(READ_FAULTS)))
+def test_a_fault_read_in_chunks_is_reported_as_in_the_whole_text(data, message, chunk, tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    monkeypatch.setattr(qbs.config, "_CHUNK", chunk)
+    assert _main_output("price", str(path)) == (2, "", f"config error: {message}\n")
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="needs /dev/stdin")
+@pytest.mark.parametrize("data,message", [READ_FAULTS[1], READ_FAULTS[7]], ids=["json", "utf8"])
+def test_a_fault_in_a_piped_config_is_reported_as_in_a_file(data, message):
+    # a pipe cannot be read again, so its text is read whole
+    proc = subprocess.run([sys.executable, "-m", "qbs.cli", "price", "--config", "/dev/stdin"],
+                          input=data, capture_output=True, cwd=ROOT)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", f"config error: {message}\n")
 
 
 # a bad known field with a mistyped key ahead of it in its object, at each
