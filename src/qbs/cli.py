@@ -20,13 +20,17 @@ from collections.abc import Iterator
 from itertools import chain, repeat
 from operator import itemgetter
 
-import numpy as np
+# BLAS on more threads sums in another order, and a report's last bits would
+# follow the thread count: one thread, set before numpy loads
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .config import SCHEMA_VERSION, ConfigError, RunConfig, apply_overrides, pair_array, read_config
 from .flows import default_steps, flow_coefficients, power_rule_deviation, semigroup_evolve
 from .operators import hermitian_defect
-from .pricing import _moneyness, classical_bs, hermitian_stock_moneyness, moneyness, replication_simulation
+from .pricing import classical_bs, hermitian_moneyness, hermitian_stock_moneyness, moneyness, replication_simulation
 from .sampling import random_model_stacks
 
 # matrix entries per (models, d, d) stack in ito-check
@@ -46,28 +50,31 @@ def _need(value, path: str, message: str):
 
 def _cmd_coeffs(cfg: RunConfig):
     model = _need(cfg.model, "model", _NO_MODEL)
-    fc = flow_coefficients(model.ops.X, model.ops)
-    result = {
-        "alpha": fc.alpha,
-        "alpha_dagger": fc.alpha_dagger,
-        "lambda": fc.lam,
-        "theta": fc.theta,
-        "max_abs_alpha": float(np.max(np.abs(fc.alpha))),
-        "max_abs_lambda": float(np.max(np.abs(fc.lam))),
-        "max_abs_theta": float(np.max(np.abs(fc.theta))),
-    }
-    return [result], []
+    flows = [flow_coefficients(model.ops.X, model.ops)]
+    rows = (
+        {
+            "alpha": fc.alpha,
+            "alpha_dagger": fc.alpha_dagger,
+            "lambda": fc.lam,
+            "theta": fc.theta,
+            "max_abs_alpha": float(np.max(np.abs(fc.alpha))),
+            "max_abs_lambda": float(np.max(np.abs(fc.lam))),
+            "max_abs_theta": float(np.max(np.abs(fc.theta))),
+        }
+        for fc in flows
+    )
+    return rows, []
 
 
 def _cmd_ito_check(cfg: RunConfig):
     seed = _need(cfg.seed, "seed", _NO_SEED)
     tol = cfg.tolerances["power_rule"]
-    trials = cfg.ito_check["trials"]
+    trials, k_max = cfg.ito_check["trials"], cfg.ito_check["k_max"]
     # numpy.random is a sizeable import that only the seeded commands need
     from numpy.random import default_rng
 
     rng = default_rng(seed)
-    results = []
+    worsts = []
     violations = []
     for dim in cfg.ito_check["dims"]:
         worst = 0.0
@@ -76,21 +83,16 @@ def _cmd_ito_check(cfg: RunConfig):
         per_stack = max(1, _STACK_ENTRIES // (dim * dim))
         for start in range(0, trials, per_stack):
             stacks = random_model_stacks(rng, min(per_stack, trials - start), dim)
-            deviation = power_rule_deviation(*stacks, cfg.ito_check["k_max"])
+            deviation = power_rule_deviation(*stacks, k_max)
             worst = max(worst, float(deviation.max()))
-        passed = worst <= tol
-        results.append(
-            {
-                "dim": dim,
-                "trials": trials,
-                "k_max": cfg.ito_check["k_max"],
-                "max_relative_deviation": worst,
-                "passed": passed,
-            }
-        )
-        if not passed:
+        worsts.append((dim, worst))
+        if not worst <= tol:
             violations.append(f"power rule deviation {worst:.6e} exceeds {tol:.6e} at dim {dim}")
-    return results, violations
+    rows = (
+        {"dim": dim, "trials": trials, "k_max": k_max, "max_relative_deviation": worst, "passed": worst <= tol}
+        for dim, worst in worsts
+    )
+    return rows, violations
 
 
 def _grid(cfg: RunConfig) -> list:
@@ -98,53 +100,44 @@ def _grid(cfg: RunConfig) -> list:
     model = _need(cfg.model, "model", _NO_MODEL)
     t_grid = _need(cfg.t_grid, "t_grid", "a t_grid required for this command")
     z_grid = _need(cfg.z_grid, "z_grid", "a z_grid required for this command")
-    spectra = [_moneyness(z, model.K, f"z_grid[{i}]") for i, z in enumerate(z_grid)]
+    spectra = [hermitian_moneyness(z, model.K, f"z_grid[{i}]") for i, z in enumerate(z_grid)]
     return [(t, i, m) for t in t_grid for i, m in enumerate(spectra)]
 
 
 def _cmd_price(cfg: RunConfig):
-    # every check runs before the report's first byte; an omega is assembled
-    # as its row is read and dropped once it is written
     points = [(t, i, m, *m.price_extremes(t, cfg.model.r)) for t, i, m in _grid(cfg)]
 
-    def rows():
-        for t, i, m, w, low, high in points:
-            quote = m._quote(w, cfg.state)
-            yield {
-                "t": t,
-                "z_index": i,
-                "omega": quote.omega,
-                "omega_min_eigenvalue": low,
-                "omega_max_eigenvalue": high,
-                "omega_expectation": quote.omega_expectation,
-            }
+    def row(t: float, i: int, m, w, low: float, high: float) -> dict:
+        quote = m.quote(w, cfg.state)
+        return {
+            "t": t,
+            "z_index": i,
+            "omega": quote.omega,
+            "omega_min_eigenvalue": low,
+            "omega_max_eigenvalue": high,
+            "omega_expectation": quote.omega_expectation,
+        }
 
-    return rows(), []
+    return (row(*point) for point in points), []
 
 
 def _cmd_residual(cfg: RunConfig):
     tol, fd_tol = cfg.tolerances["residual_eq8"], cfg.tolerances["derivative_fd"]
-    results = []
+    reports = []
     violations = []
     for t, i, m in _grid(cfg):
         rep = m.residual(t, cfg.model.r, tol)
         gap = m.derivative_gap(t, cfg.model.r)
-        results.append(
-            {
-                "t": t,
-                "z_index": i,
-                "residual_norm": rep.residual_norm,
-                "tolerance": rep.tolerance,
-                "passed": rep.passed,
-            }
-        )
+        reports.append((t, i, rep))
         if not rep.passed:
-            violations.append(
-                f"residual {rep.residual_norm:.6e} exceeds {tol:.6e} at t={t}, z_index={i}"
-            )
+            violations.append(f"residual {rep.residual_norm:.6e} exceeds {tol:.6e} at t={t}, z_index={i}")
         if not gap <= fd_tol:
             violations.append(f"derivative gap {gap:.6e} exceeds {fd_tol:.6e} at t={t}, z_index={i}")
-    return results, violations
+    rows = (
+        {"t": t, "z_index": i, "residual_norm": rep.residual_norm, "tolerance": rep.tolerance, "passed": rep.passed}
+        for t, i, rep in reports
+    )
+    return rows, violations
 
 
 def _cmd_terminal_check(cfg: RunConfig):
@@ -153,30 +146,29 @@ def _cmd_terminal_check(cfg: RunConfig):
     base = cfg.tolerances["terminal"]
     t_small = cfg.terminal["t_small"]
     min_gap = cfg.terminal["min_gap"]
-    results = []
+    checked = []
     violations = []
     for i, z in enumerate(z_grid):
         name = f"z_grid[{i}]"
-        m = _moneyness(z, model.K, name)
+        m = hermitian_moneyness(z, model.K, name)
         rep, payoff = m.terminal(t_small, model.r, min_gap, base, name)
-        deviation, tol = rep.residual_norm, rep.tolerance
-        expectation_payoff = None
-        if cfg.state is not None:
-            expectation_payoff = m.payoff("expectation", cfg.state)
-        results.append(
-            {
-                "z_index": i,
-                "t_small": t_small,
-                "deviation": deviation,
-                "tolerance": tol,
-                "passed": rep.passed,
-                "payoff_spectral": payoff,
-                "payoff_expectation": expectation_payoff,
-            }
-        )
+        expectation_payoff = None if cfg.state is None else m.payoff("expectation", cfg.state)
+        checked.append((i, rep, payoff, expectation_payoff))
         if not rep.passed:
-            violations.append(f"terminal deviation {deviation:.6e} exceeds {tol:.6e} at z_index={i}")
-    return results, violations
+            violations.append(f"terminal deviation {rep.residual_norm:.6e} exceeds {rep.tolerance:.6e} at z_index={i}")
+    rows = (
+        {
+            "z_index": i,
+            "t_small": t_small,
+            "deviation": rep.residual_norm,
+            "tolerance": rep.tolerance,
+            "passed": rep.passed,
+            "payoff_spectral": payoff,
+            "payoff_expectation": expectation_payoff,
+        }
+        for i, rep, payoff, expectation_payoff in checked
+    )
+    return rows, violations
 
 
 def _cmd_hedge(cfg: RunConfig):
@@ -194,12 +186,10 @@ def _cmd_hedge(cfg: RunConfig):
         raise
     except ValueError as exc:  # its checks against K call the stock X
         raise ConfigError(path, str(exc)) from None
-    # every check runs before the report's first byte; a row's matrices are
-    # assembled as it is read, and nothing here holds them once it is
     spectra = [(t, m.hedge_spectra(t, model, convention)) for t in times]
 
     def row(t: float, spectrum) -> dict:
-        pos, omega = m._position(*spectrum, stock, model)
+        pos, omega = m.position(*spectrum, stock, model)
         defect = float(np.linalg.norm(pos.value - omega))
         passed = defect <= tol * max(1.0, float(np.linalg.norm(omega)))
         if not passed:
@@ -221,7 +211,7 @@ def _cmd_classical(cfg: RunConfig):
     sec = _need(cfg.classical, "classical", "a classical section required for this command")
     strike, r, sigma = sec["strike"], sec["r"], sec["sigma"]
     tol = cfg.tolerances["classical_match"]
-    results = []
+    prices = []
     violations = []
     for x in sec["x"]:
         # the d = 1 operator price at unit volatility, in time sigma^2 t and
@@ -235,18 +225,12 @@ def _cmd_classical(cfg: RunConfig):
             mismatch = abs(value - operator_price)
             if not mismatch <= tol * max(1.0, x, strike):
                 violations.append(f"classical price mismatch {mismatch:.6e} at x={x}, t={t}")
-            results.append(
-                {
-                    "x": x,
-                    "t": t,
-                    "strike": strike,
-                    "r": r,
-                    "sigma": sigma,
-                    "price": value,
-                    "delta": delta,
-                }
-            )
-    return results, violations
+            prices.append((x, t, value, delta))
+    rows = (
+        {"x": x, "t": t, "strike": strike, "r": r, "sigma": sigma, "price": value, "delta": delta}
+        for x, t, value, delta in prices
+    )
+    return rows, violations
 
 
 def _cmd_lindblad(cfg: RunConfig):
@@ -254,7 +238,7 @@ def _cmd_lindblad(cfg: RunConfig):
     t_list = _need(cfg.lindblad["t"], "lindblad.t", "at least one time required")
     x0 = cfg.lindblad["x0"] if cfg.lindblad["x0"] is not None else model.ops.X
     tol = cfg.tolerances["semigroup"]
-    results = []
+    evolved = []
     violations = []
     for t in t_list:
         steps = cfg.lindblad["steps"]
@@ -267,42 +251,41 @@ def _cmd_lindblad(cfg: RunConfig):
         scale = max(1.0, float(np.linalg.norm(out)))
         hermitian = defect <= 1e-9 * scale
         converged = error <= tol * scale
-        results.append(
-            {
-                "t": t,
-                "steps": steps,
-                "x_t": out,
-                "hermiticity_defect": defect,
-                "passed": hermitian and converged,
-            }
-        )
+        evolved.append((t, steps, out, defect, hermitian and converged))
         if not hermitian:
             violations.append(f"semigroup output lost Hermiticity ({defect:.6e}) at t={t}")
         if not converged:
             violations.append(
                 f"step-doubling error {error:.6e} exceeds {tol * scale:.6e} at t={t}, steps={steps}"
             )
-    return results, violations
+    rows = (
+        {"t": t, "steps": steps, "x_t": out, "hermiticity_defect": defect, "passed": passed}
+        for t, steps, out, defect, passed in evolved
+    )
+    return rows, violations
 
 
 def _cmd_replicate(cfg: RunConfig):
     sec = _need(cfg.replicate, "replicate", "a replicate section required for this command")
     seed = _need(cfg.seed, "seed", _NO_SEED)
-    stats = replication_simulation(seed=seed, **sec)
-    result = {
-        "x0": sec["x0"],
-        "strike": sec["strike"],
-        "r": sec["r"],
-        "T": sec["T"],
-        "steps": stats.steps,
-        "paths": stats.paths,
-        "seed": stats.seed,
-        "initial_price": stats.initial_price,
-        "mean_error": stats.mean_error,
-        "std_error": stats.std_error,
-        "mean_abs_error": stats.mean_abs_error,
-    }
-    return [result], []
+    runs = [replication_simulation(seed=seed, **sec)]
+    rows = (
+        {
+            "x0": sec["x0"],
+            "strike": sec["strike"],
+            "r": sec["r"],
+            "T": sec["T"],
+            "steps": stats.steps,
+            "paths": stats.paths,
+            "seed": stats.seed,
+            "initial_price": stats.initial_price,
+            "mean_error": stats.mean_error,
+            "std_error": stats.std_error,
+            "mean_abs_error": stats.mean_abs_error,
+        }
+        for stats in runs
+    )
+    return rows, []
 
 
 _DISPATCH = {
@@ -321,16 +304,17 @@ COMMANDS = tuple(_DISPATCH)
 
 def run(cfg: RunConfig, command: str, timing: bool = True) -> dict:
     """Execute one command against a validated configuration and return its
-    report document. Result rows hold scalars and complex ndarrays, which
-    render_json writes as nested [re, im] pairs. The results of price and
-    hedge are a one-shot iterator of rows, built as they are read, and
-    hedge's invariant violations are listed as its rows are; with timing
-    on, each row's building is added to wall_time_s as it is."""
+    report document; every step that can raise has run by then. results is
+    a one-shot iterator of rows, each assembled as it is read and held by
+    nothing once written. Rows hold scalars and complex ndarrays, which
+    render_json writes as nested [re, im] pairs. invariant_violations is
+    complete once results is read (a hedge row's reconstruction check runs
+    as it is read); with timing on, each row's assembly is added to
+    wall_time_s as it is."""
     if command not in _DISPATCH:
         raise ConfigError("command", f"unknown command {command!r}")
     started = time.perf_counter()
     results, violations = _DISPATCH[command](cfg)
-    elapsed = time.perf_counter() - started
     report = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -339,9 +323,9 @@ def run(cfg: RunConfig, command: str, timing: bool = True) -> dict:
         "tolerances": dict(sorted(cfg.tolerances.items())),
         "results": results,
         "invariant_violations": violations,
-        "wall_time_s": elapsed if timing else None,
+        "wall_time_s": time.perf_counter() - started if timing else None,
     }
-    if timing and not isinstance(results, list):
+    if timing:
         report["results"] = _timed(results, report)
     return report
 
@@ -486,9 +470,9 @@ def _write(value, level: int):
 def render_json(report: dict, out) -> None:
     """Write the report to the text stream out as json.dumps(report, indent=2)
     writes it, plus a newline, with each ndarray as nested [re, im] pairs
-    and price's iterator of rows as its list. The pieces go out as they
-    render: of a d = 128 report (up to 24 MB) no more is held at once than
-    two omegas, one matrix row's text and its encoded copy."""
+    and each iterator as its list. The pieces go out as they render: of a
+    d = 128 report (up to 24 MB) no more is held at once than the row being
+    written (for price, one omega) and the texts that _row_texts keeps."""
     out.writelines(_write(report, 0))
     out.write("\n")
 

@@ -12,19 +12,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import (
-    adjoint,
-    as_matrix,
-    commutator,
-    frobenius,
-    require_hermitian,
-    require_unitary,
-)
+from .operators import adjoint, as_matrix, commutator, frobenius, require_hermitian, require_unitary
 
 _SLOTS = ("creation", "conservation", "annihilation", "time")
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a."""
     out = a.copy()
     out.setflags(write=False)
     return out
@@ -46,7 +40,7 @@ class ModelOperators(namedtuple("ModelOperators", "X H L S")):
         shapes = {a.shape for a in (x, h, l, s)}
         if len(shapes) != 1:
             raise ValueError(f"operator dims differ: {sorted(shapes)}")
-        return super().__new__(cls, _freeze(x), _freeze(h), _freeze(l), _freeze(s))
+        return super().__new__(cls, frozen(x), frozen(h), frozen(l), frozen(s))
 
     @property
     def dim(self) -> int:
@@ -66,7 +60,7 @@ class QuantumStochasticDifferential(namedtuple("QuantumStochasticDifferential", 
             a = as_matrix(a, name)
             if slots and a.shape != slots[0].shape:
                 raise ValueError("differential slots have mixed dimensions")
-            slots.append(_freeze(a))
+            slots.append(frozen(a))
         return super().__new__(cls, *slots)
 
     @property

@@ -175,11 +175,11 @@ def joint_decompose(z: np.ndarray, k: np.ndarray, name: str):
     else:
         raise np.linalg.LinAlgError(f"{name}: the joint eigenbasis with K did not converge")
     lam, kd = both.diagonal(axis1=1, axis2=2).real
-    order = _stable_order(lam)
+    order = stable_order(lam)
     return SpectralDecomposition(lam[order], v[:, order]), kd[order] / scale
 
 
-def _stable_order(values: np.ndarray) -> list:
+def stable_order(values: np.ndarray) -> list:
     """The indices that sort values, ties in index order, as np.argsort(kind="stable")
     orders them. Python's sort: numpy's sort loops are code that no other step of a
     small job runs, 0.13 MB of peak RSS."""

@@ -18,10 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flows import ModelOperators, _freeze, expectation
+from .flows import ModelOperators, expectation, frozen
 from .operators import (
     SpectralDecomposition,
-    _stable_order,
     commutator,
     finite_exp,
     frobenius,
@@ -32,6 +31,7 @@ from .operators import (
     power_of_two_scaled,
     require_hermitian,
     spectrum_log,
+    stable_order,
 )
 
 COMMUTATION_RTOL = 1e-10
@@ -85,7 +85,7 @@ class MarketModel(namedtuple("MarketModel", "ops K r T beta0")):
         if not beta0 > 0.0:
             raise ValueError("beta0 must be positive")
         _require_commuting(ops.X, k, "X", "K")
-        return super().__new__(cls, ops, _freeze(k), float(r), float(T), float(beta0))
+        return super().__new__(cls, ops, frozen(k), float(r), float(T), float(beta0))
 
     @property
     def dim(self) -> int:
@@ -226,7 +226,8 @@ class Moneyness(NamedTuple):
     Hermitian, sized like K and commuting with it, so every priced operator
     at z is K F(z), a scalar function F applied in this one decomposition
     dec, whose basis V has V*KV = diag(k). Every pricing entry point builds
-    one with ``moneyness`` (a given z) or ``stock_moneyness`` (a stock X's z)."""
+    one with ``moneyness`` (a given z) or ``stock_moneyness`` (a stock X's z).
+    price_extremes and hedge_spectra run every check of quote and position."""
 
     dec: SpectralDecomposition
     k: np.ndarray
@@ -247,7 +248,7 @@ class Moneyness(NamedTuple):
 
     def price(self, t: float, r: float, state=None) -> PriceQuote:
         """price(t, z, model) for a model of rate r."""
-        return self._quote(self.price_extremes(t, r)[0], state)
+        return self.quote(self.price_extremes(t, r)[0], state)
 
     def price_extremes(self, t: float, r: float):
         """(w, the smallest and the largest eigenvalue of omega = priced(w)): every check of price(t, r)."""
@@ -255,7 +256,8 @@ class Moneyness(NamedTuple):
         kw = self.spectrum(w)
         return w, float(kw.min()), float(kw.max())
 
-    def _quote(self, w, state) -> PriceQuote:
+    def quote(self, w, state) -> PriceQuote:
+        """The PriceQuote of omega = priced(w), for w from price_extremes."""
         omega = self.priced(w)
         expect = None if state is None else float(expectation(state, omega).real)
         return PriceQuote(omega=omega, omega_expectation=expect)
@@ -310,13 +312,8 @@ class Moneyness(NamedTuple):
         tolerance = rel_tol * max(1.0, float(np.abs(self.k * positive).max()))
         return _report(dev, tolerance), payoff
 
-    def hedge(self, t: float, j_x, model: MarketModel, convention: str = "direct"):
-        """(hedge_portfolio(t, j_x, model, convention), the price omega that
-        its value reproduces), for z the log-moneyness of j_x against K."""
-        return self._position(*self.hedge_spectra(t, model, convention), j_x, model)
-
     def hedge_spectra(self, t: float, model: MarketModel, convention: str = "direct"):
-        """(the eigenvalues of omega, those of a, (e^{rt}, e^{-rt})): every check of hedge(t, ...)."""
+        """(the eigenvalues of omega, those of a, (e^{rt}, e^{-rt})): every check of position."""
         if not 0.0 < t < model.T:
             raise ValueError(f"t={t!r} outside (0, {model.T})")
         if convention not in ("direct", "classical"):
@@ -327,7 +324,8 @@ class Moneyness(NamedTuple):
         kw = self.spectrum(w)
         return kw, self.spectrum(w01) if convention == "direct" else w01 * finite_exp(-lam, "z"), rates
 
-    def _position(self, kw, ka, rates, j_x, model: MarketModel):
+    def position(self, kw, ka, rates, j_x, model: MarketModel):
+        """(the HedgePosition in j_x, the omega its value reproduces), from hedge_spectra."""
         grow, disc = rates
         omega = hermitian_part(self.dec.apply(kw))
         a = hermitian_part(self.dec.apply(ka))
@@ -337,11 +335,11 @@ class Moneyness(NamedTuple):
 
 
 def moneyness(z, k: np.ndarray, name: str = "z") -> Moneyness:
-    """z checked Hermitian, then ``_moneyness``."""
-    return _moneyness(require_hermitian(z, name), k, name)
+    """z checked Hermitian, then ``hermitian_moneyness``."""
+    return hermitian_moneyness(require_hermitian(z, name), k, name)
 
 
-def _moneyness(z: np.ndarray, k: np.ndarray, name: str) -> Moneyness:
+def hermitian_moneyness(z: np.ndarray, k: np.ndarray, name: str) -> Moneyness:
     """A Hermitian z checked against the checked strike k, then decomposed jointly with it."""
     _require_commuting(z, k, name, "K")  # the commutator rejects unlike shapes
     return Moneyness(*joint_decompose(z, k, name))
@@ -355,12 +353,11 @@ def stock_moneyness(x_op, k_op) -> Moneyness:
 def hermitian_stock_moneyness(x: np.ndarray, k: np.ndarray) -> Moneyness:
     """The z with K e^z = X, for commuting positive X and K already checked
     Hermitian, checked by that identity: V diag(log x - log k) V* in the
-    joint decomposition (x, k) of (X, K). Public, unlike ``_moneyness``:
-    perfbench/traced_job.py wraps public functions only, and this is where
-    a traced ``hedge`` job spends its time in this module."""
-    dec_x, k_x = _moneyness(x, k, "X")
+    joint decomposition (x, k) of (X, K). Public: perfbench/traced_job.py wraps
+    public functions only, and a traced ``hedge`` job spends its time here."""
+    dec_x, k_x = hermitian_moneyness(x, k, "X")
     lam = spectrum_log(dec_x.eigenvalues, "X") - spectrum_log(k_x, "K")
-    order = _stable_order(lam)
+    order = stable_order(lam)
     m = Moneyness(SpectralDecomposition(lam[order], dec_x.eigenvectors[:, order]), k_x[order])
     err = frobenius(m.priced(finite_exp(m.dec.eigenvalues, "z")) - x)
     if not err <= 1e-10 * max(1.0, frobenius(x)):
@@ -529,7 +526,8 @@ def hedge_portfolio(
     value identity a j_x + b beta_t = w holds by construction.
     """
     jx = require_hermitian(j_x, "j_x")
-    return hermitian_stock_moneyness(jx, model.K).hedge(t, jx, model, convention)[0]
+    m = hermitian_stock_moneyness(jx, model.K)
+    return m.position(*m.hedge_spectra(t, model, convention), jx, model)[0]
 
 
 def classical_bs(x: float, strike: float, r: float, sigma: float, t: float):

@@ -485,11 +485,11 @@ def test_a_closed_stdout_is_exit_1_without_a_traceback(market_d64):
     assert err.startswith("output error: ") and err.count("\n") == 1, err
 
 
-def test_price_holds_at_most_two_omegas_as_it_writes(market_d64, monkeypatch):
-    # each omega is assembled as its row is written, and dropped once the
-    # next row's is: the row being written and the one being priced
+def test_price_holds_one_omega_as_it_writes(market_d64, monkeypatch):
+    # each omega is assembled as its row is read, and dropped once the row
+    # is written, before the next row's is assembled
     alive = [0, 0]  # omegas alive now, most alive at once
-    quote = qbs.pricing.Moneyness._quote
+    quote = qbs.pricing.Moneyness.quote
 
     def dropped():
         alive[0] -= 1
@@ -501,10 +501,10 @@ def test_price_holds_at_most_two_omegas_as_it_writes(market_d64, monkeypatch):
         alive[1] = max(alive)
         return priced
 
-    monkeypatch.setattr(qbs.pricing.Moneyness, "_quote", counted)
+    monkeypatch.setattr(qbs.pricing.Moneyness, "quote", counted)
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         assert qbs.cli.main(["price", "--config", market_d64, "--omit-timing"]) == 0
-    assert alive == [0, 2]
+    assert alive == [0, 1]
 
 
 @pytest.mark.parametrize("timing", [[], ["--omit-timing"]])
@@ -512,7 +512,7 @@ def test_hedge_holds_one_rows_matrices_as_it_writes(timing, market_d64, monkeypa
     # a row's a, b, value and omega are assembled as it is read, and
     # dropped before the next row's are
     alive = [0, 0]  # matrices alive now, most alive at once
-    position = qbs.pricing.Moneyness._position
+    position = qbs.pricing.Moneyness.position
 
     def dropped():
         alive[0] -= 1
@@ -525,7 +525,7 @@ def test_hedge_holds_one_rows_matrices_as_it_writes(timing, market_d64, monkeypa
         alive[1] = max(alive)
         return pos, omega
 
-    monkeypatch.setattr(qbs.pricing.Moneyness, "_position", counted)
+    monkeypatch.setattr(qbs.pricing.Moneyness, "position", counted)
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         assert qbs.cli.main(["hedge", "--config", market_d64, *timing]) == 0
     assert alive == [0, 4]
@@ -622,9 +622,9 @@ def test_price_wall_time_counts_each_rows_pricing_and_none_of_the_writing(monkey
     # price's rows are priced as they are written, so its wall time is the
     # sum of the pricing done before the first byte and of each row's
     delay = 0.02
-    quote = qbs.pricing.Moneyness._quote
+    quote = qbs.pricing.Moneyness.quote
     monkeypatch.setattr(
-        qbs.pricing.Moneyness, "_quote", lambda self, w, state: time.sleep(delay) or quote(self, w, state)
+        qbs.pricing.Moneyness, "quote", lambda self, w, state: time.sleep(delay) or quote(self, w, state)
     )
     argv = ["price", "--config", str(ROOT / "configs" / "flow_2x2.json")]
     sinks = [_SlowSink(delay), _SlowSink(delay)]

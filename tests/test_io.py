@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,129 @@ def test_a_matrix_scanned_a_row_at_a_time_reads_as_it_does_whole(rows):
     got = _scan(iter((json.dumps({"m": rows}),)))["m"]
     assert isinstance(got, np.ndarray)
     assert got.tobytes() == matrix_from_json(rows, "m").tobytes()
+
+
+_SHORT_ESCAPES = {'"': '\\"', "\\": "\\\\", "/": "\\/", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+@st.composite
+def _string_texts(draw) -> str:
+    """A JSON string: ASCII, non-ASCII and astral characters, each written
+    raw where JSON allows it, or as its short escape, its \\uXXXX escape or
+    (astral) its surrogate pair of escapes."""
+    out = ['"']
+    for char in draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)):
+        code = ord(char)
+        forms = [f"\\u{code:04x}"] if code < 0x10000 else []
+        if code >= 0x10000:
+            high, low = divmod(code - 0x10000, 0x400)
+            forms.append(f"\\u{0xD800 + high:04X}\\u{0xDC00 + low:04x}")
+        if char in _SHORT_ESCAPES:
+            forms.append(_SHORT_ESCAPES[char])
+        if code >= 0x20 and char not in '"\\':
+            forms.append(char)
+        out.append(draw(st.sampled_from(forms)))
+    return "".join(out) + '"'
+
+
+# number texts: the edges named, integers, shortest reprs, and exponent forms
+# of every case and sign (past 1e308 they read as inf)
+_NUMBER_TEXTS = (
+    st.sampled_from(["-0.0", "-0", "0", "1e300", "-1e300", "5e-324", "-5e-324", "1E+2", "2.5e-3", "1e400"])
+    | st.integers(-(2**70), 2**70).map(str)
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.builds("{}{}{}{}".format, st.integers(-999, 999), st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                st.integers(0, 330))
+)
+_LITERALS = st.sampled_from(["true", "false", "null"])
+_WS = st.text(" \t\n\r", max_size=3)
+
+
+@st.composite
+def _json_texts(draw, depth: int = 0) -> str:
+    """A JSON text of nested objects and arrays, strings, numbers, literals,
+    rows of [re, im] pairs and square matrices of them, with whitespace
+    drawn around every token."""
+    ws = lambda: draw(_WS)  # noqa: E731
+    kinds = ["number", "string", "literal"] + (["array", "object", "pairs", "matrix"] if depth < 3 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "number":
+        return ws() + draw(_NUMBER_TEXTS) + ws()
+    if kind == "string":
+        return ws() + draw(_string_texts()) + ws()
+    if kind == "literal":
+        return ws() + draw(_LITERALS) + ws()
+
+    def array(items) -> str:
+        return ws() + "[" + (",".join(items) if items else ws()) + "]" + ws()
+
+    def pair() -> str:
+        return array([ws() + draw(_NUMBER_TEXTS) + ws() for _ in range(2)])
+
+    if kind == "pairs":
+        return array([pair() for _ in range(draw(st.integers(1, 4)))])
+    if kind == "matrix":
+        dim = draw(st.integers(1, 3))
+        return array([array([pair() for _ in range(dim)]) for _ in range(dim)])
+    items = [draw(_json_texts(depth + 1)) for _ in range(draw(st.integers(0, 3)))]
+    if kind == "array":
+        return array(items)
+    members = [ws() + draw(_string_texts()) + ws() + ":" + item for item in items]
+    return ws() + "{" + (",".join(members) if members else ws()) + "}" + ws()
+
+
+def _pieces(text: str, sizes: list):
+    """text in consecutive pieces of the given sizes, cycled."""
+    start = 0
+    for size in cycle(sizes):
+        if start >= len(text):
+            return
+        yield text[start : start + size]
+        start += size
+
+
+def _same(a, b) -> bool:
+    """a and b have the same types, keys, order and bits throughout."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[key], b[key]) for key in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    return a == b
+
+
+def _unpaired(value):
+    """value with each array as its nested [re, im] pairs, and each number as
+    the bits of its float (an int past float range as itself): -0.0 and 0.0
+    differ, and 1 and 1.0 do not."""
+    if isinstance(value, np.ndarray):
+        value = pair_array(value).tolist()
+    if isinstance(value, dict):
+        return {key: _unpaired(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_unpaired(item) for item in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return ("number", float(value).hex())
+        except OverflowError:
+            return ("integer", value)
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_texts(), st.lists(st.integers(1, 70), min_size=1, max_size=5))
+def test_the_scanner_reads_any_document_in_chunks_as_json_loads(text, sizes):
+    # the scanner's contract: read in chunks of 1-70 characters, a document
+    # gives what it gives read whole, and that is json.loads' tree once
+    # every row and matrix it made an array is turned back into pairs
+    whole = _scan(iter((text,)))
+    assert _same(_scan(_pieces(text, sizes)), whole)
+    assert _unpaired(whole) == _unpaired(json.loads(text))
 
 
 def test_well_formed_matrix_values_are_exact():

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 import oracles
 import qbs.cli
 from qbs.operators import (
-    _stable_order,
     adjoint,
     as_matrix,
     commutator,
@@ -22,6 +21,7 @@ from qbs.operators import (
     require_hermitian,
     require_unitary,
     spectral_decompose,
+    stable_order,
     sylvester_L,
 )
 from qbs.sampling import random_hermitian, random_positive_definite, random_unitary
@@ -35,7 +35,7 @@ SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 def test_stable_order_is_numpys_stable_argsort(values):
     # ties, -0.0 and 0.0 among them, keep their index order
     values = np.array(values, dtype=np.float64)
-    assert _stable_order(values) == np.argsort(values, kind="stable").tolist()
+    assert stable_order(values) == np.argsort(values, kind="stable").tolist()
 
 
 def test_as_matrix_rejects_bad_shapes():

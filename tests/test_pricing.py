@@ -2,6 +2,7 @@
 import json
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -758,6 +759,46 @@ def test_price_is_scalar_call_in_the_eigenbasis(market, t_tenths):
     omega = price(t, z, model).omega
     want = _scalar_call_oracle(u, lam, k, model.r, t)
     assert np.max(np.abs(omega - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+# Put-call parity, omega - put = K e^z - K e^{-rt}, holds to roundoff. Of
+# the three operators (d <= 4, eigenvalues k e^lam <= 2e), the eigenbasis
+# errs most: about eps ||z||_2 / gap per unit of ||K e^z||_2, with
+# ||z||_2 <= 1 and a gap >= 1/20 between distinct eigenvalues of z and of
+# K; a factor of 64 d covers the scalar formulas' sums and the products.
+PARITY_ROUNDOFF = 64 * 4 * 20 * float(np.finfo(float).eps)
+
+
+def _parity_gap(omega, u, lam, k, model, t) -> float:
+    """||omega - put - (K e^z - K e^{-rt})||_2 / max(1, ||K e^z||_2), for
+    the oracle's put in the basis U that the market was built in."""
+    forward = model.ops.X - math.exp(-model.r * t) * model.K
+    gap = np.linalg.norm(omega - oracles.put_in_basis(u, lam, k, model.r, t) - forward, 2)
+    return float(gap) / max(1.0, float(np.linalg.norm(model.ops.X, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(commuting_markets(), st.integers(1, 40))
+def test_put_call_parity_in_the_eigenbasis(market, t_tenths):
+    u, lam, k, z, model = market
+    t = t_tenths / 10.0
+    assert _parity_gap(price(t, z, model).omega, u, lam, k, model, t) <= PARITY_ROUNDOFF
+
+
+def test_put_call_parity_catches_a_discount_of_one_more_step(monkeypatch):
+    # negative control: a call discounted by e^{-r(t + h)}, h = FD_STEP,
+    # moves omega by K (e^{-rt} - e^{-r(t + h)}) Phi(h(z)), about 2e-6 of
+    # ||K e^z||_2 here, where z has a repeated eigenvalue that K splits
+    r, t, h = 0.05, 0.5, pricing.FD_STEP
+    u = random_unitary(np.random.default_rng(7), 3)
+    lam, k = np.array([-0.5, 0.25, 0.25]), np.array([0.75, 1.25, 1.5])
+    build = lambda d: hermitian_part((u * d) @ u.conj().T)
+    ops = ModelOperators(X=build(k * np.exp(lam)), H=np.zeros((3, 3)), L=np.zeros((3, 3)), S=np.eye(3))
+    model = MarketModel(ops=ops, K=build(k), r=r, T=1.0)
+    z = build(lam)
+    assert _parity_gap(price(t, z, model).omega, u, lam, k, model, t) <= PARITY_ROUNDOFF
+    monkeypatch.setattr(pricing, "math", types.SimpleNamespace(**{**vars(math), "exp": lambda a: math.exp(a - r * h)}))
+    assert _parity_gap(price(t, z, model).omega, u, lam, k, model, t) > 1e3 * PARITY_ROUNDOFF
 
 
 def _pricing_outputs(z, model, t, h, convention):
