@@ -271,10 +271,7 @@ def _cmd_replicate(cfg: RunConfig):
     runs = [replication_simulation(seed=seed, **sec)]
     rows = (
         {
-            "x0": sec["x0"],
-            "strike": sec["strike"],
-            "r": sec["r"],
-            "T": sec["T"],
+            **{key: sec[key] for key in ("x0", "strike", "r", "T")},
             "steps": stats.steps,
             "paths": stats.paths,
             "seed": stats.seed,

@@ -549,9 +549,8 @@ def classical_bs(x: float, strike: float, r: float, sigma: float, t: float):
 
 
 def _path_normals(seed: int, first: int, count: int, steps: int) -> np.ndarray:
-    """(count, steps) standard normals; row i is the start of path
-    first + i's substream, Philox keyed by the seed with counter
-    [0, 0, first + i, 0] (the stream of ``Philox(key=seed).jumped(first + i)``)."""
+    """(count, steps) standard normals, row i the start of the substream
+    of path first + i (``replication_simulation``)."""
     from numpy.random import Generator, Philox
 
     bits = Philox(key=seed)
@@ -575,24 +574,22 @@ def replication_simulation(
     paths: int,
     seed: int,
     sigma: float = 1.0,
-    block: int = 1024,
+    block: int = 256,
 ) -> ReplicationStats:
     """Discrete delta-hedge replication along risk-neutral geometric paths.
 
-    Each path owns a counter-derived substream: path p draws from Philox
-    keyed by the seed with counter [0, 0, p, 0], which is
-    ``Philox(key=seed).jumped(p)``. Results therefore depend only on the
-    seed, not on block size or thread layout. Rebalancing happens at
-    every step but the last; terminal error is V_T minus the call payoff.
+    Path p draws N from ``Philox(key=seed).jumped(p)``, whatever the block
+    size. From x0's Black-Scholes price and delta, step j takes
+    x_j = x_{j-1} exp(sigma sqrt(dt) N_j + (r - sigma^2 / 2) dt), cash_j =
+    cash_{j-1} e^{r dt} and, for j < steps - 1, cash_j -= (D_j - D_{j-1}) x_j
+    with D_j = Phi((log(x_j / strike) + (r + sigma^2 / 2) tau) / (sigma
+    sqrt(tau))), tau = T - (j + 1) dt. The error is V_T - payoff. Steps
+    run a chunk of steps // 8 at a time.
     """
     # paths x steps deltas want a C-speed CDF; no other command loads scipy
     from scipy.special import ndtr
 
-    for name, val in (("x0", x0), ("strike", strike), ("T", T), ("sigma", sigma)):
-        if not val > 0.0:
-            raise ValueError(f"{name} must be positive, got {val!r}")
-    if not r >= 0.0:
-        raise ValueError("r must be nonnegative")
+    v0, delta0 = classical_bs(x0, strike, r, sigma, T)  # checks all five
     if steps < 100:
         raise ValueError("steps must be >= 100")
     if paths < 1000:
@@ -600,48 +597,46 @@ def replication_simulation(
     if block < 1:
         raise ValueError("block must be >= 1")
     dt = T / steps
-    growth = math.exp(r * dt)
-    sq_dt = math.sqrt(dt)
+    growth = np.array(math.exp(r * dt))  # 0-d: a faster operand than a float
     drift = (r - 0.5 * sigma * sigma) * dt
-    v0, delta0 = classical_bs(x0, strike, r, sigma, T)
+    tau = T - np.arange(1, steps) * dt
+    shift, scale = (r + 0.5 * sigma * sigma) * tau, sigma * np.sqrt(tau)
+    # rows of x, D, cash paid: contiguous, as numpy buffers other operands
+    chunk, width = steps // 8, min(block, paths)
+    x_buf, paid_buf, delta_buf = (np.empty(rows * width) for rows in (chunk, chunk, chunk + 1))
     errors = np.empty(paths)
     for start in range(0, paths, block):
         stop = min(start + block, paths)
         count = stop - start
         growth_factors = _path_normals(seed, start, count, steps)
-        # exp(drift + sigma sqrt(dt) N) of every step, in place
-        growth_factors *= sigma * sq_dt
+        growth_factors *= sigma * math.sqrt(dt)
         growth_factors += drift
         np.exp(growth_factors, out=growth_factors)
-        xs = np.full(count, float(x0))
-        delta = np.full(count, delta0)
-        cash = v0 - delta * xs
-        # the step loop's buffers: the delta argument g, the new delta
-        # Phi(g) and the cash paid for the change of delta
-        arg, new_delta, paid = np.empty(count), np.empty(count), np.empty(count)
-        for j in range(steps):
-            xs *= growth_factors[:, j]
-            cash *= growth
-            if j < steps - 1:
-                # g = (log(xs / strike) + (r + sigma^2 / 2) tau) / (sigma sqrt(tau))
-                tau = T - (j + 1) * dt
-                np.divide(xs, strike, out=arg)
-                np.log(arg, out=arg)
-                arg += (r + 0.5 * sigma * sigma) * tau
-                arg /= sigma * math.sqrt(tau)
-                ndtr(arg, out=new_delta)
-                np.subtract(new_delta, delta, out=paid)
-                paid *= xs
-                cash -= paid
-                delta, new_delta = new_delta, delta
-        del growth_factors  # else it stays alive beside the next block's draw
-        errors[start:stop] = delta * xs + cash - np.maximum(xs - strike, 0.0)
-    return ReplicationStats(
-        initial_price=v0,
-        mean_error=float(np.mean(errors)),
-        std_error=float(np.std(errors, ddof=1)),
-        mean_abs_error=float(np.mean(np.abs(errors))),
-        paths=int(paths),
-        steps=int(steps),
-        seed=int(seed),
-    )
+        xs, cash = x0, np.full(count, v0 - delta0 * x0)
+        deltas = delta_buf[: (chunk + 1) * count].reshape(chunk + 1, count)
+        deltas[0] = delta0
+        for j in range(0, steps - 1, chunk):
+            n = min(chunk, steps - 1 - j)
+            x = x_buf[: n * count].reshape(n, count)
+            paid = paid_buf[: n * count].reshape(n, count)
+            arg = deltas[1 : n + 1]
+            growth_factors[:, j] *= xs
+            np.multiply.accumulate(growth_factors[:, j : j + n].T, axis=0, out=x)
+            np.divide(x, strike, out=arg)
+            np.log(arg, out=arg)
+            paid[:] = shift[j : j + n, None]
+            arg += paid
+            paid[:] = scale[j : j + n, None]
+            arg /= paid
+            ndtr(arg, out=arg)
+            np.subtract(arg, deltas[:n], out=paid)
+            paid *= x
+            for row in paid:
+                cash *= growth
+                cash -= row
+            xs, deltas[0] = x[-1], arg[-1]
+        xs = xs * growth_factors[:, -1]
+        del growth_factors  # not alive beside the next block's draw
+        errors[start:stop] = deltas[0] * xs + cash * growth - np.maximum(xs - strike, 0.0)
+    moments = float(np.mean(errors)), float(np.std(errors, ddof=1)), float(np.mean(np.abs(errors)))
+    return ReplicationStats(v0, *moments, int(paths), int(steps), int(seed))

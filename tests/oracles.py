@@ -185,3 +185,46 @@ def put_in_basis(u, lam, k, r, t):
     K = U diag(k) U*, by loop products."""
     scalar = np.diag([black_scholes_put(ki * math.exp(li), ki, r, 1.0, t) for ki, li in zip(k, lam)])
     return matmul_loops(matmul_loops(u, scalar), dagger_loops(u))
+
+
+def replication_step_loop(x0, strike, r, T, steps, paths, seed, sigma=1.0):
+    """Discrete delta-hedge replication one step at a time, all paths at once.
+
+    Path p draws its normals N from ``Philox(key=seed).jumped(p)``. From
+    x = x0, Delta = Phi(g) and cash = V - Delta x0, with V and Phi(g) the
+    scalar Black-Scholes call price and delta, Phi(v) = erfc(-v sqrt(1/2)) / 2,
+    step j = 0..steps-1 takes, in float64 and in this order,
+    x_j = x_{j-1} exp(sigma sqrt(dt) N_j + (r - sigma^2 / 2) dt) and
+    cash_j = cash_{j-1} e^{r dt}; for j < steps - 1 also
+    Delta_j = Phi((log(x_j / strike) + (r + sigma^2 / 2) tau_j) / (sigma sqrt(tau_j)))
+    with tau_j = T - (j + 1) dt, and cash_j -= (Delta_j - Delta_{j-1}) x_j.
+    Returns (V, mean, sample standard deviation and mean absolute value of
+    the terminal errors Delta x + cash - max(x - strike, 0), paths, steps, seed).
+    """
+    from scipy.special import ndtr
+
+    def cdf(v):
+        return 0.5 * math.erfc(-v * math.sqrt(0.5))
+
+    vol = sigma * math.sqrt(T)
+    g = (math.log(x0 / strike) + (r + 0.5 * sigma * sigma) * T) / vol
+    price = x0 * cdf(g) - strike * math.exp(-r * T) * cdf(g - vol)
+    dt = T / steps
+    normals = np.array([
+        np.random.Generator(np.random.Philox(key=seed).jumped(p)).standard_normal(steps)
+        for p in range(paths)
+    ])
+    x = np.full(paths, float(x0))
+    delta = np.full(paths, cdf(g))
+    cash = price - delta * x
+    for j in range(steps):
+        x = x * np.exp(normals[:, j] * (sigma * math.sqrt(dt)) + (r - 0.5 * sigma * sigma) * dt)
+        cash = cash * math.exp(r * dt)
+        if j < steps - 1:
+            tau = T - (j + 1) * dt
+            new = ndtr((np.log(x / strike) + (r + 0.5 * sigma * sigma) * tau) / (sigma * math.sqrt(tau)))
+            cash = cash - (new - delta) * x
+            delta = new
+    errors = delta * x + cash - np.maximum(x - strike, 0.0)
+    return (price, float(np.mean(errors)), float(np.std(errors, ddof=1)),
+            float(np.mean(np.abs(errors))), paths, steps, seed)

@@ -689,6 +689,35 @@ def test_replication_holds_one_path_block():
     assert peak < 1.5 * (500 * 200 * 8)
 
 
+@pytest.mark.parametrize("s, steps", enumerate([100, 101, 129, 1000]))
+def test_replication_is_the_step_loop_bit_for_bit(s, steps):
+    # chunks of steps // 8 rebalancing steps: 99, 100 and 999 are not a
+    # whole number of chunks, 128 is; across the steps every paths value
+    # meets every r, sigma and seed, and each run is priced at every block
+    for p, paths in enumerate([1000, 1023, 2000]):
+        r = (0.0, 0.05)[(s + p) % 2]
+        sigma = (1e-8, 1.0, 2.5)[(s + p) % 3]
+        seed = (0, 7, 2**63 - 1)[(2 * s + p) % 3]
+        want = repr(pricing.ReplicationStats(*oracles.replication_step_loop(1.0, 1.0, r, 1.0, steps, paths, seed, sigma)))
+        for block in (7, 256, 1000):
+            got = replication_simulation(1.0, 1.0, r, 1.0, steps, paths, seed, sigma, block)
+            assert repr(got) == want, (paths, r, sigma, seed, block)
+
+
+def test_replication_footprint_at_the_default_block():
+    # a 256 x 1000 block of normals (2 MB) and three chunk buffers of
+    # 125 steps x 256 paths; one 1024-path block alone is 8 MB
+    replication_simulation(1.0, 1.0, 0.05, 1.0, 100, 1000, 3)  # imports outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        replication_simulation(1.0, 1.0, 0.05, 1.0, 1000, 10000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_replication_smoke():
     stats = replication_simulation(1.0, 1.0, 0.05, 1.0, 100, 1000, seed=5)
     assert stats.mean_abs_error < 0.1
