@@ -179,11 +179,6 @@ def _over_t_power(a, t: float):
     return out
 
 
-def _hermitian_norm(m) -> float:
-    """||M||_2 of an exactly Hermitian M: its largest eigenvalue modulus."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
-
-
 def _eq8(r: float, w, w10, w01, w02) -> np.ndarray:
     """w10 - w02/2 - (r-1/2) w01 + r w."""
     return w10 - 0.5 * w02 - (r - 0.5) * w01 + r * w
@@ -263,9 +258,11 @@ class Moneyness(NamedTuple):
         return PriceQuote(omega=omega, omega_expectation=expect)
 
     def residual(self, t: float, r: float, tolerance: float) -> ResidualReport:
-        """residual_eq8(t, z, model, tolerance=tolerance) for a model of rate r."""
-        scalars = _call_scalars(t, self.dec.eigenvalues, r)
-        return _report(_hermitian_norm(_eq8(r, *map(self.priced, scalars))), tolerance)
+        """residual_eq8(t, z, model, tolerance=tolerance) for a model of rate r,
+        max |k eq8|, which fails as inf or NaN where eq8 overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            eq8 = _eq8(r, *map(self.spectrum, _call_scalars(t, self.dec.eigenvalues, r)))
+        return _report(float(np.abs(eq8).max()), tolerance)
 
     def derivative_gap(self, t: float, r: float) -> float:
         """The larger 2-norm gap of the analytic z-partials K w01(z) and
@@ -293,24 +290,22 @@ class Moneyness(NamedTuple):
         return max(0.0, float(expectation(state, self.priced(excess)).real))
 
     def _spectral_payoff(self):
-        """(f, K f(z)) for the spectral payoff f(lam) = max(e^lam - 1, 0)."""
-        f = np.maximum(finite_exp(self.dec.eigenvalues, "z") - 1.0, 0.0)
-        return f, self.priced(f)
+        """(k f, K f(z)) for the spectral payoff f(lam) = max(e^lam - 1, 0)."""
+        kf = self.spectrum(np.maximum(finite_exp(self.dec.eigenvalues, "z") - 1.0, 0.0))
+        return kf, hermitian_part(self.dec.apply(kf))
 
     def terminal(self, t_small: float, r: float, min_gap: float, rel_tol: float, name: str):
-        """(terminal_limit_check of z at rate r, the spectral payoff), the
-        deviation judged against rel_tol max(1, ||payoff||_2); a gap error
-        calls z name."""
+        """(terminal_limit_check of z at rate r, the spectral payoff): max |k w(t_small) - k f|
+        against rel_tol max(1, ||payoff||_2); a gap error calls z name."""
         closest = float(np.min(np.abs(self.dec.eigenvalues)))
         if closest < min_gap:
             raise ValueError(
                 f"{name} eigenvalue with |value| = {closest!r} lies within {min_gap} of 0; "
                 "the terminal limit is not certified there"
             )
-        positive, payoff = self._spectral_payoff()
-        dev = _hermitian_norm(self.price(t_small, r).omega - payoff)
-        tolerance = rel_tol * max(1.0, float(np.abs(self.k * positive).max()))
-        return _report(dev, tolerance), payoff
+        kf, payoff = self._spectral_payoff()
+        kw = self.spectrum(*_call_scalars(t_small, self.dec.eigenvalues, r, "w"))
+        return _report(float(np.abs(kw - kf).max()), rel_tol * max(1.0, float(np.abs(kf).max()))), payoff
 
     def hedge_spectra(self, t: float, model: MarketModel, convention: str = "direct"):
         """(the eigenvalues of omega, those of a, (e^{rt}, e^{-rt})): every check of position."""

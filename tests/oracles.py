@@ -179,12 +179,16 @@ def black_scholes_put(x, strike, r, sigma, t):
     return strike * math.exp(-r * t) * normal_cdf_erf(-h) - x * normal_cdf_erf(-g)
 
 
+def _in_basis(u, d):
+    """U diag(d) U*, by loop products."""
+    return matmul_loops(matmul_loops(u, np.diag(d)), dagger_loops(u))
+
+
 def put_in_basis(u, lam, k, r, t):
     """U diag(P(k_i e^lam_i, k_i)) U*, P(x, strike) the scalar put at unit
     volatility: the put on the stock K e^z of z = U diag(lam) U* and
     K = U diag(k) U*, by loop products."""
-    scalar = np.diag([black_scholes_put(ki * math.exp(li), ki, r, 1.0, t) for ki, li in zip(k, lam)])
-    return matmul_loops(matmul_loops(u, scalar), dagger_loops(u))
+    return _in_basis(u, [black_scholes_put(ki * math.exp(li), ki, r, 1.0, t) for ki, li in zip(k, lam)])
 
 
 def replication_step_loop(x0, strike, r, T, steps, paths, seed, sigma=1.0):
@@ -228,3 +232,40 @@ def replication_step_loop(x0, strike, r, T, steps, paths, seed, sigma=1.0):
     errors = delta * x + cash - np.maximum(x - strike, 0.0)
     return (price, float(np.mean(errors)), float(np.std(errors, ddof=1)),
             float(np.mean(np.abs(errors))), paths, steps, seed)
+
+
+def _largest_eigvalsh_modulus(m):
+    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+
+
+def call_and_partials(lam, r, t):
+    """(w, w10, w01, w02) at z = lam: the call per unit strike at unit
+    volatility, w = e^z Phi(g) - e^(-rt) Phi(h), and its partials in t
+    (w10) and z (w01, w02) in their textbook simplified forms, which use
+    e^z phi(g) = e^(-rt) phi(h): w01 = e^z Phi(g), w02 = w01 + e^z phi(g) / sqrt t
+    and w10 = e^z phi(g) / (2 sqrt t) + r e^(-rt) Phi(h)."""
+    g = lam / math.sqrt(t) + (r + 0.5) * math.sqrt(t)
+    h = g - math.sqrt(t)
+    ez, disc = math.exp(lam), math.exp(-r * t)
+    density = ez * math.exp(-0.5 * g * g) / math.sqrt(2.0 * math.pi)
+    w01 = ez * normal_cdf_erf(g)
+    w = w01 - disc * normal_cdf_erf(h)
+    return w, density / (2.0 * math.sqrt(t)) + r * disc * normal_cdf_erf(h), w01, w01 + density / math.sqrt(t)
+
+
+def eq8_in_basis(u, lam, k, r, t):
+    """||W10 - W02/2 - (r - 1/2) W01 + r W||_2, as the largest eigvalsh
+    modulus, for the operators U diag(k_i f_i) U* of the four
+    ``call_and_partials`` f at the lam_i."""
+    columns = zip(*(call_and_partials(li, r, t) for li in lam))
+    w, w10, w01, w02 = (_in_basis(u, k * np.array(f)) for f in columns)
+    return _largest_eigvalsh_modulus(w10 - 0.5 * w02 - (r - 0.5) * w01 + r * w)
+
+
+def terminal_deviation_in_basis(u, lam, k, r, t_small):
+    """||price(t_small) - payoff||_2, as the largest eigvalsh modulus, for the
+    price U diag(k_i w(t_small, lam_i)) U* of ``call_and_partials`` and the
+    payoff U diag(k_i max(e^lam_i - 1, 0)) U*."""
+    call = [call_and_partials(li, r, t_small)[0] for li in lam]
+    payoff = [max(math.exp(li) - 1.0, 0.0) for li in lam]
+    return _largest_eigvalsh_modulus(_in_basis(u, k * np.array(call)) - _in_basis(u, k * np.array(payoff)))

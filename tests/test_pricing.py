@@ -869,6 +869,39 @@ def test_joint_spectrum_prices_as_the_strike_product(market, t_tenths, h_tenths,
     assert abs(joint_norm - product_norm) <= 1e-12 * max(1.0, float(np.max(np.abs(joint[0]))))
 
 
+# residual_eq8 and terminal_limit_check take their 2-norms as max |k f| over
+# the joint spectrum; oracles.py assembles the operators in the basis U the
+# market was built in and takes the largest eigvalsh modulus. Fixed before
+# measuring: on commuting_markets (d <= 4, k <= 2, |lam| <= 1, t >= 0.1)
+# each term of eq8 is at most about 20, and each route errs by a few eps per
+# term and per sum of a d x d product, so 256 d eps of max(1, ||K w||_2)
+# covers both.
+NORM_ROUNDOFF = 256 * float(np.finfo(float).eps)
+
+
+def _norm_bound(z, model, t) -> float:
+    return NORM_ROUNDOFF * z.shape[0] * max(1.0, float(np.linalg.norm(price(t, z, model).omega, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(commuting_markets(), st.integers(1, 40))
+def test_residual_and_terminal_norms_match_the_assembled_operators(market, t_tenths):
+    u, lam, k, z, model = market
+    t = t_tenths / 10.0
+    want = oracles.eq8_in_basis(u, lam, k, model.r, t)
+    assert abs(residual_eq8(t, z, model).residual_norm - want) <= _norm_bound(z, model, t)
+    if np.min(np.abs(lam)) > 0.11:  # clear of the gap of 0.1 that terminal_limit_check rejects
+        want = oracles.terminal_deviation_in_basis(u, lam, k, model.r, 1e-8)
+        assert abs(terminal_limit_check(z, model).residual_norm - want) <= _norm_bound(z, model, 1e-8)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_operator_residual_fails():
+    # at z = 1, (r - 1/2) w01 and r w overflow and their difference is NaN
+    rep = residual_eq8(0.5, np.diag([1.0, -0.1]), _flat_model(2, r=1e308))
+    assert math.isnan(rep.residual_norm) and rep.passed is False
+
+
 def test_near_repeated_eigenvalue_is_rotated_onto_the_strike_basis():
     # two eigenvalues of z 1e-9 apart, split by K: eigh mixes their
     # eigenvectors, so diag(V*KV) alone would misprice; a Jacobi rotation
