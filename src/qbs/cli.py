@@ -126,8 +126,7 @@ def _cmd_residual(cfg: RunConfig):
     reports = []
     violations = []
     for t, i, m in _grid(cfg):
-        rep = m.residual(t, cfg.model.r, tol)
-        gap = m.derivative_gap(t, cfg.model.r)
+        rep, gap = m.residual(t, cfg.model.r, tol)
         reports.append((t, i, rep))
         if not rep.passed:
             violations.append(f"residual {rep.residual_norm:.6e} exceeds {tol:.6e} at t={t}, z_index={i}")

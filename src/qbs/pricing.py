@@ -257,26 +257,22 @@ class Moneyness(NamedTuple):
         expect = None if state is None else float(expectation(state, omega).real)
         return PriceQuote(omega=omega, omega_expectation=expect)
 
-    def residual(self, t: float, r: float, tolerance: float) -> ResidualReport:
-        """residual_eq8(t, z, model, tolerance=tolerance) for a model of rate r,
-        max |k eq8|, which fails as inf or NaN where eq8 overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            eq8 = _eq8(r, *map(self.spectrum, _call_scalars(t, self.dec.eigenvalues, r)))
-        return _report(float(np.abs(eq8).max()), tolerance)
-
-    def derivative_gap(self, t: float, r: float) -> float:
-        """The larger 2-norm gap of the analytic z-partials K w01(z) and
-        K w02(z) from the central differences of the price over z +- hI,
-        h the ``_fd_step`` of ||z||_2, at rate r. z +- hI has z's
-        eigenvectors, so each gap is K f(z) for a scalar f taken at the
-        shifted eigenvalues, and its 2-norm is max |k f|."""
+    def residual(self, t: float, r: float, tolerance: float):
+        """(residual_eq8(t, z, model, tolerance=tolerance) at rate r, max |k eq8|,
+        inf or NaN where eq8 overflows; the 2-norm gap of K w01(z) or K w02(z)
+        from central differences of the price over z +- hI, h the ``_fd_step``
+        of ||z||_2: z +- hI has z's eigenvectors, so a gap is max |k f| for f
+        taken at the shifted eigenvalues), from one pass of the call scalars."""
         lam = self.dec.eigenvalues
         h = _fd_step(float(np.abs(lam).max()))
-        w, w01, w02 = _call_scalars(t, lam, r, "w w01 w02")
-        (up,), (down,) = _call_scalars(t, lam + h, r, "w"), _call_scalars(t, lam - h, r, "w")
-        gap01 = np.abs(w01 - _central_first(up, down, h))
-        gap02 = np.abs(w02 - _central_second(up, w, down, h))
-        return float(np.max(self.k * np.maximum(gap01, gap02)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, _, w01, w02 = scalars = _call_scalars(t, lam, r)
+            eq8 = _eq8(r, *map(self.spectrum, scalars))
+            (up,), (down,) = _call_scalars(t, lam + h, r, "w"), _call_scalars(t, lam - h, r, "w")
+            gap01 = np.abs(w01 - _central_first(up, down, h))
+            gap02 = np.abs(w02 - _central_second(up, w, down, h))
+            gap = float(np.max(self.k * np.maximum(gap01, gap02)))
+        return _report(float(np.abs(eq8).max()), tolerance), gap
 
     def payoff(self, convention: str = "spectral", state=None):
         """terminal_payoff(z, K, convention, state)."""
@@ -379,20 +375,23 @@ def price(t: float, z, model: MarketModel, state=None) -> PriceQuote:
 def price_derivatives(t: float, z, model: MarketModel):
     """Analytic partials (d/dt, d/dz, d2/dz2) of the closed form."""
     m = moneyness(z, model.K)
-    return tuple(m.priced(f) for f in _call_scalars(t, m.dec.eigenvalues, model.r, "w10 w01 w02"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        partials = _call_scalars(t, m.dec.eigenvalues, model.r, "w10 w01 w02")
+    return tuple(map(m.priced, partials))
 
 
 def residual_eq8(t: float, z, model: MarketModel, candidate=None, tolerance: float = 1e-6) -> ResidualReport:
     """Residual of w10 - w02/2 - (r-1/2) w01 + r w at one grid point.
 
     With no candidate the built-in price and its analytic derivatives are
-    used. A candidate callable (t, z) -> matrix is differentiated by
+    used (``Moneyness.residual``: FloatingPointError where e^(z +- hI)
+    overflows). A candidate callable (t, z) -> matrix is differentiated by
     central differences instead, which keeps the check route independent
     of the analytic code path; z moves by FD_STEP I, and t by its
     ``_fd_step``, halved to t / 2 where it would reach 0.
     """
     if candidate is None:
-        return moneyness(z, model.K).residual(t, model.r, tolerance)
+        return moneyness(z, model.K).residual(t, model.r, tolerance)[0]
     zh = require_hermitian(z, "z")
     if not t > 0.0:
         raise ValueError("t must be positive")

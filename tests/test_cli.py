@@ -303,6 +303,18 @@ def test_residual_gates_the_z_partials_against_central_differences(monkeypatch, 
     assert all(v.startswith("derivative gap ") for v in doc["invariant_violations"])
 
 
+def test_residual_takes_the_call_scalars_three_times_per_grid_point(monkeypatch, capsys):
+    # once at z for eq8 and both partials' gaps, once each at z +- hI
+    import qbs.pricing
+
+    calls = []
+    call_scalars = qbs.pricing._call_scalars
+    monkeypatch.setattr(qbs.pricing, "_call_scalars", lambda *args: calls.append(args) or call_scalars(*args))
+    config = ROOT / "configs" / "flow_2x2.json"
+    assert qbs.cli.main(["residual", "--config", str(config), "--omit-timing"]) == 0
+    assert len(calls) == 3 * len(json.loads(capsys.readouterr().out)["results"])
+
+
 def _flow_2x2_with(tmp_path, **sections):
     """Path of configs/flow_2x2.json with the given sections replaced."""
     return _shipped_with(tmp_path, "flow_2x2", **sections)

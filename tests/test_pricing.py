@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -900,6 +901,24 @@ def test_an_overflowing_operator_residual_fails():
     # at z = 1, (r - 1/2) w01 and r w overflow and their difference is NaN
     rep = residual_eq8(0.5, np.diag([1.0, -0.1]), _flat_model(2, r=1e308))
     assert math.isnan(rep.residual_norm) and rep.passed is False
+
+
+def test_an_overflowing_partial_raises_without_a_warning():
+    # at r = 1e308, g and h are inf and their densities 0, so -g * dens_g is
+    # inf * 0: NaN partials, which Moneyness.spectrum rejects
+    model = parse_config((ROOT / "configs" / "flow_2x2.json").read_text()).model._replace(r=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            price_derivatives(4.0, np.diag([1.0, -0.1]), model)
+
+
+def test_the_analytic_residual_raises_where_a_shifted_exponential_overflows():
+    # the z-partials' gap takes w at z +- hI, h = 1e-4 * 709.75: e^709.820975
+    # is beyond float range (log of the largest float is 709.78), as in the
+    # residual command, which exits 4 on the same point
+    with pytest.raises(FloatingPointError, match="709.820975"):
+        residual_eq8(0.5, np.array([[709.75]]), _scalar_model(r=0.05, K=1e-3))
 
 
 def test_near_repeated_eigenvalue_is_rotated_onto_the_strike_basis():
