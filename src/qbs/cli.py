@@ -352,95 +352,78 @@ _BLOCK_ROWS = 16
 
 
 def _row_texts(pairs: np.ndarray):
-    """Yield the texts of the numbers of each row (item of the first axis)
-    of a non-empty float array, a list per row, made _BLOCK_ROWS rows at a
-    time: float.__repr__ of each, json.dumps of a non-finite one. Of a
-    square (d, d, 2) pair array only the numbers on and above the diagonal
-    get a repr: an entry below it that equals its mirror's conjugate takes
-    the mirror's texts, kept until then, the imaginary one with its sign
-    toggled. Equal doubles have equal bits, and so equal texts, unless
-    they are zeros (0.0 == -0.0); NaNs equal nothing. So a zero, a NaN and
-    any entry of a matrix that is not Hermitian get their own repr.
+    """Yield the texts of the numbers of each row of a non-empty (d, d, 2)
+    pair array, a list per row, made _BLOCK_ROWS rows at a time:
+    float.__repr__ of each, json.dumps of a non-finite one. Only the
+    numbers on and above the diagonal get a repr: an entry below it that
+    equals its mirror's conjugate takes the mirror's texts, kept until
+    then, the imaginary one with its sign toggled. Equal doubles have
+    equal bits, and so equal texts, unless they are zeros (0.0 == -0.0);
+    NaNs equal nothing. So a zero, a NaN and any entry of a matrix that is
+    not Hermitian get their own repr.
 
     Every test here is a float64 comparison, as elsewhere in a report: a
     uint64 XOR or an integer index mask would fault in numpy loop code that
     no other step of a small job touches, about 0.15 MB of peak RSS."""
     dim = len(pairs)
-    square = pairs.ndim == 3 and pairs.shape[1] == dim
-    if square:
-        index = np.arange(dim, dtype=np.float64)
-        texts = np.empty(pairs.shape, dtype=object)  # those of the block and those not yet mirrored
-        mirror = texts.transpose(1, 0, 2)
+    index = np.arange(dim, dtype=np.float64)
+    texts = np.empty(pairs.shape, dtype=object)  # those of the block and those not yet mirrored
+    mirror = texts.transpose(1, 0, 2)
     for start in range(0, dim, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         block = pairs[rows]
+        below = (index < index[rows, None])[..., None]
+        with np.errstate(invalid="ignore"):  # a signalling NaN; NaNs take no mirror
+            reuse = (block == pairs[:, rows].transpose(1, 0, 2) * _CONJUGATE) & (block != 0.0) & below
+        made = texts[rows]
+        own = ~reuse
+        made[own] = list(map(float.__repr__, block[own].tolist()))
+        re = reuse[..., 0]
+        neg = reuse[..., 1] & (block[..., 1] < 0.0)
+        pos = reuse[..., 1] & ~neg
+        made[..., 0][re] = mirror[rows, :, 0][re]
+        made[..., 1][neg] = np.add("-", mirror[rows, :, 1][neg])
+        made[..., 1][pos] = list(map(_unsigned, mirror[rows, :, 1][pos]))
+        out = made.ravel().tolist()
+        made[:, :start] = None  # these rows' mirrored texts, and the texts
+        mirror[rows] = None  # in their columns, which they mirror, are done
         flat = block.ravel()
-        if square:
-            below = (index < index[rows, None])[..., None]
-            with np.errstate(invalid="ignore"):  # a signalling NaN; NaNs take no mirror
-                reuse = (block == pairs[:, rows].transpose(1, 0, 2) * _CONJUGATE) & (block != 0.0) & below
-            made = texts[rows]
-            own = ~reuse
-            made[own] = list(map(float.__repr__, block[own].tolist()))
-            re = reuse[..., 0]
-            neg = reuse[..., 1] & (block[..., 1] < 0.0)
-            pos = reuse[..., 1] & ~neg
-            made[..., 0][re] = mirror[rows, :, 0][re]
-            made[..., 1][neg] = np.add("-", mirror[rows, :, 1][neg])
-            made[..., 1][pos] = list(map(_unsigned, mirror[rows, :, 1][pos]))
-            out = made.ravel().tolist()
-            made[:, :start] = None  # these rows' mirrored texts, and the texts
-            mirror[rows] = None  # in their columns, which they mirror, are done
-        else:
-            out = list(map(float.__repr__, flat.tolist()))
         for i in np.flatnonzero(~np.isfinite(flat)).tolist():
             out[i] = json.dumps(flat[i].item())
-        width = len(out) // len(block)
-        for first in range(0, len(out), width):
-            yield out[first : first + width]
+        for first in range(0, len(out), 2 * dim):
+            yield out[first : first + 2 * dim]
         del out  # before the next block's texts are made
 
 
 def _pairs_text(pairs: np.ndarray, level: int):
     """Yield json.dumps(pairs.tolist(), indent=2) as it reads at nesting
-    level, for a non-empty float array, one piece per row: the numbers come
-    from _row_texts, and the text between them from one separator per
-    nesting depth."""
-    depth = pairs.ndim
-    pad = ["\n" + _INDENT * (level + k) for k in range(depth + 1)]
-
-    def closing(m: int) -> str:  # the m innermost lists end
-        return "".join(pad[depth - 1 - c] + "]" for c in range(m))
-
-    def opening(m: int) -> str:  # m lists begin, down to the first number
-        return "".join(pad[depth - m + c] + "[" for c in range(m)) + pad[depth]
-
-    width = pairs[0].size  # the numbers of a row
-    seps = [f",{opening(0)}"] * width
-    period = 1
-    for m in range(1, depth):  # numbers that end m lists at once
-        period *= pairs.shape[depth - m]
-        seps[period - 1 :: period] = [f"{closing(m)},{opening(m)}"] * (width // period)
-    out = [""] * (2 * width)
-    out[1::2] = seps
-    last = len(pairs) - 1
+    level, for a non-empty (d, d, 2) pair array, one piece per matrix row:
+    the numbers come from _row_texts, and the text after each from one of
+    the separators below."""
+    dim = len(pairs)
+    pad = ["\n" + _INDENT * (level + k) for k in range(4)]
+    out = [""] * (4 * dim)
+    out[1::4] = [f",{pad[3]}"] * dim  # after a real part
+    out[3::4] = [f"{pad[2]}],{pad[2]}[{pad[3]}"] * dim  # after an imaginary part
+    out[-1] = f"{pad[2]}]{pad[1]}],{pad[1]}[{pad[2]}[{pad[3]}"  # between rows
     for i, texts in enumerate(_row_texts(pairs)):
         out[0::2] = texts
         if i == 0:
-            out[0] = "[" + opening(depth - 1) + out[0]
-        if i == last:
-            out[-1] = closing(depth)
+            out[0] = f"[{pad[1]}[{pad[2]}[{pad[3]}{out[0]}"
+        if i == dim - 1:
+            out[-1] = f"{pad[2]}]{pad[1]}]{pad[0]}]"
         yield "".join(out)
 
 
 def _write(value, level: int):
     """Yield json.dumps(value, indent=2) as it reads at nesting level, in
-    pieces, with each ndarray one piece per row: the nested [re, im] pairs
-    of pair_array, and each iterator as its list, read once. Object keys
-    must be strings."""
+    pieces: each ndarray as the nested [re, im] pairs of pair_array, a
+    square matrix one piece per row (_pairs_text) and any other array,
+    which no report holds, as the list of its pairs; and each iterator as
+    its list, read once. Object keys must be strings."""
     if isinstance(value, np.ndarray):
         pairs = pair_array(value)
-        if pairs.size:
+        if pairs.ndim == 3 and pairs.size and len(pairs) == pairs.shape[1]:
             yield from _pairs_text(pairs, level)
         else:
             yield from _write(pairs.tolist(), level)
@@ -466,9 +449,11 @@ def _write(value, level: int):
 def render_json(report: dict, out) -> None:
     """Write the report to the text stream out as json.dumps(report, indent=2)
     writes it, plus a newline, with each ndarray as nested [re, im] pairs
-    and each iterator as its list. The pieces go out as they render: of a
-    d = 128 report (up to 24 MB) no more is held at once than the row being
-    written (for price, one omega) and the texts that _row_texts keeps."""
+    and each iterator as its list. Every array a report holds is a square
+    matrix, and goes out a row at a time as it renders (any other array
+    goes through the list writer): of a d = 128 report (up to 24 MB) no
+    more is held at once than the row being written (for price, one omega)
+    and the texts that _row_texts keeps."""
     out.writelines(_write(report, 0))
     out.write("\n")
 

@@ -257,22 +257,29 @@ class Moneyness(NamedTuple):
         expect = None if state is None else float(expectation(state, omega).real)
         return PriceQuote(omega=omega, omega_expectation=expect)
 
+    def eq8(self, t: float, r: float):
+        """(the residual_eq8 norm max |k eq8| at rate r, inf or NaN where eq8
+        overflows; the call scalars (w, w10, w01, w02) at z, one pass)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            scalars = _call_scalars(t, self.dec.eigenvalues, r)
+            eq8 = _eq8(r, *map(self.spectrum, scalars))
+        return float(np.abs(eq8).max()), scalars
+
     def residual(self, t: float, r: float, tolerance: float):
-        """(residual_eq8(t, z, model, tolerance=tolerance) at rate r, max |k eq8|,
-        inf or NaN where eq8 overflows; the 2-norm gap of K w01(z) or K w02(z)
-        from central differences of the price over z +- hI, h the ``_fd_step``
-        of ||z||_2: z +- hI has z's eigenvectors, so a gap is max |k f| for f
-        taken at the shifted eigenvalues), from one pass of the call scalars."""
+        """(residual_eq8(t, z, model, tolerance=tolerance) at rate r; the
+        2-norm gap of K w01(z) or K w02(z) from central differences of the
+        price over z +- hI, h the ``_fd_step`` of ||z||_2: z +- hI has z's
+        eigenvectors, so a gap is max |k f| for f taken at the shifted
+        eigenvalues), from the scalars of eq8 and one pass at each shift."""
         lam = self.dec.eigenvalues
         h = _fd_step(float(np.abs(lam).max()))
+        norm, (w, _, w01, w02) = self.eq8(t, r)
         with np.errstate(over="ignore", invalid="ignore"):
-            w, _, w01, w02 = scalars = _call_scalars(t, lam, r)
-            eq8 = _eq8(r, *map(self.spectrum, scalars))
             (up,), (down,) = _call_scalars(t, lam + h, r, "w"), _call_scalars(t, lam - h, r, "w")
             gap01 = np.abs(w01 - _central_first(up, down, h))
             gap02 = np.abs(w02 - _central_second(up, w, down, h))
             gap = float(np.max(self.k * np.maximum(gap01, gap02)))
-        return _report(float(np.abs(eq8).max()), tolerance), gap
+        return _report(norm, tolerance), gap
 
     def payoff(self, convention: str = "spectral", state=None):
         """terminal_payoff(z, K, convention, state)."""
@@ -384,14 +391,14 @@ def residual_eq8(t: float, z, model: MarketModel, candidate=None, tolerance: flo
     """Residual of w10 - w02/2 - (r-1/2) w01 + r w at one grid point.
 
     With no candidate the built-in price and its analytic derivatives are
-    used (``Moneyness.residual``: FloatingPointError where e^(z +- hI)
-    overflows). A candidate callable (t, z) -> matrix is differentiated by
-    central differences instead, which keeps the check route independent
-    of the analytic code path; z moves by FD_STEP I, and t by its
-    ``_fd_step``, halved to t / 2 where it would reach 0.
+    used, from one pass of the call scalars (``Moneyness.eq8``). A candidate
+    callable (t, z) -> matrix is differentiated by central differences
+    instead, which keeps the check route independent of the analytic code
+    path; z moves by FD_STEP I, and t by its ``_fd_step``, halved to t / 2
+    where it would reach 0.
     """
     if candidate is None:
-        return moneyness(z, model.K).residual(t, model.r, tolerance)[0]
+        return _report(moneyness(z, model.K).eq8(t, model.r)[0], tolerance)
     zh = require_hermitian(z, "z")
     if not t > 0.0:
         raise ValueError("t must be positive")

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from itertools import cycle
@@ -812,6 +813,27 @@ def test_render_json_of_a_d128_hermitian_matrix_matches_json_dumps():
     perturbations = [(int(k), int(k) % 2, name) for k, name in zip(rng.integers(0, 8128, 30), sorted(PERTURBATIONS) * 10)]
     assert _renders_like_json_dumps(_hermitian_pairs(palette, 128, 1, []))
     assert _renders_like_json_dumps(_hermitian_pairs(palette, 128, 2, perturbations))
+
+
+class _Pieces(io.StringIO):
+    """A text stream that keeps the pieces of each writelines call."""
+
+    def writelines(self, lines):
+        self.pieces = list(lines)
+        super().writelines(self.pieces)
+
+
+def test_render_json_writes_a_square_matrix_one_piece_per_row():
+    # the d = 128 memory bounds hold a row's text at a time, not a matrix's
+    rng = np.random.default_rng(40)
+    a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    report = {"omega": a + a.conj().T, "alpha": a}
+    out = _Pieces()
+    render_json(report, out)
+    assert out.getvalue() == json.dumps(_as_lists(report), indent=2) + "\n"
+    assert out.pieces[0] == '{\n  "omega": ' and out.pieces[41] == ',\n  "alpha": ' and len(out.pieces) == 83
+    for piece in out.pieces[1:41] + out.pieces[42:82]:
+        assert len(re.findall(r"-?\d[\d.e+-]*", piece)) == 80
 
 
 # --- golden reports ----------------------------------------------------

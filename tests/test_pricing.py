@@ -39,7 +39,7 @@ from qbs.sampling import (
     random_state,
     random_unitary,
 )
-from test_cli import ROOT, _flow_2x2_with, _perfbench_workloads
+from test_cli import ROOT, _flow_2x2_with, _perfbench_workloads, _shipped_with
 
 # quadrature-oracle constants reused across the module
 ATM_UNIT_PRICE = 0.38292492254802646  # strike 1, rate 0, maturity 1, at the money
@@ -913,12 +913,33 @@ def test_an_overflowing_partial_raises_without_a_warning():
             price_derivatives(4.0, np.diag([1.0, -0.1]), model)
 
 
-def test_the_analytic_residual_raises_where_a_shifted_exponential_overflows():
-    # the z-partials' gap takes w at z +- hI, h = 1e-4 * 709.75: e^709.820975
-    # is beyond float range (log of the largest float is 709.78), as in the
-    # residual command, which exits 4 on the same point
-    with pytest.raises(FloatingPointError, match="709.820975"):
-        residual_eq8(0.5, np.array([[709.75]]), _scalar_model(r=0.05, K=1e-3))
+def test_the_analytic_residual_fails_without_a_warning_where_only_a_shifted_exponential_overflows(
+    tmp_path, capsys
+):
+    # eq8 takes the call scalars at z alone, where e^709.75 is finite (log
+    # of the largest float is 709.78): its norm fails, with no warning. The
+    # residual command also takes w at z +- hI for the z-partials' gap,
+    # h = 1e-4 * 709.75, and e^709.820975 is beyond float range: exit 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = residual_eq8(0.5, np.array([[709.75]]), _scalar_model(r=0.05, K=1e-3))
+    assert rep.passed is False and rep.residual_norm > 1e280
+    model = json.loads((ROOT / "configs" / "price_scalar.json").read_text())["model"]
+    model.update(K=[[[1e-3, 0.0]]], r=0.05)
+    path = _shipped_with(tmp_path, "price_scalar", model=model, t_grid=[0.5], z_grid=[[[[709.75, 0.0]]]])
+    assert qbs.cli.main(["residual", "--config", path, "--omit-timing"]) == 4
+    assert capsys.readouterr() == ("", "numerical error: z: exp overflows at 709.820975\n")
+
+
+def test_the_analytic_residual_takes_the_call_scalars_once(monkeypatch):
+    # eq8 at z alone: the residual command's passes at z +- hI feed only
+    # the z-partials' gap, which residual_eq8 does not report
+    calls = []
+    call_scalars = pricing._call_scalars
+    monkeypatch.setattr(pricing, "_call_scalars", lambda *args: calls.append(args) or call_scalars(*args))
+    model = parse_config((ROOT / "configs" / "flow_2x2.json").read_text()).model
+    assert residual_eq8(0.5, np.diag([0.2, -0.1]), model).passed
+    assert len(calls) == 1
 
 
 def test_near_repeated_eigenvalue_is_rotated_onto_the_strike_basis():
