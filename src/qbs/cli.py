@@ -4,7 +4,9 @@ One command per invocation; a JSON (or CSV) report on stdout, errors on
 stderr. Exit codes: 0 success, 1 stdout closed before the report was
 written, 2 configuration error, 3 a checked invariant failed, 4 numerical
 error (an eigensolver or its Jacobi sweeps failed to converge, an Ito power,
-e^z or a lindblad X_t left float range, or a priced operator could overflow).
+e^z, a lindblad X_t or default step count 1000 t, or a replicate growth
+factor e^(r dt) or hedging error moment left float range, or a priced
+operator or a hedge's a j_x or b could overflow).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np  # noqa: E402
 from . import __version__
 from .config import SCHEMA_VERSION, ConfigError, RunConfig, apply_overrides, pair_array, read_config
 from .flows import default_steps, flow_coefficients, power_rule_deviation, semigroup_evolve
-from .operators import hermitian_defect
+from .operators import relative_gap
 from .pricing import classical_bs, hermitian_moneyness, hermitian_stock_moneyness, moneyness, replication_simulation
 from .sampling import random_model_stacks
 
@@ -189,8 +191,7 @@ def _cmd_hedge(cfg: RunConfig):
 
     def row(t: float, spectrum) -> dict:
         pos, omega = m.position(*spectrum, stock, model)
-        defect = float(np.linalg.norm(pos.value - omega))
-        passed = defect <= tol * max(1.0, float(np.linalg.norm(omega)))
+        defect, _, passed = relative_gap(omega, pos.value, tol)
         if not passed:
             violations.append(f"hedge value mismatch {defect:.6e} at t={t}")
         return {
@@ -245,18 +246,13 @@ def _cmd_lindblad(cfg: RunConfig):
             steps = default_steps(t)
         out = semigroup_evolve(x0, model.ops, t, steps=steps)
         # step doubling: the same time at twice the steps estimates the error of out
-        error = float(np.linalg.norm(out - semigroup_evolve(x0, model.ops, t, steps=2 * steps)))
-        defect = hermitian_defect(out)
-        scale = max(1.0, float(np.linalg.norm(out)))
-        hermitian = defect <= 1e-9 * scale
-        converged = error <= tol * scale
+        error, bound, converged = relative_gap(out, semigroup_evolve(x0, model.ops, t, steps=2 * steps), tol)
+        defect, _, hermitian = relative_gap(out, out.conj().T, 1e-9)
         evolved.append((t, steps, out, defect, hermitian and converged))
         if not hermitian:
             violations.append(f"semigroup output lost Hermiticity ({defect:.6e}) at t={t}")
         if not converged:
-            violations.append(
-                f"step-doubling error {error:.6e} exceeds {tol * scale:.6e} at t={t}, steps={steps}"
-            )
+            violations.append(f"step-doubling error {error:.6e} exceeds {bound:.6e} at t={t}, steps={steps}")
     rows = (
         {"t": t, "steps": steps, "x_t": out, "hermiticity_defect": defect, "passed": passed}
         for t, steps, out, defect, passed in evolved

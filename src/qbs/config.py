@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .flows import ModelOperators
+from .flows import ModelOperators, require_unit_vector
 from .operators import require_hermitian
 from .pricing import MarketModel
 
@@ -284,10 +284,12 @@ def _hermitian(obj, path: str) -> np.ndarray:
 
 
 def _read_state(obj, path: str) -> np.ndarray:
+    """The unit vector at path; its error is reported at path."""
     state = vector_from_json(obj, path)
-    nrm = float(np.linalg.norm(state))
-    _expect(abs(nrm - 1.0) <= 1e-12, path, f"not normalized, norm {nrm!r}")
-    return state
+    try:
+        return require_unit_vector(state, path)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc).removeprefix(f"{path}: ")) from None
 
 
 _TOLERANCE = Field(_as_number, bound=(lambda v: v > 0.0, "tolerance must be positive"))

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import adjoint, as_matrix, commutator, frobenius, require_hermitian, require_unitary
+from .operators import adjoint, as_matrix, commutator, frobenius, power_of_two_scaled, require_hermitian, require_unitary
 
 _SLOTS = ("creation", "conservation", "annihilation", "time")
 
@@ -329,8 +329,11 @@ def lindblad_generator(x, m: ModelOperators) -> np.ndarray:
 
 def default_steps(t: float) -> int:
     """RK4 step count of ``semigroup_evolve`` when none is given:
-    1000 per unit time, at least 100."""
-    return max(int(round(1000.0 * t)), 100)
+    1000 per unit time, at least 100; past float range a FloatingPointError."""
+    try:
+        return max(int(round(1000.0 * t)), 100)
+    except OverflowError:  # round(inf)
+        raise FloatingPointError(f"t: the default step count 1000 t overflows at {t!r}") from None
 
 
 # Largest dimension evolved through the dense d^2 x d^2 superoperator. At
@@ -412,13 +415,20 @@ def semigroup_evolve(x0, m: ModelOperators, t: float, steps: int | None = None) 
     return x
 
 
+def require_unit_vector(state, name: str = "state") -> np.ndarray:
+    """state as a complex vector, after checking | ||state||_2 - 1 | <= 1e-12, the norm
+    taken of power_of_two_scaled(state), so that it cannot overflow."""
+    u = np.asarray(state, dtype=np.complex128).reshape(-1)
+    scaled, scale = power_of_two_scaled(u)
+    nrm = frobenius(scaled) / scale
+    if not abs(nrm - 1.0) <= 1e-12:  # a NaN norm must fail the check, not slip past it
+        raise ValueError(f"{name}: not normalized, norm {nrm!r}")
+    return u
+
+
 def expectation(state, m) -> complex:
     """<state, M state> for a unit vector; real up to roundoff for Hermitian M."""
-    u = np.asarray(state, dtype=np.complex128).reshape(-1)
-    nrm = float(np.linalg.norm(u))
-    # a NaN norm must fail the check, not slip past it
-    if not abs(nrm - 1.0) <= 1e-12:
-        raise ValueError(f"state norm {nrm!r} differs from 1 beyond 1e-12")
+    u = require_unit_vector(state)
     a = as_matrix(m, "M")
     if a.shape[0] != u.size:
         raise ValueError(f"state length {u.size} does not match matrix dim {a.shape[0]}")

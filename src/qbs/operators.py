@@ -64,6 +64,20 @@ def power_of_two_scaled(a: np.ndarray):
     return a * scale, scale
 
 
+def relative_gap(a, b, rtol: float):
+    """(||A - B||_F, the bound rtol max(1, ||A||_F), whether the gap is within it), both
+    norms taken at A's power_of_two_scaled unit, so that the check holds where they overflow.
+    It holds one temporary the size of A at a time."""
+    scaled, unit = power_of_two_scaled(a)
+    bound = rtol * max(unit, frobenius(scaled))
+    del scaled
+    with np.errstate(over="ignore"):  # an entry of A - B beyond float range is inf, and fails
+        diff = a - b
+    diff *= unit
+    gap = frobenius(diff)
+    return gap / unit, bound / unit, gap <= bound
+
+
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     """Return M after checking ``||M - M*||_F <= 1e-12 * max(1, ||M||_F)``.
 

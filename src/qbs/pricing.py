@@ -29,6 +29,7 @@ from .operators import (
     normal_cdf,
     normal_pdf,
     power_of_two_scaled,
+    relative_gap,
     require_hermitian,
     spectrum_log,
     stable_order,
@@ -142,8 +143,10 @@ def _call_scalars(t: float, lam, r: float, names: str = "w w10 w01 w02") -> tupl
     sqrt_t = math.sqrt(t)
     disc = math.exp(-r * t)
     ez = finite_exp(lam, "z")
-    g = lam / sqrt_t + (r + 0.5) * sqrt_t
-    h = lam / sqrt_t + (r - 0.5) * sqrt_t
+    # a lam / sqrt_t beyond float range is +-inf, where Phi and its density take their limits
+    with np.errstate(over="ignore"):
+        g = lam / sqrt_t + (r + 0.5) * sqrt_t
+        h = lam / sqrt_t + (r - 0.5) * sqrt_t
     phi_g, phi_h = normal_cdf(g), normal_cdf(h)
     wanted = names.split()
     out = {}
@@ -311,16 +314,24 @@ class Moneyness(NamedTuple):
         return _report(float(np.abs(kw - kf).max()), rel_tol * max(1.0, float(np.abs(kf).max()))), payoff
 
     def hedge_spectra(self, t: float, model: MarketModel, convention: str = "direct"):
-        """(the eigenvalues of omega, those of a, (e^{rt}, e^{-rt})): every check of position."""
+        """(the eigenvalues of omega, those of a, (e^{rt}, e^{-rt})): every check of position, for the
+        stock's moneyness. No entry of a j_x exceeds max |a| max |k e^lam| (the stock is K e^z), nor one
+        of b or beta0 e^{rt} b the bounds that follow; past 2^1020 that is a FloatingPointError."""
         if not 0.0 < t < model.T:
             raise ValueError(f"t={t!r} outside (0, {model.T})")
         if convention not in ("direct", "classical"):
             raise ValueError(f"unknown hedge convention {convention!r}")
         lam = self.dec.eigenvalues
         w, w01 = _call_scalars(model.T - t, lam, model.r, "w w01")
-        rates = _rate_factors(model.r, t)
+        grow, disc = rates = _rate_factors(model.r, t)
         kw = self.spectrum(w)
-        return kw, self.spectrum(w01) if convention == "direct" else w01 * finite_exp(-lam, "z"), rates
+        ka = self.spectrum(w01) if convention == "direct" else w01 * finite_exp(-lam, "z")
+        a_jx = float(np.abs(ka).max()) * float(self.spectrum(finite_exp(lam, "z")).max())
+        b = (float(np.abs(kw).max()) + a_jx) * (disc / model.beta0)
+        peak = float(np.max([a_jx, b, model.beta0 * grow * b]))
+        if not peak <= 2.0**1020:
+            raise FloatingPointError(f"hedge at t={t!r} can overflow: a j_x or b bound {peak!r} exceeds 2^1020")
+        return kw, ka, rates
 
     def position(self, kw, ka, rates, j_x, model: MarketModel):
         """(the HedgePosition in j_x, the omega its value reproduces), from hedge_spectra."""
@@ -357,8 +368,8 @@ def hermitian_stock_moneyness(x: np.ndarray, k: np.ndarray) -> Moneyness:
     lam = spectrum_log(dec_x.eigenvalues, "X") - spectrum_log(k_x, "K")
     order = stable_order(lam)
     m = Moneyness(SpectralDecomposition(lam[order], dec_x.eigenvectors[:, order]), k_x[order])
-    err = frobenius(m.priced(finite_exp(m.dec.eigenvalues, "z")) - x)
-    if not err <= 1e-10 * max(1.0, frobenius(x)):
+    err, _, reproduced = relative_gap(x, m.priced(finite_exp(m.dec.eigenvalues, "z")), 1e-10)
+    if not reproduced:
         raise ValueError(f"K exp(z) fails to reproduce X, error {err:.6e}")
     return m
 
@@ -598,7 +609,7 @@ def replication_simulation(
     if block < 1:
         raise ValueError("block must be >= 1")
     dt = T / steps
-    growth = np.array(math.exp(r * dt))  # 0-d: a faster operand than a float
+    growth = np.array(_rate_factors(r, dt)[0])  # 0-d: a faster operand than a float
     drift = (r - 0.5 * sigma * sigma) * dt
     tau = T - np.arange(1, steps) * dt
     shift, scale = (r + 0.5 * sigma * sigma) * tau, sigma * np.sqrt(tau)
@@ -606,38 +617,42 @@ def replication_simulation(
     chunk, width = steps // 8, min(block, paths)
     x_buf, paid_buf, delta_buf = (np.empty(rows * width) for rows in (chunk, chunk, chunk + 1))
     errors = np.empty(paths)
-    for start in range(0, paths, block):
-        stop = min(start + block, paths)
-        count = stop - start
-        growth_factors = _path_normals(seed, start, count, steps)
-        growth_factors *= sigma * math.sqrt(dt)
-        growth_factors += drift
-        np.exp(growth_factors, out=growth_factors)
-        xs, cash = x0, np.full(count, v0 - delta0 * x0)
-        deltas = delta_buf[: (chunk + 1) * count].reshape(chunk + 1, count)
-        deltas[0] = delta0
-        for j in range(0, steps - 1, chunk):
-            n = min(chunk, steps - 1 - j)
-            x = x_buf[: n * count].reshape(n, count)
-            paid = paid_buf[: n * count].reshape(n, count)
-            arg = deltas[1 : n + 1]
-            growth_factors[:, j] *= xs
-            np.multiply.accumulate(growth_factors[:, j : j + n].T, axis=0, out=x)
-            np.divide(x, strike, out=arg)
-            np.log(arg, out=arg)
-            paid[:] = shift[j : j + n, None]
-            arg += paid
-            paid[:] = scale[j : j + n, None]
-            arg /= paid
-            ndtr(arg, out=arg)
-            np.subtract(arg, deltas[:n], out=paid)
-            paid *= x
-            for row in paid:
-                cash *= growth
-                cash -= row
-            xs, deltas[0] = x[-1], arg[-1]
-        xs = xs * growth_factors[:, -1]
-        del growth_factors  # not alive beside the next block's draw
-        errors[start:stop] = deltas[0] * xs + cash * growth - np.maximum(xs - strike, 0.0)
-    moments = float(np.mean(errors)), float(np.std(errors, ddof=1)), float(np.mean(np.abs(errors)))
+    # a path beyond float range leaves its error or a moment inf or NaN, checked once below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start in range(0, paths, block):
+            stop = min(start + block, paths)
+            count = stop - start
+            growth_factors = _path_normals(seed, start, count, steps)
+            growth_factors *= sigma * math.sqrt(dt)
+            growth_factors += drift
+            np.exp(growth_factors, out=growth_factors)
+            xs, cash = x0, np.full(count, v0 - delta0 * x0)
+            deltas = delta_buf[: (chunk + 1) * count].reshape(chunk + 1, count)
+            deltas[0] = delta0
+            for j in range(0, steps - 1, chunk):
+                n = min(chunk, steps - 1 - j)
+                x = x_buf[: n * count].reshape(n, count)
+                paid = paid_buf[: n * count].reshape(n, count)
+                arg = deltas[1 : n + 1]
+                growth_factors[:, j] *= xs
+                np.multiply.accumulate(growth_factors[:, j : j + n].T, axis=0, out=x)
+                np.divide(x, strike, out=arg)
+                np.log(arg, out=arg)
+                paid[:] = shift[j : j + n, None]
+                arg += paid
+                paid[:] = scale[j : j + n, None]
+                arg /= paid
+                ndtr(arg, out=arg)
+                np.subtract(arg, deltas[:n], out=paid)
+                paid *= x
+                for row in paid:
+                    cash *= growth
+                    cash -= row
+                xs, deltas[0] = x[-1], arg[-1]
+            xs = xs * growth_factors[:, -1]
+            del growth_factors  # not alive beside the next block's draw
+            errors[start:stop] = deltas[0] * xs + cash * growth - np.maximum(xs - strike, 0.0)
+        moments = float(np.mean(errors)), float(np.std(errors, ddof=1)), float(np.mean(np.abs(errors)))
+    if not np.isfinite(moments).all():
+        raise FloatingPointError(f"hedging error moments: non-finite (mean, std, mean abs) {moments!r}")
     return ReplicationStats(v0, *moments, int(paths), int(steps), int(seed))

@@ -34,7 +34,7 @@ from qbs.pricing import (
     residual_eq8,
     terminal_limit_check,
 )
-from qbs.sampling import (
+from generators import (
     random_hermitian,
     random_model,
     random_positive_definite,

@@ -16,14 +16,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import qbs.cli
 from qbs import operators
 from qbs.config import ConfigError, parse_config
 from qbs.operators import hermitian_part
-from qbs.sampling import random_complex, random_hermitian, random_state, random_unitary
+from generators import random_complex, random_hermitian, random_state, random_unitary
 from test_flows import X0_SPECTRUM, positive_x0
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -592,14 +592,20 @@ _STATE = {"state": [[1.0, 0.0]]}
         ("lindblad", "price_scalar", _BIG_FLOWS),
         ("lindblad", "flow_2x2", {"model.ops.H": [[[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e300, 0.0]]], "lindblad.t": [1.0]}),
         ("coeffs", "price_scalar", _BIG_FLOWS),
+        ("hedge", "flow_2x2", {"hedge.stock": [[[1e154, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.1, 0.0]]]}),
+        ("hedge", "flow_2x2", {"model.beta0": 5e-324}),
+        ("lindblad", "flow_2x2", {"lindblad.t": [1e308]}),
+        ("replicate", "monte_carlo", {"replicate.T": 1e308}),
+        ("replicate", "monte_carlo", {"replicate.x0": 1e308, "replicate.paths": 1000, "replicate.steps": 100}),
     ],
     ids=["price", "price-state", "terminal-check-state", "residual", "terminal-check", "hedge", "lindblad-d1",
-         "lindblad-d2", "coeffs"],
+         "lindblad-d2", "coeffs", "hedge-a-jx", "hedge-b", "lindblad-steps", "replicate-growth", "replicate-paths"],
 )
 def test_an_operator_beyond_float_range_is_a_numerical_error(command, config, changes, tmp_path, capsys):
     # a priced operator with an eigenvalue past the bound of
-    # Moneyness.spectrum, or a flow that leaves float range, under each
-    # command that assembles it: exit 4, one line and no numpy warning
+    # Moneyness.spectrum, a hedge's a j_x or b past that of hedge_spectra,
+    # a flow, a step count or a replicate growth factor that leaves float
+    # range, or replicate paths that do: exit 4, one line and no numpy warning
     doc = json.loads((ROOT / "configs" / f"{config}.json").read_text())
     for dotted, value in changes.items():  # "model.ops.H" sets doc["model"]["ops"]["H"]
         *parents, leaf = dotted.split(".")
@@ -1128,6 +1134,79 @@ def test_residual_at_an_extreme_time_is_a_numerical_error(t, message, tmp_path):
     # with no traceback and no warning
     proc = _run_warnings_as_errors("residual", _flow_2x2_with(tmp_path, t_grid=[t]))
     assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", f"numerical error: {message}\n")
+
+
+def _shrunk(config: str) -> dict:
+    """configs/<config>.json with ito-check at 3 trials of d = 2 and k_max 4,
+    and replicate at 1000 paths of 100 steps."""
+    doc = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+    doc["ito_check"] = {"dims": [2], "k_max": 4, "trials": 3}
+    if "replicate" in doc:
+        doc["replicate"].update(paths=1000, steps=100)
+    return doc
+
+
+def _numbers(value, path=()) -> list:
+    """The paths of the numbers in a JSON tree, each a tuple of keys and indices."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [path]
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    return [leaf for key, item in items for leaf in _numbers(item, path + (key,))]
+
+
+# every command with each shipped config it runs on, and every number of that config
+_JOBS = {
+    "coeffs": ("flow_2x2", "price_scalar"),
+    "ito-check": ("flow_2x2", "monte_carlo"),
+    "price": ("flow_2x2", "price_scalar"),
+    "residual": ("flow_2x2", "price_scalar"),
+    "terminal-check": ("flow_2x2", "price_scalar"),
+    "hedge": ("flow_2x2",),
+    "classical": ("monte_carlo",),
+    "lindblad": ("flow_2x2",),
+    "replicate": ("monte_carlo",),
+}
+EXTREME_FIELDS = [
+    (command, config, leaf) for command, configs in _JOBS.items() for config in configs for leaf in _numbers(_shrunk(config))
+]
+EXTREMES = [1e308, -1e308, 1e154, -1e154, 5e-324, -0.0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(EXTREME_FIELDS), st.sampled_from(EXTREMES))
+@example(("price", "flow_2x2", ("state", 0, 0)), 1e308)  # the state's norm overflowed
+@example(("lindblad", "flow_2x2", ("lindblad", "t", 0)), 1e308)  # the default step count did
+@example(("replicate", "monte_carlo", ("replicate", "T")), 1e308)  # e^(r dt) did
+@example(("replicate", "monte_carlo", ("replicate", "r")), 1e154)
+@example(("hedge", "flow_2x2", ("hedge", "stock", 0, 0, 0)), 1e154)  # a j_x did
+@example(("hedge", "flow_2x2", ("model", "beta0")), 5e-324)  # b did
+@example(("hedge", "flow_2x2", ("hedge", "stock", 0, 0, 0)), 1e200)  # ||X||_F of the stock check did
+@example(("replicate", "monte_carlo", ("replicate", "x0")), 1e308)  # the paths did
+@example(("lindblad", "flow_2x2", ("model", "ops", "X", 0, 0, 0)), 1e308)  # ||X_t||_F did
+@example(("price", "price_scalar", ("z_grid", 0, 0, 0, 0)), -1e308)  # z / sqrt(t) did
+@example(("terminal-check", "flow_2x2", ("z_grid", 0, 0, 0, 0)), -1e308)
+@example(("replicate", "monte_carlo", ("replicate", "sigma")), 1e154)  # log(0) of the paths
+@example(("replicate", "monte_carlo", ("replicate", "sigma")), 1e308)
+@example(("replicate", "monte_carlo", ("replicate", "sigma")), 5e-324)  # x / (sigma sqrt(tau)) overflowed
+@example(("replicate", "monte_carlo", ("replicate", "strike")), 5e-324)  # x / strike did
+def test_an_extreme_config_number_ends_in_an_exit_code(generated_config, field, value):
+    # one number of a shipped config at an extreme of float range, under a
+    # command that runs on it: an exit code that says what happened, no
+    # traceback and no numpy warning, and one stderr line for a failure;
+    # a hedge, lindblad or replicate report holds no NaN or Infinity
+    command, config, (*parents, key) = field
+    doc = _shrunk(config)
+    functools.reduce(lambda node, at: node[at], parents, doc)[key] = value
+    Path(generated_config).write_text(json.dumps(doc))
+    code, out, err = _main_output(command, generated_config)
+    assert code in (0, 2, 3, 4)
+    if code in (0, 3):
+        assert err == ""
+        if command in ("hedge", "lindblad", "replicate"):
+            assert "NaN" not in out and "Infinity" not in out
+    else:
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1, err
 
 
 # The dense decompositions of numpy.linalg. Each is counted where qbs calls

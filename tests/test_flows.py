@@ -25,15 +25,15 @@ from qbs.flows import (
     semigroup_evolve,
 )
 from qbs.operators import adjoint, commutator, hermitian_part
-from qbs.sampling import (
+from generators import (
     random_complex,
     random_hermitian,
     random_model,
-    random_model_stacks,
     random_state,
     random_unitary,
     shift_model,
 )
+from qbs.sampling import random_model_stacks
 
 Z2 = np.zeros((2, 2), dtype=complex)
 
@@ -577,3 +577,6 @@ def test_expectation_requires_normalized_state():
     # a NaN norm fails the check too
     with pytest.raises(ValueError, match="norm"):
         expectation(np.array([np.nan, 0.0]), np.eye(2))
+    # and one whose sum of squares overflows is taken without a warning
+    with pytest.raises(ValueError, match="norm 1e[+]308"):
+        expectation(np.array([1e308, 0.0]), np.eye(2))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qbs.cli
 import qbs.config
@@ -20,7 +20,7 @@ from qbs.config import (
     DEFAULT_TOLERANCES, ConfigError, RunConfig, _scan, matrix_from_json, pair_array, parse_config, read_config,
 )
 from qbs.pricing import log_moneyness
-from qbs.sampling import random_commuting_positive_pair, random_complex, random_hermitian, random_unitary
+from generators import random_commuting_positive_pair, random_complex, random_hermitian, random_unitary
 from test_cli import _main_output, _parse_peak, _perfbench_workloads, full_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -668,6 +668,7 @@ def test_schema_admits_null_and_defaults(where, value, field, want):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(FULL_PATHS), st.just(DELETE) | json_values), min_size=1, max_size=3))
+@example(mutations=[(("state", 0, 0), 1e308)])  # the state's norm overflows
 def test_parse_config_fuzz_raises_only_config_errors(mutations):
     """Replacing or deleting fields of a valid document yields a config or
     a ConfigError, never another exception."""

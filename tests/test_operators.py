@@ -24,7 +24,7 @@ from qbs.operators import (
     stable_order,
     sylvester_L,
 )
-from qbs.sampling import random_hermitian, random_positive_definite, random_unitary
+from generators import random_hermitian, random_positive_definite, random_unitary
 from test_cli import full_config
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -33,7 +33,7 @@ from qbs.pricing import (
     terminal_limit_check,
     terminal_payoff,
 )
-from qbs.sampling import (
+from generators import (
     random_commuting_positive_pair,
     random_market_model,
     random_state,
