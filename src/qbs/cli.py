@@ -5,8 +5,9 @@ stderr. Exit codes: 0 success, 1 stdout closed before the report was
 written, 2 configuration error, 3 a checked invariant failed, 4 numerical
 error (an eigensolver or its Jacobi sweeps failed to converge, an Ito power,
 e^z, a lindblad X_t or default step count 1000 t, or a replicate growth
-factor e^(r dt) or hedging error moment left float range, or a priced
-operator or a hedge's a j_x or b could overflow).
+factor e^(r dt) or hedging error moment left float range, a lindblad or
+replicate step count is too large for a float, or a priced operator or a
+hedge's a j_x or b could overflow).
 """
 
 from __future__ import annotations
@@ -529,7 +530,7 @@ def _main(argv) -> int:
         cfg = read_config(args.config)
         apply_overrides(cfg, args.seed)
         report = run(cfg, args.command, timing=not args.omit_timing)
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
     except (OSError, ValueError) as exc:  # OSError: the config could not be read

@@ -11,7 +11,6 @@ path.
 from __future__ import annotations
 
 import copy
-import gc
 import json
 import math
 import re
@@ -516,23 +515,13 @@ def _scan(chunks):
 def _parse(chunks, whole: Callable) -> RunConfig:
     """The config of the text that chunks yields; whole() reads it again
     on a fault. A parse holds its arrays, its window and one matrix row's
-    JSON tree (0.51 times the text at d = 128 under tracemalloc). The
-    cyclic garbage collector is paused meanwhile: a JSON tree holds one
-    list per [re, im] pair, each of which would count towards a
-    collection, and no cycle, so reference counting frees it. Every exit
-    path restores the collector's state."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _validated(chunks, whole)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _validated(chunks, whole: Callable) -> RunConfig:
-    """_parse. A fault is reported as in json.loads' tree, where no
-    matrix is an array yet: the text is read again and walked that way."""
+    JSON tree (0.51 times the text at d = 128 under tracemalloc). It runs
+    with the cyclic garbage collector on: one row's tree is too few lists
+    to set off a collection by itself, so one that runs inside a parse is
+    one that the collector counts carried in were due for. A fault is
+    reported as in json.loads' tree, where no matrix is an array yet: the
+    text is read again and walked that way, and that json.loads may
+    collect."""
     try:
         fields = _read(TABLE, _scan(chunks), "")
     except np.linalg.LinAlgError:

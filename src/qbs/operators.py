@@ -42,12 +42,6 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def hermitian_defect(m) -> float:
-    """Frobenius norm of M - M*."""
-    a = np.asarray(m)
-    return float(np.linalg.norm(a - a.conj().T))
-
-
 def unitary_defect(m) -> float:
     """Frobenius norm of M*M - I."""
     a = np.asarray(m)
@@ -67,28 +61,27 @@ def power_of_two_scaled(a: np.ndarray):
 def relative_gap(a, b, rtol: float):
     """(||A - B||_F, the bound rtol max(1, ||A||_F), whether the gap is within it), both
     norms taken at A's power_of_two_scaled unit, so that the check holds where they overflow.
-    It holds one temporary the size of A at a time."""
+    An entry of A - B beyond float range reads as a gap of inf, which fails, without a
+    warning. It holds one temporary the size of A at a time. The one check of this kind:
+    require_hermitian is relative_gap(M, M*, HERMITIAN_RTOL)."""
     scaled, unit = power_of_two_scaled(a)
     bound = rtol * max(unit, frobenius(scaled))
     del scaled
-    with np.errstate(over="ignore"):  # an entry of A - B beyond float range is inf, and fails
-        diff = a - b
-    diff *= unit
+    with np.errstate(over="ignore"):
+        diff = np.subtract(a, b, order="C")
+    # by each real and imaginary part of the C-ordered diff: a complex product takes inf * 0, a NaN
+    diff.view(np.float64)[...] *= unit
     gap = frobenius(diff)
     return gap / unit, bound / unit, gap <= bound
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
-    """Return M after checking ``||M - M*||_F <= 1e-12 * max(1, ||M||_F)``.
-
-    Both sides are taken of power_of_two_scaled(M), so neither norm
-    overflows, however large M is."""
+    """Return M after checking ``||M - M*||_F <= 1e-12 * max(1, ||M||_F)`` by
+    relative_gap, which judges M however large it is."""
     a = as_matrix(m, name)
-    scaled, scale = power_of_two_scaled(a)
-    defect, norm = hermitian_defect(scaled), frobenius(scaled)
-    bound = HERMITIAN_RTOL * max(scale, norm)
-    if defect > bound:
-        raise ValueError(f"{name}: not Hermitian, defect {defect / scale:.6e} exceeds {bound / scale:.6e}")
+    defect, bound, hermitian = relative_gap(a, a.conj().T, HERMITIAN_RTOL)
+    if not hermitian:
+        raise ValueError(f"{name}: not Hermitian, defect {defect:.6e} exceeds {bound:.6e}")
     return a
 
 

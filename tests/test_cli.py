@@ -349,6 +349,32 @@ def test_lindblad_step_doubling_gate(lindblad, tolerances, tmp_path, capsys):
     assert all(v.startswith("step-doubling error") for v in report["invariant_violations"])
 
 
+def test_an_overflowing_step_doubling_gap_fails_the_gate_as_inf(tmp_path):
+    # one RK4 step from an x0 near float range keeps X_t finite, but X_t
+    # minus X_t at two steps leaves it: the error reads inf and fails the
+    # gate, exit 3 with no numpy warning
+    model = json.loads((ROOT / "configs" / "flow_2x2.json").read_text())["model"]
+    model["ops"]["H"] = [
+        [[-14.359361250229947, 0], [1.0937787202316291, -6.128017776449256]],
+        [[1.0937787202316291, 6.128017776449256], [4.84592124323203, 0]],
+    ]
+    model["ops"]["L"] = [
+        [[0.16902770817797302, 0.3297233663228739], [-0.5693580116603344, 0.31175783710686994]],
+        [[0.2864547767541185, -0.36735583702874575], [-1.24193866113678, -0.007294439338462207]],
+    ]
+    x0 = [
+        [[7.19521895784178e306, 0], [-8.582868346265054e307, -1.698047415331624e307]],
+        [[-8.582868346265054e307, 1.698047415331624e307], [-1.0201588807247808e308, 0]],
+    ]
+    t = 0.14283057261260396
+    path = _flow_2x2_with(tmp_path, model=model, lindblad={"t": [t], "steps": 1, "x0": x0})
+    proc = _run_warnings_as_errors("lindblad", path)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert json.loads(proc.stdout)["invariant_violations"] == [
+        f"step-doubling error inf exceeds 2.612709e+300 at t={t}, steps=1"
+    ]
+
+
 def test_classical_match_gate_catches_a_broken_formula(monkeypatch, capsys):
     # negative control: a classical price 1e-6 above the d = 1 operator
     # price at every row, against the default tolerance of 1e-9
@@ -1195,11 +1221,44 @@ def test_an_extreme_config_number_ends_in_an_exit_code(generated_config, field, 
     # command that runs on it: an exit code that says what happened, no
     # traceback and no numpy warning, and one stderr line for a failure;
     # a hedge, lindblad or replicate report holds no NaN or Infinity
+    _extreme_exit_code(generated_config, field, value)
+
+
+# the integer fields of the shipped configs, under each command that reads them
+INTEGER_FIELDS = [
+    ("ito-check", "flow_2x2", ("seed",)),
+    ("replicate", "monte_carlo", ("seed",)),
+    ("ito-check", "flow_2x2", ("ito_check", "dims", 0)),
+    ("lindblad", "flow_2x2", ("lindblad", "steps")),
+    ("replicate", "monte_carlo", ("replicate", "steps")),
+    ("replicate", "monte_carlo", ("replicate", "paths")),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [10**400, 2**63], ids=["10**400", "2**63"])
+@pytest.mark.parametrize("field", INTEGER_FIELDS, ids=[".".join(map(str, path)) + f"-{c}" for c, _, path in INTEGER_FIELDS])
+def test_an_extreme_config_integer_ends_in_an_exit_code(tmp_path, field, value):
+    """As test_an_extreme_config_number_ends_in_an_exit_code, for an integer
+    field at 10**400, past float range, or at 2**63, past int64. A step count
+    of 10**400 is a numerical error, exit 4. ito_check.trials and k_max are
+    left out: a job computes as many trials or Ito powers as its config asks
+    for (a k_max of 10**400 did not end in 20 s), as a lindblad.t of 1e300 at
+    d > 8 asks for about 1e303 RK4 steps."""
+    code = _extreme_exit_code(str(tmp_path / "cfg.json"), field, value)
+    if field[2][-1] == "steps" and value == 10**400:
+        assert code == 4
+
+
+def _extreme_exit_code(path: str, field, value) -> int:
+    """The exit code of field's command on its config, shrunk, with the
+    number at its path set to value and written to path, after checking
+    that the code is one of 0, 2, 3 and 4 and that the output fits it."""
     command, config, (*parents, key) = field
     doc = _shrunk(config)
     functools.reduce(lambda node, at: node[at], parents, doc)[key] = value
-    Path(generated_config).write_text(json.dumps(doc))
-    code, out, err = _main_output(command, generated_config)
+    Path(path).write_text(json.dumps(doc))
+    code, out, err = _main_output(command, path)
     assert code in (0, 2, 3, 4)
     if code in (0, 3):
         assert err == ""
@@ -1207,6 +1266,7 @@ def test_an_extreme_config_number_ends_in_an_exit_code(generated_config, field, 
             assert "NaN" not in out and "Infinity" not in out
     else:
         assert out == "" and err.endswith("\n") and err.count("\n") == 1, err
+    return code
 
 
 # The dense decompositions of numpy.linalg. Each is counted where qbs calls

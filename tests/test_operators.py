@@ -18,6 +18,7 @@ from qbs.operators import (
     operator_exp,
     operator_log,
     phi_series,
+    relative_gap,
     require_hermitian,
     require_unitary,
     spectral_decompose,
@@ -84,6 +85,16 @@ def test_require_hermitian_takes_subnormal_matrices_as_they_are():
     # only a matrix with a part of magnitude 1 or more is scaled, and only down
     for m in ([[5e-324, 0.0], [0.0, 1e-320]], [[0.0, 0.0], [0.0, 0.0]]):
         assert require_hermitian(np.array(m)).tobytes() == np.array(m, dtype=complex).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", [1e308, 1e308 - 1e308j])
+def test_relative_gap_of_an_overflowing_difference_is_inf(entry):
+    # A - B leaves float range: the gap reads inf and fails, with no warning,
+    # against the bound that A alone sets
+    a = np.array([[entry, 0.0], [0.0, 1.0]])
+    bound = relative_gap(a, a, 1e-12)[1]
+    assert relative_gap(a, -a, 1e-12) == (math.inf, bound, False)
 
 
 def test_require_unitary():

@@ -433,15 +433,15 @@ def test_candidate_residual_decomposes_nothing_itself(monkeypatch):
 
 def _hermitian_checks(monkeypatch):
     """The matrices that require_hermitian checks from now on, as the bytes
-    of their power_of_two_scaled form, which it hands hermitian_defect."""
+    of each matrix M that it hands relative_gap with M*."""
     checked = []
-    defect = operators.hermitian_defect
-    monkeypatch.setattr(operators, "hermitian_defect", lambda m: checked.append(m.tobytes()) or defect(m))
+    gap = operators.relative_gap
+    monkeypatch.setattr(operators, "relative_gap", lambda a, b, rtol: checked.append(a.tobytes()) or gap(a, b, rtol))
     return checked
 
 
 def _checks_of(checked, m) -> int:
-    return checked.count(operators.power_of_two_scaled(np.asarray(m, dtype=np.complex128))[0].tobytes())
+    return checked.count(np.asarray(m, dtype=np.complex128).tobytes())
 
 
 def test_each_input_is_checked_hermitian_once(monkeypatch):
