@@ -2,12 +2,12 @@
 
 One command per invocation; a JSON (or CSV) report on stdout, errors on
 stderr. Exit codes: 0 success, 1 stdout closed before the report was
-written, 2 configuration error, 3 a checked invariant failed, 4 numerical
-error (an eigensolver or its Jacobi sweeps failed to converge, an Ito power,
-e^z, a lindblad X_t or default step count 1000 t, or a replicate growth
-factor e^(r dt) or hedging error moment left float range, a lindblad or
-replicate step count is too large for a float, or a priced operator or a
-hedge's a j_x or b could overflow).
+written, 2 configuration error (or a size whose arrays cannot be
+allocated), 3 a checked invariant failed, 4 numerical error (an eigensolver or its Jacobi
+sweeps failed to converge, an Ito power, e^z, a lindblad X_t, step count or
+default step count 1000 t, or a replicate step count, growth factor
+e^(r dt) or hedging error moment left float range, or a priced operator or
+a hedge's a j_x or b could overflow).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 import numpy as np  # noqa: E402
 
 from . import __version__
-from .config import SCHEMA_VERSION, ConfigError, RunConfig, apply_overrides, pair_array, read_config
+from .config import SCHEMA_VERSION, ConfigError, RunConfig, apply_overrides, at_path, pair_array, read_config
 from .flows import default_steps, flow_coefficients, power_rule_deviation, semigroup_evolve
 from .operators import relative_gap
 from .pricing import classical_bs, hermitian_moneyness, hermitian_stock_moneyness, moneyness, replication_simulation
@@ -85,7 +85,7 @@ def _cmd_ito_check(cfg: RunConfig):
         # order, as one random_model call per trial would draw them
         per_stack = max(1, _STACK_ENTRIES // (dim * dim))
         for start in range(0, trials, per_stack):
-            stacks = random_model_stacks(rng, min(per_stack, trials - start), dim)
+            stacks = at_path("ito_check", random_model_stacks, rng, min(per_stack, trials - start), dim)
             deviation = power_rule_deviation(*stacks, k_max)
             worst = max(worst, float(deviation.max()))
         worsts.append((dim, worst))
@@ -182,12 +182,7 @@ def _cmd_hedge(cfg: RunConfig):
     convention = cfg.hedge["convention"]
     tol = cfg.tolerances["hedge_value"]
     violations = []
-    try:
-        m = hermitian_stock_moneyness(stock, model.K)
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError as exc:  # its checks against K call the stock X
-        raise ConfigError(path, str(exc)) from None
+    m = at_path(path, hermitian_stock_moneyness, stock, model.K)  # its checks against K call the stock X
     spectra = [(t, m.hedge_spectra(t, model, convention)) for t in times]
 
     def row(t: float, spectrum) -> dict:
@@ -264,7 +259,9 @@ def _cmd_lindblad(cfg: RunConfig):
 def _cmd_replicate(cfg: RunConfig):
     sec = _need(cfg.replicate, "replicate", "a replicate section required for this command")
     seed = _need(cfg.seed, "seed", _NO_SEED)
-    runs = [replication_simulation(seed=seed, **sec)]
+    if seed >> 128:  # the key of the Philox stream that path p jumps to
+        raise ConfigError("seed", f"replicate takes a seed below 2**128, got one of {seed.bit_length()} bits")
+    runs = [at_path("replicate", lambda: replication_simulation(seed=seed, **sec))]
     rows = (
         {
             **{key: sec[key] for key in ("x0", "strike", "r", "T")},
@@ -530,10 +527,10 @@ def _main(argv) -> int:
         cfg = read_config(args.config)
         apply_overrides(cfg, args.seed)
         report = run(cfg, args.command, timing=not args.omit_timing)
-    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
-    except (OSError, ValueError) as exc:  # OSError: the config could not be read
+    except (OSError, ValueError, MemoryError) as exc:  # OSError: the config could not be read
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     render = render_csv if cfg.output == "csv" else render_json

@@ -94,8 +94,8 @@ def pair_array(m) -> np.ndarray:
 def _pair_values(cells: list):
     """The complex vector of n cells that are each an [re, im] pair of
     numbers, checked and converted in whole-list passes; None when some
-    cell is not, and the caller's per-cell walk then names it. Finiteness
-    is the caller's check, made once per vector or matrix."""
+    cell is not. Finiteness is the caller's check: _pairs makes it of each
+    list, and _scan of each matrix that it makes of these rows."""
     try:
         if set(map(len, cells)) != {2}:
             return None
@@ -117,60 +117,63 @@ def _finite(values):
     return values if values is not None and np.isfinite(values).all() else None
 
 
-def _check_pair(obj, path: str) -> None:
-    pair = _as_list(obj, path)
-    _expect(len(pair) == 2, path, "expected an [re, im] pair")
-    _as_number(pair[0], path)
-    _as_number(pair[1], path)
-
-
-def _malformed(path: str) -> ConfigError:
-    # the per-cell walks mirror _pair_values' checks, so they raise first
-    return ConfigError(path, "expected an array of [re, im] pairs")
+def _pairs(cells: list, path: str) -> np.ndarray:
+    """The complex vector of cells, a non-empty JSON list of finite [re, im] pairs
+    at path: _pair_values of all, or when that fails, a walk to the first bad cell."""
+    vals = _finite(_pair_values(cells))
+    if vals is not None:
+        return vals
+    for i, pair in enumerate(cells):
+        at = f"{path}[{i}]"
+        _expect(len(_as_list(pair, at)) == 2, at, "expected an [re, im] pair")
+        _as_number(pair[0], at)
+        _as_number(pair[1], at)
+    raise ConfigError(path, "expected an array of [re, im] pairs")  # unreached: the walk checks all _finite does
 
 
 def _matrix_values(rows: list):
-    """The complex array of d rows of d finite [re, im] pairs, each row a
-    list of pairs or the vector that _scan made of one; None for
-    anything else."""
-    dim = len(rows)
-    if set(map(type, rows)) == {np.ndarray} and {row.shape for row in rows} == {(dim,)}:
-        return _finite(np.array(rows))
-    if all(map(isinstance, rows, repeat(list))) and set(map(len, rows)) == {dim}:
-        vals = _finite(_pair_values(list(chain.from_iterable(rows))))
-        if vals is not None:
-            return vals.reshape(dim, dim)
-    return None
+    """The complex array of d rows that _scan made vectors of d finite
+    entries each; None for anything else."""
+    vectors = set(map(type, rows)) == {np.ndarray} and {row.shape for row in rows} == {(len(rows),)}
+    return _finite(np.array(rows)) if vectors else None
 
 
 def matrix_from_json(obj, path: str) -> np.ndarray:
+    """The square matrix at path: its array, when _scan made one, or else
+    _pairs of each of its d rows, each checked to hold d cells."""
     if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.shape[0] == obj.shape[1]:
-        return obj  # read as its array when it was scanned
-    rows = _as_list(obj, path)
-    _expect(len(rows) > 0, path, "empty matrix")
-    matrix = _matrix_values(rows)
-    if matrix is not None:
-        return matrix
-    dim = len(rows)
-    for i, row in enumerate(rows):
-        row = _as_list(row, f"{path}[{i}]")
-        _expect(len(row) == dim, f"{path}[{i}]", f"expected {dim} entries, got {len(row)}")
-        for j, pair in enumerate(row):
-            _check_pair(pair, f"{path}[{i}][{j}]")
-    raise _malformed(path)
+        return obj
+    dim = len(_as_list(obj, path))
+    _expect(dim > 0, path, "empty matrix")
+    out = np.empty((dim, dim), dtype=np.complex128)
+    for i, row in enumerate(obj):
+        at = f"{path}[{i}]"
+        _expect(len(_as_list(row, at)) == dim, at, f"expected {dim} entries, got {len(row)}")
+        out[i] = _pairs(row, at)
+    return out
 
 
 def vector_from_json(obj, path: str) -> np.ndarray:
+    """The vector at path: its array, when _scan made a finite one, or else _pairs of it."""
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and np.isfinite(obj).all():
-        return obj  # read as its array when it was scanned
-    entries = _as_list(obj, path)
-    _expect(len(entries) > 0, path, "empty vector")
-    vals = _finite(_pair_values(entries))
-    if vals is not None:
-        return vals
-    for i, pair in enumerate(entries):
-        _check_pair(pair, f"{path}[{i}]")
-    raise _malformed(path)
+        return obj
+    _expect(len(_as_list(obj, path)) > 0, path, "empty vector")
+    return _pairs(obj, path)
+
+
+def at_path(path: str, check: Callable, *args, fields=()):
+    """check(*args), a ValueError it raises a ConfigError: at path.name if
+    its message reads "name: ..." with name in fields, else at path, less a
+    leading "path: ". A LinAlgError, a numerical failure, is raised as is."""
+    try:
+        return check(*args)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        name, sep, message = str(exc).partition(": ")
+        if sep and name in fields:
+            raise ConfigError(f"{path}.{name}", message) from None
+        raise ConfigError(path, str(exc).removeprefix(f"{path}: ")) from None
 
 
 # --- the section table --------------------------------------------------
@@ -230,23 +233,10 @@ def _section(table: dict) -> Field:
 
 
 def _built(cls, table: dict) -> Callable:
-    """Reader of a section whose fields construct cls, the one check of
-    each field. A ValueError that cls raises is reported at the path of the
-    field it names ("X: not Hermitian, ..." at path.X), or else at the
-    section path."""
-
-    def build(fields: dict, path: str):
-        try:
-            return cls(**fields)
-        except np.linalg.LinAlgError:  # a numerical error, exit 4
-            raise
-        except ValueError as exc:
-            name, sep, message = str(exc).partition(": ")
-            if sep and name in table:
-                raise ConfigError(f"{path}.{name}", message) from None
-            raise ConfigError(path, str(exc)) from None
-
-    return partial(_read, table, build=build)
+    """Reader of a section whose fields construct cls, the one check of each
+    field: at_path reports a ValueError of cls at the field it names
+    ("X: not Hermitian, ..." at path.X), or else at the section path."""
+    return partial(_read, table, build=lambda fields, path: at_path(path, partial(cls, **fields), fields=table))
 
 
 def _list_of(read: Callable, min_len: int = 1) -> Callable:
@@ -275,20 +265,12 @@ def _one_of(what: str, *choices) -> Callable:
 
 def _hermitian(obj, path: str) -> np.ndarray:
     """The matrix at path, checked Hermitian; its error is reported at path."""
-    value = matrix_from_json(obj, path)
-    try:
-        return require_hermitian(value, path)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc).removeprefix(f"{path}: ")) from None
+    return at_path(path, require_hermitian, matrix_from_json(obj, path), path)
 
 
 def _read_state(obj, path: str) -> np.ndarray:
     """The unit vector at path; its error is reported at path."""
-    state = vector_from_json(obj, path)
-    try:
-        return require_unit_vector(state, path)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc).removeprefix(f"{path}: ")) from None
+    return at_path(path, require_unit_vector, vector_from_json(obj, path), path)
 
 
 _TOLERANCE = Field(_as_number, bound=(lambda v: v > 0.0, "tolerance must be positive"))

@@ -380,8 +380,8 @@ def semigroup_evolve(x0, m: ModelOperators, t: float, steps: int | None = None) 
     ``steps`` steps are applied at once as a power of the one-step
     superoperator (``_rk4_increment``); above it they run one at a time.
     Hermiticity is preserved by the scheme up to roundoff; the output is
-    returned unsymmetrized so that drift, if any, stays visible. An X_t
-    beyond float range is a numerical failure, raised as FloatingPointError.
+    returned unsymmetrized so that drift, if any, stays visible. An X_t or
+    step count past float range is a FloatingPointError, a numerical failure.
     """
     x = require_hermitian(x0, "X0")
     if x.shape[0] != m.dim:
@@ -397,7 +397,10 @@ def semigroup_evolve(x0, m: ModelOperators, t: float, steps: int | None = None) 
     h = m.H
     l = m.L
     ld = adjoint(l)
-    dt = t / steps
+    try:
+        dt = t / steps
+    except OverflowError:  # a step count beyond float range
+        raise FloatingPointError(f"steps: a step count of {steps.bit_length()} bits leaves float range") from None
     # overflow is detected below and raised once, not warned about per product
     with np.errstate(over="ignore", invalid="ignore"):
         ldl = ld @ l

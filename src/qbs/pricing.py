@@ -596,8 +596,8 @@ def replication_simulation(
     cash_{j-1} e^{r dt} and, for j < steps - 1, cash_j -= (D_j - D_{j-1}) x_j
     with D_j = Phi((log(x_j / strike) + (r + sigma^2 / 2) tau) / (sigma
     sqrt(tau))), tau = T - (j + 1) dt. The error is V_T - payoff. Steps
-    run a chunk of steps // 8 at a time.
-    """
+    run a chunk of steps // 8 at a time. A step count or an error moment
+    past float range is a FloatingPointError."""
     # paths x steps deltas want a C-speed CDF; no other command loads scipy
     from scipy.special import ndtr
 
@@ -608,7 +608,10 @@ def replication_simulation(
         raise ValueError("paths must be >= 1000")
     if block < 1:
         raise ValueError("block must be >= 1")
-    dt = T / steps
+    try:
+        dt = T / steps
+    except OverflowError:  # a step count beyond float range
+        raise FloatingPointError(f"steps: a step count of {steps.bit_length()} bits leaves float range") from None
     growth = np.array(_rate_factors(r, dt)[0])  # 0-d: a faster operand than a float
     drift = (r - 0.5 * sigma * sigma) * dt
     tau = T - np.arange(1, steps) * dt

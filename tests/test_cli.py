@@ -1224,36 +1224,62 @@ def test_an_extreme_config_number_ends_in_an_exit_code(generated_config, field, 
     _extreme_exit_code(generated_config, field, value)
 
 
-# the integer fields of the shipped configs, under each command that reads them
+_SIZE = "Maximum allowed dimension exceeded"  # numpy's words for an array past int64
+_ITO_SIZE, _MC_SIZE = f"config error: ito_check: {_SIZE}", f"config error: replicate: {_SIZE}"
+_STEPS = "numerical error: steps: a step count of 1329 bits leaves float range"
+# the integer fields of the shipped configs, under each command that reads
+# them, with the start of the stderr at 10**400 and at 2**63 (None where the
+# job may succeed)
 INTEGER_FIELDS = [
-    ("ito-check", "flow_2x2", ("seed",)),
-    ("replicate", "monte_carlo", ("seed",)),
-    ("ito-check", "flow_2x2", ("ito_check", "dims", 0)),
-    ("lindblad", "flow_2x2", ("lindblad", "steps")),
-    ("replicate", "monte_carlo", ("replicate", "steps")),
-    ("replicate", "monte_carlo", ("replicate", "paths")),
+    (("ito-check", "flow_2x2", ("seed",)), None, None),
+    (("replicate", "monte_carlo", ("seed",)), "config error: seed: ", None),
+    (("ito-check", "flow_2x2", ("ito_check", "dims", 0)), _ITO_SIZE, _ITO_SIZE),
+    (("lindblad", "flow_2x2", ("lindblad", "steps")), _STEPS, None),
+    (("replicate", "monte_carlo", ("replicate", "steps")), _STEPS, _MC_SIZE),
+    (("replicate", "monte_carlo", ("replicate", "paths")), _MC_SIZE, _MC_SIZE),
+]
+# (field, value, the start of its stderr): each integer field at 10**400
+# and 2**63; then sizes whose first array asks for at least 2**48 bytes,
+# past the 47-bit user address space of a Linux process, so that every host
+# refuses them at once; and a replicate seed past the 128-bit key of its
+# Philox streams
+INTEGER_CASES = [
+    case for field, huge, past_int64 in INTEGER_FIELDS for case in ((field, 10**400, huge), (field, 2**63, past_int64))
+] + [
+    (INTEGER_FIELDS[2][0], 2**22, "config error: Unable to allocate 1.00 PiB "),  # the (1, 8, d, d) normals
+    (INTEGER_FIELDS[4][0], 2**45, "config error: Unable to allocate 256. TiB "),  # the steps - 1 step times
+    (INTEGER_FIELDS[5][0], 2**45, "config error: Unable to allocate 256. TiB "),  # the paths' errors
+    (INTEGER_FIELDS[1][0], 2**128, "config error: seed: replicate takes a seed below 2**128, got one of 129 bits\n"),
 ]
 
 
+def _integer_id(case) -> str:
+    (command, _, path), value, _ = case
+    power = "10**400" if value == 10**400 else f"2**{value.bit_length() - 1}"
+    return f"{'.'.join(map(str, path))}-{command}-{power}"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("value", [10**400, 2**63], ids=["10**400", "2**63"])
-@pytest.mark.parametrize("field", INTEGER_FIELDS, ids=[".".join(map(str, path)) + f"-{c}" for c, _, path in INTEGER_FIELDS])
-def test_an_extreme_config_integer_ends_in_an_exit_code(tmp_path, field, value):
+@pytest.mark.parametrize("field,value,error", INTEGER_CASES, ids=list(map(_integer_id, INTEGER_CASES)))
+def test_an_extreme_config_integer_ends_in_an_exit_code(tmp_path, field, value, error):
     """As test_an_extreme_config_number_ends_in_an_exit_code, for an integer
-    field at 10**400, past float range, or at 2**63, past int64. A step count
-    of 10**400 is a numerical error, exit 4. ito_check.trials and k_max are
-    left out: a job computes as many trials or Ito powers as its config asks
-    for (a k_max of 10**400 did not end in 20 s), as a lindblad.t of 1e300 at
-    d > 8 asks for about 1e303 RK4 steps."""
-    code = _extreme_exit_code(str(tmp_path / "cfg.json"), field, value)
-    if field[2][-1] == "steps" and value == 10**400:
-        assert code == 4
+    field at 10**400, past float range, at 2**63, past int64, or at a size
+    that cannot be allocated. A step count of 10**400 is a numerical error,
+    exit 4, named at steps; a size that numpy refuses is a config error,
+    exit 2, at the section it sizes, and so is one that it cannot allocate.
+    ito_check.trials and k_max are left out: a job computes as many trials
+    or Ito powers as its config asks for (a k_max of 10**400 did not end in
+    20 s), as a lindblad.t of 1e300 at d > 8 asks for about 1e303 RK4 steps."""
+    code, err = _extreme_exit_code(str(tmp_path / "cfg.json"), field, value)
+    if error is not None:
+        assert (code, err[: len(error)]) == (4 if error.startswith("numerical") else 2, error)
 
 
-def _extreme_exit_code(path: str, field, value) -> int:
-    """The exit code of field's command on its config, shrunk, with the
-    number at its path set to value and written to path, after checking
-    that the code is one of 0, 2, 3 and 4 and that the output fits it."""
+def _extreme_exit_code(path: str, field, value) -> tuple:
+    """The exit code and stderr of field's command on its config, shrunk,
+    with the number at its path set to value and written to path, after
+    checking that the code is one of 0, 2, 3 and 4 and that the output
+    fits it."""
     command, config, (*parents, key) = field
     doc = _shrunk(config)
     functools.reduce(lambda node, at: node[at], parents, doc)[key] = value
@@ -1266,7 +1292,7 @@ def _extreme_exit_code(path: str, field, value) -> int:
             assert "NaN" not in out and "Infinity" not in out
     else:
         assert out == "" and err.endswith("\n") and err.count("\n") == 1, err
-    return code
+    return code, err
 
 
 # The dense decompositions of numpy.linalg. Each is counted where qbs calls

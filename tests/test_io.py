@@ -18,6 +18,7 @@ import qbs.config
 from qbs.cli import render_json
 from qbs.config import (
     DEFAULT_TOLERANCES, ConfigError, RunConfig, _scan, matrix_from_json, pair_array, parse_config, read_config,
+    vector_from_json,
 )
 from qbs.pricing import log_moneyness
 from generators import random_commuting_positive_pair, random_complex, random_hermitian, random_unitary
@@ -157,6 +158,42 @@ def test_a_matrix_scanned_a_row_at_a_time_reads_as_it_does_whole(rows):
     got = _scan(iter((json.dumps({"m": rows}),)))["m"]
     assert isinstance(got, np.ndarray)
     assert got.tobytes() == matrix_from_json(rows, "m").tobytes()
+
+
+# entries at the edges of float range, ints past 2**53 among them
+_EDGE_NUMBERS = (
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, 2**53 + 1, -(2**70), 2**1000])
+    | st.integers(-(2**80), 2**80)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def _edge_markets(draw) -> str:
+    """The text of a d x d market, d = 1..6, whose coupling L holds edge
+    entries, and whose unit state holds signed zeros and subnormals beside
+    one unit pair; every other operator is the identity, in ints."""
+    dim = draw(st.integers(1, 6))
+    pair = lambda numbers: st.lists(numbers, min_size=2, max_size=2)  # noqa: E731
+    eye = [[[int(i == j), 0] for j in range(dim)] for i in range(dim)]
+    coupling = draw(st.lists(st.lists(pair(_EDGE_NUMBERS), min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    state = draw(st.lists(pair(st.sampled_from([0, 0.0, -0.0, 5e-324, -5e-324])), min_size=dim, max_size=dim))
+    state[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([[1, 0], [0, -1], [0.6, 0.8], [-1.0, -0.0]]))
+    ops = {"X": eye, "H": eye, "L": coupling, "S": eye}
+    return json.dumps({"schema_version": 1, "model": {"ops": ops, "K": eye, "r": 0.0, "T": 1.0}, "state": state})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_edge_markets())
+def test_the_fault_path_decodes_pairs_as_the_scanner_does(text):
+    # parse_config reads a valid document through the scanner, which makes
+    # each matrix and state an array; the fault path decodes json.loads'
+    # lists with matrix_from_json and vector_from_json, to the same bits
+    scanned = _scan(iter((text,)))
+    assert isinstance(scanned["model"]["ops"]["L"], np.ndarray) and isinstance(scanned["state"], np.ndarray)
+    cfg, tree = parse_config(text), json.loads(text)
+    assert _same(matrix_from_json(tree["model"]["ops"]["L"], "L"), cfg.model.ops.L)
+    assert _same(vector_from_json(tree["state"], "state"), cfg.state)
 
 
 _SHORT_ESCAPES = {'"': '\\"', "\\": "\\\\", "/": "\\/", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
