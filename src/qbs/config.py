@@ -162,14 +162,15 @@ def vector_from_json(obj, path: str) -> np.ndarray:
 
 
 def at_path(path: str, check: Callable, *args, fields=()):
-    """check(*args), a ValueError it raises a ConfigError: at path.name if
-    its message reads "name: ..." with name in fields, else at path, less a
-    leading "path: ". A LinAlgError, a numerical failure, is raised as is."""
+    """check(*args), a ValueError or MemoryError (an array that cannot be
+    allocated) it raises a ConfigError: at path.name if its message reads
+    "name: ..." with name in fields, else at path, less a leading "path: ".
+    A LinAlgError, a numerical failure, is raised as is."""
     try:
         return check(*args)
     except np.linalg.LinAlgError:
         raise
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         name, sep, message = str(exc).partition(": ")
         if sep and name in fields:
             raise ConfigError(f"{path}.{name}", message) from None

@@ -43,10 +43,12 @@ def frobenius(m) -> float:
 
 
 def unitary_defect(m) -> float:
-    """Frobenius norm of M*M - I."""
+    """Frobenius norm of M*M - I, 1 taken off the diagonal of M*M in place."""
     a = np.asarray(m)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as NaN
-        return float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0])))
+        gram = a.conj().T @ a
+        gram.reshape(-1)[:: len(gram) + 1] -= 1.0
+        return float(np.linalg.norm(gram))
 
 
 def power_of_two_scaled(a: np.ndarray):
@@ -102,18 +104,24 @@ def adjoint(m) -> np.ndarray:
 
 
 def hermitian_part(m) -> np.ndarray:
-    """(M + M*)/2, for symmetrizing roundoff on computed products."""
+    """(M + M*)/2, for symmetrizing roundoff on computed products: a C-ordered
+    copy of M*, to which M is added and which is halved in place."""
     a = np.asarray(m, dtype=np.complex128)
-    return 0.5 * (a + a.conj().T)
+    out = a.conj().T.copy()
+    out += a
+    out *= 0.5
+    return out
 
 
 def commutator(a, b) -> np.ndarray:
-    """[A, B] = AB - BA."""
+    """[A, B] = AB - BA, BA taken off AB in place."""
     am = as_matrix(a, "A")
     bm = as_matrix(b, "B")
     if am.shape != bm.shape:
         raise ValueError(f"commutator: dimension mismatch {am.shape} vs {bm.shape}")
-    return am @ bm - bm @ am
+    out = am @ bm
+    out -= bm @ am
+    return out
 
 
 class SpectralDecomposition(NamedTuple):
@@ -139,7 +147,8 @@ def spectral_decompose(m, name: str = "matrix") -> SpectralDecomposition:
 
 
 def _decompose(a: np.ndarray, name: str) -> SpectralDecomposition:
-    """spectral_decompose of a matrix that its caller has checked Hermitian."""
+    """spectral_decompose of a matrix that its caller has checked Hermitian;
+    the phases are divided out of eigh's eigenvectors in place."""
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -151,7 +160,7 @@ def _decompose(a: np.ndarray, name: str) -> SpectralDecomposition:
     lead = vecs[lead_rows, np.arange(vecs.shape[1])]
     mod = np.abs(lead)
     phase = np.where(mod > 0, lead / np.where(mod > 0, mod, 1.0), 1.0)
-    vecs = vecs / phase[np.newaxis, :]
+    vecs /= phase[np.newaxis, :]
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
@@ -160,13 +169,19 @@ def joint_decompose(z: np.ndarray, k: np.ndarray, name: str):
     diagonalizes the k that commutes with z, V*kV = diag(kd). Each pair that eigh left
     mixed, |(V*kV)_pq| > JOINT_RTOL ||k||_F, is turned by _pair_rotation, sweep by sweep
     until one turns none; the sweep cap is an eigensolver failure (Bunse-Gerstner,
-    Byers and Mehrmann, SIAM J. Matrix Anal. Appl. 14, 1993)."""
+    Byers and Mehrmann, SIAM J. Matrix Anal. Appl. 14, 1993). Each d x d temporary
+    is dropped before the next is made: the scaled k once V*k is formed, and V*k
+    once V*kV is written into the (z, k) stack, whose z is diag(lam)."""
     dec = _decompose(z, name)
     k_s, scale = power_of_two_scaled(k)
     v, norm = dec.eigenvectors, frobenius(k_s)
-    joint = v.conj().T @ k_s @ v
-    flags = np.abs(np.triu(joint, 1)) > JOINT_RTOL * norm
-    both = np.stack((np.diag(dec.eigenvalues), joint))  # z and k in the basis v
+    vk = v.conj().T @ k_s
+    del k_s
+    both = np.zeros((2, *v.shape), dtype=np.complex128)  # z and k in the basis v
+    np.matmul(vk, v, out=both[1])
+    del vk
+    np.fill_diagonal(both[0], dec.eigenvalues)
+    flags = np.abs(np.triu(both[1], 1)) > JOINT_RTOL * norm
     for _ in range(32):
         turned = False
         for pq in np.argwhere(flags):

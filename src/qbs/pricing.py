@@ -334,13 +334,18 @@ class Moneyness(NamedTuple):
         return kw, ka, rates
 
     def position(self, kw, ka, rates, j_x, model: MarketModel):
-        """(the HedgePosition in j_x, the omega its value reproduces), from hedge_spectra."""
+        """(the HedgePosition in j_x, the omega its value reproduces), from hedge_spectra;
+        b and the value a j_x + beta0 e^{rt} b are each built in one array, in place."""
         grow, disc = rates
         omega = hermitian_part(self.dec.apply(kw))
         a = hermitian_part(self.dec.apply(ka))
         a_jx = hermitian_part(a @ j_x)
-        b = hermitian_part((omega - a_jx) * (disc / model.beta0))
-        return HedgePosition(a=a, b=b, value=a_jx + model.beta0 * grow * b), omega
+        b = omega - a_jx
+        b *= disc / model.beta0
+        b = hermitian_part(b)
+        value = np.multiply(model.beta0 * grow, b)
+        value += a_jx
+        return HedgePosition(a=a, b=b, value=value), omega
 
 
 def moneyness(z, k: np.ndarray, name: str = "z") -> Moneyness:

@@ -221,6 +221,16 @@ def test_override_follows_the_config_rules(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: --seed: seed must be nonnegative\n"
 
 
+def test_a_seed_flag_past_the_replicate_key_is_named_at_the_flag(capsys):
+    # replicate's rule on the seed, a key below 2**128, names the flag that
+    # set it, as the config rules do; the config field's case is named at seed
+    argv = ["replicate", "--config", str(ROOT / "configs" / "monte_carlo.json"), "--seed", str(2**128)]
+    assert qbs.cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --seed: replicate takes a seed below 2**128, got one of 129 bits\n"
+
+
 def test_overrides_replace_config_values(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(scalar_config()))  # seed 7
@@ -1246,9 +1256,9 @@ INTEGER_FIELDS = [
 INTEGER_CASES = [
     case for field, huge, past_int64 in INTEGER_FIELDS for case in ((field, 10**400, huge), (field, 2**63, past_int64))
 ] + [
-    (INTEGER_FIELDS[2][0], 2**22, "config error: Unable to allocate 1.00 PiB "),  # the (1, 8, d, d) normals
-    (INTEGER_FIELDS[4][0], 2**45, "config error: Unable to allocate 256. TiB "),  # the steps - 1 step times
-    (INTEGER_FIELDS[5][0], 2**45, "config error: Unable to allocate 256. TiB "),  # the paths' errors
+    (INTEGER_FIELDS[2][0], 2**22, "config error: ito_check: Unable to allocate 1.00 PiB "),  # the (1, 8, d, d) normals
+    (INTEGER_FIELDS[4][0], 2**45, "config error: replicate: Unable to allocate 256. TiB "),  # the steps - 1 step times
+    (INTEGER_FIELDS[5][0], 2**45, "config error: replicate: Unable to allocate 256. TiB "),  # the paths' errors
     (INTEGER_FIELDS[1][0], 2**128, "config error: seed: replicate takes a seed below 2**128, got one of 129 bits\n"),
 ]
 
